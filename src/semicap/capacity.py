@@ -6,12 +6,18 @@ The capacity of a 1-D system Γ over length-k windows equals
 
 over shift-invariant eta in Γ — the conditional entropy of the last window
 symbol given the preceding ones, maximised over the polytope cut out by Γ,
-the shift-invariance equations and the simplex.  The objective is concave
-and smooth on the relative interior, so a Frank–Wolfe scheme whose linear
-oracle is the in-house LP solver converges with a computable duality gap;
-pairwise (away-step) updates with exact line search are used by default
-because the classic 2/(t+2) step cannot certify tight gaps within a sane
-iteration budget.
+the shift-invariance equations and the simplex.  Its convex dual is
+
+    min over lam of  D(lam) = log2 rho(A_lam) + lam . b,
+
+A_lam being the de Bruijn transfer matrix on (k-1)-grams whose edge for
+window x weighs 2^(-lam . c(x)) (Marcus & Roth 1992; Khayrallah & Neuhoff
+1996).  Every lam gives an upper bound; the Perron Markov measure at the
+minimiser lies in Γ and its entropy meets the bound, so `pressure_dual`
+returns a witness and a duality gap together (a maximiser that must mix
+components of the graph sits at a kink of D, where the dual may stop
+short, and says so).  One feasibility LP decides emptiness first.  The
+site slices of `indentropy` are the one-state case (k = 1).
 
 `transfer_matrix_capacity` provides the independent cross-check for fully
 constrained systems: the log spectral radius of the forbidden-word de
@@ -21,15 +27,17 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable, Iterable, Sequence
+from typing import Iterable, Sequence
 
 import numpy as np
 
 from semicap.lattice_core import (
+    LOG2,
     Alphabet,
     PatternDistribution,
     Shape,
     ValidationError,
+    _entropy_vec,
 )
 from semicap.linprog import solve_lp
 from semicap.scs_model import ConstraintSet, EmptySystemError, LinearConstraint
@@ -44,155 +52,259 @@ __all__ = [
     "transfer_matrix_capacity",
     "internal_capacity_sequence",
     "elimeysch_lower_bound",
-    "Polytope",
-    "maximize_concave",
+    "pressure_dual",
 ]
 
-_LOG_FLOOR = 1e-18
-
 
 # ---------------------------------------------------------------------------
-# Polytopes and the Frank–Wolfe engine
+# The pressure dual
 # ---------------------------------------------------------------------------
+
+# A row whose bound, once its coefficients are shifted to a zero minimum, is
+# at most this is hard: it forbids the patterns it charges outright.
+_HARD_TOL = 1e-15
+# Row violation a returned measure may add to that of the start point.
+_MIX_TOL = 1e-13
+
 
 @dataclass(frozen=True, eq=False)
-class Polytope:
-    """Feasible region {x >= 0, A_ub x <= b_ub, A_eq x = b_eq} for the solver."""
+class GibbsDual:
+    """A certified solution of `pressure_dual`."""
 
-    a_ub: np.ndarray | None
-    b_ub: np.ndarray | None
-    a_eq: np.ndarray
-    b_eq: np.ndarray
-
-    def lp_max(self, g: np.ndarray) -> np.ndarray:
-        """A vertex maximising the linear functional g."""
-        res = solve_lp(-g, a_ub=self.a_ub, b_ub=self.b_ub,
-                       a_eq=self.a_eq, b_eq=self.b_eq)
-        if not res.ok:
-            raise EmptySystemError("optimisation polytope is empty")
-        return res.x
-
-    def random_vertex(self, rng: np.random.Generator) -> np.ndarray:
-        return self.lp_max(rng.normal(size=self.a_eq.shape[1]))
-
-    def max_violation(self, x: np.ndarray) -> float:
-        v = 0.0
-        if self.a_ub is not None:
-            v = max(v, float(np.max(self.a_ub @ x - self.b_ub, initial=0.0)))
-        v = max(v, float(np.max(np.abs(self.a_eq @ x - self.b_eq), initial=0.0)))
-        v = max(v, float(np.max(-x, initial=0.0)))
-        return v
-
-
-def _golden_max(fun: Callable[[float], float], lo: float, hi: float,
-                iters: int = 80) -> float:
-    """Argmax of a unimodal function on [lo, hi] by golden-section search."""
-    invphi = (math.sqrt(5.0) - 1.0) / 2.0
-    a, b = lo, hi
-    c = b - invphi * (b - a)
-    d = a + invphi * (b - a)
-    fc, fd = fun(c), fun(d)
-    for _ in range(iters):
-        if fc >= fd:
-            b, d, fd = d, c, fc
-            c = b - invphi * (b - a)
-            fc = fun(c)
-        else:
-            a, c, fc = c, d, fd
-            d = a + invphi * (b - a)
-            fd = fun(d)
-    return 0.5 * (a + b)
-
-
-@dataclass
-class _FWState:
-    x: np.ndarray
-    value: float
-    gap: float
+    measure: np.ndarray  # shift-invariant window distribution inside the rows
+    value: float         # conditional entropy of `measure`, in bits
+    bound: float         # D(lam): an upper bound on the maximum
+    lam: np.ndarray      # one multiplier per row (0 for hard rows)
     iterations: int
-    converged: bool
+    converged: bool      # bound - value <= gap_tol
 
 
-def _fw_run(f, grad, poly: Polytope, x0: np.ndarray, max_iter: int,
-            gap_tol: float, step_rule: str) -> _FWState:
-    """One Frank–Wolfe run from x0; pairwise steps unless step_rule='classic'."""
-    x = x0.copy()
-    atoms = [x0.copy()]
-    weights = [1.0]
-    best_gap = math.inf
-    it = 0
-    for it in range(1, max_iter + 1):
-        g = grad(x)
-        s = poly.lp_max(g)
-        gap = float(g @ (s - x))
-        best_gap = min(best_gap, max(gap, 0.0))
-        if gap <= gap_tol:
-            return _FWState(x, f(x), max(gap, 0.0), it, True)
-        if step_rule == "classic":
-            gamma = 2.0 / (it + 2.0)
-            x = x + gamma * (s - x)
+def _conditional_entropy(mu: np.ndarray, q: int) -> float:
+    """H(window) - H(window prefix): the entropy of the last symbol given
+    the others (for one-symbol windows, the plain entropy)."""
+    if len(mu) == q:
+        return _entropy_vec(mu)
+    return _entropy_vec(mu) - _entropy_vec(mu.reshape(-1, q).sum(axis=1))
+
+
+def _cycle_components(allowed: np.ndarray, q: int, k: int):
+    """Drop the windows on no cycle of the de Bruijn graph (no shift-invariant
+    measure charges them) and split the states left into their strongly
+    connected components, as index arrays."""
+    s, x = q ** (k - 1), np.arange(q ** k)
+    reach = np.zeros((s, s), dtype=bool)
+    reach[x[allowed] // q, x[allowed] % s] = True
+    while (grown := reach | reach @ reach).sum() > reach.sum():
+        reach = grown
+    mutual = reach & reach.T
+    comps = sorted({tuple(np.flatnonzero(m)) for m in mutual[mutual.diagonal()]})
+    return allowed & reach[x % s, x // q], [np.array(st) for st in comps]
+
+
+def _tilted(c: np.ndarray, allowed: np.ndarray, comps, outside,
+            lam: np.ndarray, q: int, k: int):
+    """log2 of the spectral radius of the tilted de Bruijn matrix A_lam, block
+    diagonal over `comps`, and the Perron Markov window measure of a largest
+    root's component (of tied roots, the least far `outside` the rows), with
+    the transition data behind it."""
+    e = lam @ c
+    # A_lam scaled by 2^top, so the largest weight is 1 whatever the sign of lam
+    top = float(e.min(where=allowed, initial=np.inf))
+    w = np.exp2(top - e) * allowed
+    if k == 1:   # one state: the spectral radius is the total weight
+        z = float(w.sum())
+        return math.log2(z) - top, w / z, None
+    s = q ** (k - 1)
+    x = np.arange(q ** k)
+    a = np.zeros((s, s))
+    a[x // q, x % s] = w   # edge prefix(x) -> suffix(x) carries window x
+    rho, best = 0.0, None
+    for st in comps:
+        block = a[np.ix_(st, st)]
+        if not block.any():   # weights far below the top may underflow to 0
             continue
-        # pairwise step: move weight from the worst active atom toward s
-        away_i = min(range(len(atoms)), key=lambda i: float(g @ atoms[i]))
-        d = s - atoms[away_i]
-        dn = float(np.abs(d).max())
-        if dn < 1e-15:
-            # toward and away atoms coincide; fall back to a plain FW step
-            d = s - x
-            gamma_max = 1.0
-            if float(np.abs(d).max()) < 1e-15:
-                return _FWState(x, f(x), max(gap, 0.0), it, gap <= gap_tol)
-            gamma = _golden_max(lambda t: f(x + t * d), 0.0, gamma_max)
-            x = x + gamma * d
-            atoms, weights = [x.copy()], [1.0]
-            continue
-        gamma_max = weights[away_i]
-        gamma = _golden_max(lambda t: f(x + t * d), 0.0, gamma_max)
-        if gamma <= 0.0:
-            gamma = 0.0
-        x = x + gamma * d
-        np.clip(x, 0.0, None, out=x)
-        # bookkeeping: transfer weight
-        key = None
-        for i, a in enumerate(atoms):
-            if np.array_equal(a, s):
-                key = i
-                break
-        if key is None:
-            atoms.append(s)
-            weights.append(0.0)
-            key = len(atoms) - 1
-        weights[key] += gamma
-        weights[away_i] -= gamma
-        if weights[away_i] <= 1e-14:
-            atoms.pop(away_i)
-            weights.pop(away_i)
-    g = grad(x)
-    s = poly.lp_max(g)
-    gap = max(float(g @ (s - x)), 0.0)
-    return _FWState(x, f(x), gap, it, gap <= gap_tol)
+        root, rs, ls = _perron(block)
+        r, l = np.zeros(s), np.zeros(s)
+        r[st], l[st] = rs, ls
+        eta = l[x // q] * w * r[x % s]
+        eta /= eta.sum()
+        far = outside(eta)
+        if best is None or root > best[0] * (1 + 1e-12) or (
+                root >= best[0] * (1 - 1e-12) and far < best[1]):
+            best = (root, far, eta, r)
+        rho = max(rho, root)
+    root, _, eta, r = best
+    return math.log2(rho) - top, eta, (w, r, root)
 
 
-def maximize_concave(f, grad, poly: Polytope, starts: Sequence[np.ndarray], *,
-                     max_iter: int = 50000, gap_tol: float = 1e-6,
-                     step_rule: str = "pairwise") -> _FWState:
-    """Best Frank–Wolfe result over the given start points.
+def _perron(a: np.ndarray):
+    """Spectral radius and right and left Perron vectors of an irreducible
+    nonnegative matrix, by linear solves alone.
 
-    The iteration budget is split evenly across starts; the returned state
-    carries the total iteration count and the winner's duality gap.
+    Newton's method on det(zI - A) starts above rho; its step
+    1 / tr (zI - A)^-1 never passes rho (every eigenvalue contributes a
+    term of positive real part), so z falls monotonically to rho, and a
+    step shortened by 1e-3 never lands on it.  Close to rho the resolvent
+    (zI - A)^-1 >= 0 is dominated by r l^T / (z - rho), so applying it
+    twice to the ones vector (inverse iteration) gives both vectors to
+    working precision.
     """
-    if not starts:
-        raise ValidationError("need at least one start point")
-    per = max(1, max_iter // len(starts))
-    best: _FWState | None = None
-    total = 0
-    for x0 in starts:
-        st = _fw_run(f, grad, poly, x0, per, gap_tol, step_rule)
-        total += st.iterations
-        if best is None or st.value > best.value:
-            best = st
-    best.iterations = total
-    return best
+    eye = np.eye(len(a))
+    z = 1.001 * min(a.sum(axis=0).max(), a.sum(axis=1).max())   # > rho
+    for _ in range(500):
+        res = np.linalg.solve(z * eye - a, eye)
+        step = 1.0 / np.trace(res)
+        if step <= 1e-10 * z:
+            break
+        z -= 0.999 * step
+    r, l = res.sum(axis=1), res.sum(axis=0)
+    r, l = res @ (r / r.max()), (l / l.max()) @ res
+    r, l = r / r.max(), l / l.max()
+    return float(l @ a @ r) / float(l @ r), r, l
+
+
+def _hessian(c: np.ndarray, eta: np.ndarray, trans, q: int, k: int) -> np.ndarray:
+    """Hessian of log2 rho(A_lam): ln 2 times the asymptotic covariance of
+    the rows along the Perron chain (the plain covariance when k = 1)."""
+    f = c - (c @ eta)[:, None]
+    if k == 1:
+        return LOG2 * ((f * eta) @ f.T)
+    w, r, rho = trans
+    s = q ** (k - 1)
+    x = np.nonzero(eta > 0.0)[0]
+    u, v = x // q, x % s
+    # window chain on the support: x -> y when suffix(x) == prefix(y)
+    p = (v[:, None] == u[None, :]) * (w[x] * r[v] / (rho * r[u]))[None, :]
+    pi = eta[x]
+    f = f[:, x]
+    y = np.linalg.solve(np.eye(len(x)) - p + pi[None, :], f.T)
+    cross = (f * pi) @ y
+    return LOG2 * (cross + cross.T - (f * pi) @ f.T)
+
+
+def _newton_step(hess: np.ndarray, g: np.ndarray, lam: np.ndarray,
+                 bounded: np.ndarray) -> np.ndarray:
+    """Newton step for D on the free multipliers.  Along flat directions of
+    the Hessian (parallel rows) D is linear, so the step follows its slope
+    down to the nearest bound lam_i = 0 of a `bounded` multiplier."""
+    if len(g) == 1 and hess[0, 0] > 0.0:
+        return -g / hess[0, 0]
+    curv, vecs = np.linalg.eigh(hess)
+    gv = vecs.T @ g
+    flat = curv <= 1e-9 * curv[-1]
+    step = -vecs @ np.where(flat, 0.0, gv / np.where(flat, 1.0, curv))
+    slope = vecs @ np.where(flat, gv, 0.0)
+    hits = bounded & (slope > 0.0)
+    if hits.any():
+        step -= max(np.min((lam + step)[hits] / slope[hits]), 0.0) * slope
+    return step
+
+
+def pressure_dual(coeffs, bounds, equal, q: int, k: int, start: np.ndarray,
+                  lam=None, *, max_iter: int, gap_tol: float) -> GibbsDual:
+    """Maximise the conditional entropy of a shift-invariant measure on
+    length-k windows over q symbols subject to rows coeffs . mu <= bounds
+    (== where `equal`), by minimising the pressure dual
+
+        D(lam) = log2 rho(A_lam) + lam . b,
+
+    A_lam being the de Bruijn matrix on (k-1)-grams whose edge for window x
+    weighs 2^(-lam . c(x)); lam >= 0 on `<=` rows and free on `==` rows.
+    k = 1 is the one-state case, entropy maximisation on the simplex.
+
+    Every row is first shifted to a zero minimum coefficient (exact, since
+    the mass is 1); a row left with bound 0 is hard and removes the
+    patterns it charges, and windows on no cycle go too.  Damped projected
+    Newton with the exact Hessian then runs from `lam` (warm start, one
+    entry per row) until the certificate closes: the Perron measure at lam
+    meets every row and its conditional entropy, D(lam) - lam . grad D(lam),
+    is within gap_tol of D(lam), which bounds every feasible entropy from
+    above.  If the budget runs out first, the Perron measure is mixed with
+    the feasible `start` just enough to meet the rows, and `start` itself is
+    returned when it is better.  Raises EmptySystemError when a row alone
+    cannot be met.
+    """
+    c = np.array(coeffs, dtype=np.float64).reshape(-1, q ** k)
+    low = c.min(axis=1)
+    c -= low[:, None]
+    b = np.asarray(bounds, dtype=np.float64) - low
+    if (b < -_HARD_TOL).any():
+        raise EmptySystemError("a constraint row cannot be met")
+    soft = b > _HARD_TOL
+    equal = np.asarray(equal, dtype=bool)
+    allowed = np.ones(c.shape[1], dtype=bool)
+    if not soft.all():
+        allowed = ~(c[~soft] > _HARD_TOL).any(axis=0)
+        c, b, equal = c[soft], b[soft], equal[soft]
+    allowed, comps = _cycle_components(allowed, q, k) if k > 1 else (allowed, None)
+    if not allowed.any():
+        raise EmptySystemError("the hard rows leave no shift-invariant pattern")
+    floor = np.where(equal, -np.inf, 0.0)   # lam >= 0 on `<=` rows only
+    lam_all = np.zeros(len(soft)) if lam is None else np.array(lam, dtype=np.float64)
+    lam = np.maximum(lam_all[soft], floor)
+    start = np.asarray(start, dtype=np.float64)
+    excess = c @ start - b
+    # a returned measure may exceed a row by _MIX_TOL, or by what start does
+    slack = np.maximum(_MIX_TOL, np.where(equal, np.abs(excess), excess))
+    below = np.where(equal, slack, np.inf)   # == rows must not fall short either
+
+    def outside(eta):
+        g = b - c @ eta
+        return float(np.max(np.maximum(-g - slack, g - below), initial=0.0))
+
+    def dual(lam):
+        log_rho, eta, trans = _tilted(c, allowed, comps, outside, lam, q, k)
+        return log_rho + float(lam @ b), eta, trans, b - c @ eta   # g = grad D
+
+    def kkt(lam, g):   # size of the projected gradient
+        return np.linalg.norm(np.where((lam > floor) | (g < 0.0), g, 0.0))
+
+    bound, eta, trans, g = dual(lam)
+    it = 0
+    while True:
+        it += 1
+        inside = bool(((-g <= slack) & (g <= below)).all())
+        if (inside and float(lam @ g) <= gap_tol) or it >= max_iter:
+            break
+        free = (lam > floor) | (g < 0.0)
+        d = np.zeros_like(lam)
+        d[free] = _newton_step(_hessian(c[free], eta, trans, q, k), g[free],
+                               lam[free], ~equal[free])
+        step = 1.0
+        for _ in range(60):
+            new = np.maximum(lam + step * d, floor)
+            trial = dual(new)
+            rise = trial[0] - bound
+            # Armijo on D; near the minimiser D is flat to rounding, so there
+            # a smaller projected gradient (computed exactly) also passes
+            if rise <= 1e-4 * float(g @ (new - lam)) or (
+                    rise <= 16 * np.spacing(max(1.0, abs(bound)))
+                    and kkt(new, trial[3]) < kkt(lam, g)):
+                break
+            step *= 0.5
+        else:
+            break   # no progress left at working precision
+        if (new == lam).all():
+            break
+        lam = new
+        bound, eta, trans, g = trial
+
+    mu = eta
+    if not inside:
+        # largest t in [0, 1] with t*eta + (1-t)*start within slack of every row
+        a = -g - excess
+        bind = (a > 0.0) | (equal & (a < 0.0))
+        t = max(0.0, float(np.min((slack[bind] - np.sign(a[bind]) * excess[bind])
+                                  / np.abs(a[bind]), initial=1.0)))
+        mu = t * eta + (1.0 - t) * start
+    value = _conditional_entropy(mu, q)
+    if bound - value > gap_tol:
+        h_start = _conditional_entropy(start, q)
+        if value < h_start:
+            mu, value = start, h_start
+    lam_all = np.zeros(len(soft))
+    lam_all[soft] = lam
+    return GibbsDual(mu, value, bound, lam_all, it, bound - value <= gap_tol)
 
 
 # ---------------------------------------------------------------------------
@@ -208,18 +320,12 @@ def shift_invariant_equations(k: int, alphabet: Alphabet) -> list[np.ndarray]:
     """
     if k < 1:
         raise ValidationError("window length must be >= 1")
-    q = alphabet.size
     if k == 1:
         return []
-    rows = []
-    qk1 = q ** (k - 1)
-    for j in range(qk1):  # j indexes the middle word
-        row = np.zeros(q ** k)
-        for a in range(q):
-            row[a * qk1 + j] += 1.0  # a . m  (m as suffix)
-            row[j * q + a] -= 1.0    # m . a  (m as prefix)
-        rows.append(row)
-    return rows
+    q, s = alphabet.size, alphabet.size ** (k - 1)
+    x, m = np.arange(q ** k), np.arange(s)[:, None]   # m indexes the middle word
+    # +1 on a . m (m as suffix), -1 on m . a (m as prefix)
+    return list((x % s == m) - (x // q == m).astype(np.float64))
 
 
 @dataclass(frozen=True, eq=False)
@@ -259,77 +365,52 @@ def _require_window(gamma: ConstraintSet) -> int:
     return len(shape)
 
 
-def _capacity_polytope(gamma: ConstraintSet) -> Polytope:
-    k = _require_window(gamma)
-    q = gamma.alphabet.size
-    m = q ** k
-    a_ub, b_ub = [], []
-    a_eq, b_eq = [np.ones(m)], [1.0]
-    for row in shift_invariant_equations(k, gamma.alphabet):
-        a_eq.append(row)
-        b_eq.append(0.0)
-    for con in gamma.constraints:
-        if con.sense == "<=":
-            a_ub.append(con.coeffs)
-            b_ub.append(con.bound)
-        else:
-            a_eq.append(con.coeffs)
-            b_eq.append(con.bound)
-    return Polytope(
-        np.array(a_ub) if a_ub else None,
-        np.array(b_ub) if a_ub else None,
-        np.array(a_eq),
-        np.array(b_eq),
+def _feasible_start(gamma: ConstraintSet, k: int) -> np.ndarray:
+    """A shift-invariant window measure inside Γ, by one feasibility LP.
+
+    The LP minimises the summed `<=` rows, so the point keeps slack where it
+    can: the dual's Perron measure can then be mixed toward it without
+    leaving Γ when the dual stops short of its certificate.
+    """
+    m = gamma.npatterns
+    ub = [c for c in gamma.constraints if c.sense == "<="]
+    eq = [c for c in gamma.constraints if c.sense == "=="]
+    shift = shift_invariant_equations(k, gamma.alphabet)
+    res = solve_lp(
+        np.sum([c.coeffs for c in ub], axis=0) if ub else np.zeros(m),
+        a_ub=np.array([c.coeffs for c in ub]) if ub else None,
+        b_ub=np.array([c.bound for c in ub]) if ub else None,
+        a_eq=np.array([np.ones(m), *shift, *(c.coeffs for c in eq)]),
+        b_eq=np.array([1.0] + [0.0] * len(shift) + [c.bound for c in eq]),
     )
+    if not res.ok:
+        raise EmptySystemError("no shift-invariant measure satisfies the constraints")
+    x = np.clip(res.x, 0.0, None)
+    return x / x.sum()
 
 
-def _conditional_entropy_objective(q: int, k: int):
-    """f(eta) = H(eta) - H(prefix marginal), with its gradient."""
-
-    def f(x: np.ndarray) -> float:
-        xp = np.clip(x, 0.0, None)
-        h = -np.sum(xp[xp > 0] * np.log2(xp[xp > 0]))
-        if k == 1:
-            return float(h)
-        pref = xp.reshape(-1, q).sum(axis=1)
-        hp = -np.sum(pref[pref > 0] * np.log2(pref[pref > 0]))
-        return float(h - hp)
-
-    def grad(x: np.ndarray) -> np.ndarray:
-        xp = np.clip(x, _LOG_FLOOR, None)
-        if k == 1:
-            return -np.log2(xp) - 1.0 / math.log(2.0)
-        pref = np.clip(x.reshape(-1, q).sum(axis=1), _LOG_FLOOR, None)
-        return -np.log2(xp) + np.log2(np.repeat(pref, q))
-
-    return f, grad
-
-
-def capacity_1d(gamma: ConstraintSet, *, restarts: int = 5,
-                max_iter: int = 50000, gap_tol: float = 1e-6, seed: int = 0,
-                step_rule: str = "pairwise") -> CapacityResult:
+def capacity_1d(gamma: ConstraintSet, *, max_iter: int = 50000,
+                gap_tol: float = 1e-9) -> CapacityResult:
     """Capacity in bits of a 1-D semiconstrained system.
 
-    Maximises the conditional window entropy over Γ intersected with the
-    shift-invariance polytope, restarting Frank–Wolfe from `restarts`
-    random feasible vertices (plus one deterministic feasible point) and
-    reporting the best run with its duality gap.
+    Solves the pressure dual of the conditional-entropy maximisation over
+    shift-invariant measures in Γ (`pressure_dual`), starting from the
+    point of one feasibility LP, which also decides emptiness.  The
+    optimizer is the Perron Markov measure at the dual minimiser (mixed
+    toward the LP point only as far as needed to stay inside Γ), `value`
+    is its conditional entropy, and `duality_gap` is the dual bound minus
+    `value`; `iterations` counts dual iterations.
     """
-    k = _require_window(gamma)
-    q = gamma.alphabet.size
-    poly = _capacity_polytope(gamma)
-    f, grad = _conditional_entropy_objective(q, k)
-    rng = np.random.default_rng(seed)
-    starts = [poly.lp_max(np.zeros(q ** k))]
-    for _ in range(restarts):
-        starts.append(poly.random_vertex(rng))
-    st = maximize_concave(f, grad, poly, starts, max_iter=max_iter,
-                          gap_tol=gap_tol, step_rule=step_rule)
-    probs = np.clip(st.x, 0.0, None)
-    probs /= probs.sum()
-    opt = PatternDistribution(gamma.alphabet, gamma.shape, probs)
-    value = min(max(st.value, 0.0), math.log2(q))
-    return CapacityResult(value, opt, st.iterations, st.gap, st.converged)
+    k, q, cons = _require_window(gamma), gamma.alphabet.size, gamma.constraints
+    sol = pressure_dual(
+        [c.coeffs for c in cons], [c.bound for c in cons],
+        [c.sense == "==" for c in cons], q, k, _feasible_start(gamma, k),
+        max_iter=max_iter, gap_tol=gap_tol,
+    )
+    opt = PatternDistribution(gamma.alphabet, gamma.shape, sol.measure)
+    value = min(max(sol.value, 0.0), math.log2(q))
+    gap = max(sol.bound - value, 0.0)
+    return CapacityResult(value, opt, sol.iterations, gap, gap <= gap_tol)
 
 
 # ---------------------------------------------------------------------------

@@ -203,12 +203,7 @@ def _cmd_capacity(args) -> tuple[_Table, int]:
         raise ConfigError("capacity is computed for 1-D systems")
     seed = args.seed if args.seed is not None else cfg.solver.seed
     sol = cfg.solver
-    result = capacity_1d(
-        cfg.factor(),
-        restarts=sol.restarts if sol.restarts is not None else 5,
-        max_iter=sol.max_iter, gap_tol=sol.gap_tol, seed=seed,
-        step_rule=sol.step_rule,
-    )
+    result = capacity_1d(cfg.factor(), max_iter=sol.max_iter, gap_tol=sol.gap_tol)
     table = _Table("capacity", cfg.sha256, seed, args.format)
     table.header("field", "pattern", "value")
     table.row(field="capacity", value=result.value)

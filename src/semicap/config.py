@@ -13,10 +13,9 @@ A system is described by an INI-style text with two sections::
 
     [solver]
     seed = 0
-    restarts = 5            # optimisation restarts (20 for product measures)
-    max_iter = 50000        # iteration budget, split across restarts
-    gap_tol = 1e-6          # duality-gap certificate
-    step_rule = pairwise    # pairwise | classic
+    restarts = 20           # product-measure restarts (10 in `report`)
+    max_iter = 50000        # capacity: iteration budget of the pressure dual
+    gap_tol = 1e-9          # capacity: duality-gap certificate
     trials = 500            # Monte Carlo trials in `report`
 
     # constraint = forbidden takes instead:
@@ -64,7 +63,7 @@ _KIND_KEYS = {
     "forbidden": {"forbidden"},
     "linear": {"window", "linear"},
 }
-_SOLVER_KEYS = {"seed", "restarts", "max_iter", "gap_tol", "step_rule", "trials"}
+_SOLVER_KEYS = {"seed", "restarts", "max_iter", "gap_tol", "trials"}
 
 
 @dataclass(frozen=True)
@@ -72,8 +71,7 @@ class SolverOptions:
     seed: int = 0
     restarts: int | None = None   # None: each operation's own default
     max_iter: int = 50000
-    gap_tol: float = 1e-6
-    step_rule: str = "pairwise"
+    gap_tol: float = 1e-9
     trials: int = 500
 
 
@@ -177,15 +175,11 @@ class SystemConfig:
             bad = set(sol_sec) - _SOLVER_KEYS
             if bad:
                 raise ConfigError(f"unknown [solver] keys: {sorted(bad)}")
-            step = _get(sol_sec, "step_rule", str, default="pairwise")
-            if step not in ("pairwise", "classic"):
-                raise ConfigError("step_rule must be pairwise or classic")
             solver = SolverOptions(
                 seed=_get(sol_sec, "seed", int, default=0),
                 restarts=_get(sol_sec, "restarts", int),
                 max_iter=_get(sol_sec, "max_iter", int, default=50000),
-                gap_tol=_get(sol_sec, "gap_tol", float, default=1e-6),
-                step_rule=step,
+                gap_tol=_get(sol_sec, "gap_tol", float, default=1e-9),
                 trials=_get(sol_sec, "trials", int, default=500),
             )
 

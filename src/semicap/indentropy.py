@@ -18,8 +18,9 @@ optimiser exploits:
   non-stationary fixed points (any split of the budget across sites is
   axis-wise optimal), which is why the multiplier is global;
 * zero-budget and multi-constraint systems fall back to per-site entropy
-  maximisation over the feasible slice (bisection on the per-site
-  multiplier, or a Frank–Wolfe step for several simultaneous constraints);
+  maximisation over the feasible slice, the one-state case of the
+  certified pressure dual in `capacity` (one multiplier per constraint,
+  warm-started from the site's previous solve);
 * everything is repeated from random restarts plus i.i.d. and period-2
   warm starts, and the winner is certified feasible by an LP distance check.
 
@@ -44,14 +45,16 @@ from semicap.lattice_core import (
     SizeGuardError,
     ValidationError,
     Word,
+    _entropy_vec,
     averaged_marginal,
     pattern_from_index,
     pattern_space_size,
     product_entropy,
 )
-from semicap.capacity import Polytope, maximize_concave
+from semicap.capacity import pressure_dual
 from semicap.scs_model import (
     ConstraintSet,
+    _forbids_patterns,
     _single_set_cap,
     find_admissible_word,
     tv_distance_to_set,
@@ -73,6 +76,9 @@ __all__ = [
 ]
 
 _CERT_TOL = 1e-8
+# Site-slice dual: iteration budget and certificate.
+_SLICE_ITER = 100
+_SLICE_GAP = 1e-12
 
 
 def _h2(x: float) -> float:
@@ -104,11 +110,7 @@ class PeriodicProductMeasure:
         return cls(alphabet, 1, np.asarray(dist, dtype=np.float64)[None, :])
 
     def entropy_rate(self) -> float:
-        rates = []
-        for row in self.site_dists:
-            pos = row[row > 0]
-            rates.append(float(-(pos * np.log2(pos)).sum()))
-        return float(np.mean(rates))
+        return float(np.mean([_entropy_vec(row) for row in self.site_dists]))
 
     def tile(self, side: int) -> SiteProductMeasure:
         """Extend to the length-`side` cycle (side must be a multiple of the
@@ -189,103 +191,31 @@ class _WindowModel:
         return lin / n, const / n
 
 
-def _entropy_max_capped(lin: np.ndarray, bound: float) -> np.ndarray:
-    """Maximise H(p) over the simplex subject to lin . p <= bound, for
-    nonnegative lin, by bisection on the KKT multiplier."""
-    q = len(lin)
-    uniform = np.full(q, 1.0 / q)
-    if float(lin @ uniform) <= bound + 1e-15:
-        return uniform
-    lmin = float(lin.min())
-    if bound < lmin - 1e-15:
-        raise ValidationError("infeasible site subproblem")
-    if bound <= lmin + 1e-15:
-        # only the cheapest symbols are allowed
-        support = lin <= lmin + 1e-12
-        p = np.where(support, 1.0, 0.0)
-        return p / p.sum()
-
-    shifted = lin - lmin
-
-    def dist_for(lam: float) -> np.ndarray:
-        w = np.exp2(-lam * shifted)
-        return w / w.sum()
-
-    lo, hi = 0.0, 1.0
-    while float(lin @ dist_for(hi)) > bound:
-        hi *= 2.0
-        if hi > 1e9:
-            break
-    for _ in range(200):
-        mid = 0.5 * (lo + hi)
-        if float(lin @ dist_for(mid)) > bound:
-            lo = mid
-        else:
-            hi = mid
-    return dist_for(hi)
-
-
-def _entropy_max_slice(rows_lin: list[np.ndarray], bounds: list[float],
-                       current: np.ndarray) -> np.ndarray:
-    """Entropy maximisation over {p in simplex : lin_r . p <= bound_r}."""
-    active = [(l, b) for l, b in zip(rows_lin, bounds)]
-    q = len(current)
-    uniform = np.full(q, 1.0 / q)
-    if all(float(l @ uniform) <= b + 1e-15 for l, b in active):
-        return uniform
-    if len(active) == 1 and np.all(active[0][0] >= 0):
-        return _entropy_max_capped(active[0][0], active[0][1])
-    # general slice: Frank–Wolfe with the LP oracle
-    poly = Polytope(
-        np.array([l for l, _ in active]),
-        np.array([b for _, b in active]),
-        np.ones((1, q)),
-        np.array([1.0]),
-    )
-
-    def f(p):
-        pp = p[p > 1e-300]
-        return float(-(pp * np.log2(pp)).sum())
-
-    def grad(p):
-        return -np.log2(np.clip(p, 1e-18, None)) - 1.0 / math.log(2.0)
-
-    st = maximize_concave(f, grad, poly, [current], max_iter=2000, gap_tol=1e-10)
-    return np.clip(st.x, 0.0, None) / np.clip(st.x, 0.0, None).sum()
-
-
 def _sweep_hard(model: _WindowModel, rows: np.ndarray, bounds_eff: list[float],
                 coeff_list: list[np.ndarray], sweeps: int = 400) -> np.ndarray:
-    """Cyclic per-site entropy maximisation within the feasible slice."""
+    """Cyclic per-site entropy maximisation within the feasible slice.
+
+    Each site's slice {p : lin_r . p <= bound_r} is the one-state case of
+    the pressure dual, warm-started at that site's previous multipliers.
+    """
     n = model.side
+    lams = np.zeros((n, len(coeff_list)))
     prev = -math.inf
     for _ in range(sweeps):
         for v in range(n):
-            lins, bnds = [], []
-            ok = True
-            for coeffs, b in zip(coeff_list, bounds_eff):
-                lin, const = model.site_coeffs(rows, v, coeffs)
-                if np.any(lin < -1e-12):
-                    ok = False
-                    break
-                lins.append(np.clip(lin, 0.0, None))
-                bnds.append(b - const)
-            if not ok:
-                continue
+            lins, consts = zip(*(model.site_coeffs(rows, v, cf) for cf in coeff_list))
             try:
-                rows[v] = _entropy_max_slice(lins, bnds, rows[v].copy())
+                sol = pressure_dual(lins, np.subtract(bounds_eff, consts),
+                                    [False] * len(lins), model.q, 1, rows[v],
+                                    lams[v], max_iter=_SLICE_ITER, gap_tol=_SLICE_GAP)
             except ValidationError:
                 continue
-        val = sum(_h2_row(rows[v]) for v in range(n))
+            rows[v], lams[v] = sol.measure, sol.lam
+        val = sum(_entropy_vec(r) for r in rows)
         if val <= prev + 1e-13:
             break
         prev = val
     return rows
-
-
-def _h2_row(row: np.ndarray) -> float:
-    pos = row[row > 0]
-    return float(-(pos * np.log2(pos)).sum())
 
 
 def _lagrangian_fixed_point(model: _WindowModel, rows: np.ndarray,
@@ -425,7 +355,7 @@ def hind_fixed_n(gamma: ConstraintSet, side: int, eps: float = 0.0, *,
             rows = _sweep_hard(model, start.copy(), bounds_eff, coeff_list)
         if not feasible_rows(rows):
             continue
-        val = sum(_h2_row(r) for r in rows) / n
+        val = sum(_entropy_vec(r) for r in rows) / n
         if val > best_val:
             best_val, best_rows = val, rows
 
@@ -570,8 +500,7 @@ class HindComResult:
 def _forbidden_of(gamma: ConstraintSet) -> list[tuple[int, ...]]:
     pats = []
     for c in gamma.constraints:
-        # a zero-bound 0/1 row forbids each of its patterns outright
-        if c.bound != 0.0 or not np.all((c.coeffs == 0.0) | (c.coeffs == 1.0)):
+        if not _forbids_patterns(c):
             raise ValidationError("need a fully-constrained system")
         for idx in np.nonzero(c.coeffs)[0]:
             pats.append(pattern_from_index(int(idx), gamma.alphabet.size,

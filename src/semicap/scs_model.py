@@ -240,6 +240,12 @@ def axial_product(gamma: ConstraintSet, dim: int, mode: str = "strict") -> Axial
 # Distance to the polytope
 # ---------------------------------------------------------------------------
 
+def _forbids_patterns(con: LinearConstraint) -> bool:
+    """Is this a zero-bound row with 0/1 coefficients?  Such a row forbids
+    each pattern it charges outright, whichever sense it is written with."""
+    return con.bound == 0.0 and bool(np.all((con.coeffs == 0.0) | (con.coeffs == 1.0)))
+
+
 def _single_set_cap(gamma: ConstraintSet):
     """If Γ is 'mass of a pattern set A at most b' (an all-equality-zero
     system is the b = 0 case), return (indicator of A, b); else None."""
@@ -251,12 +257,7 @@ def _single_set_cap(gamma: ConstraintSet):
         if np.all((c == 0.0) | (c == 1.0)) and (c == 0.0).any():
             return c, float(cs[0].bound)
         return None
-    if all(
-        c.sense == "=="
-        and c.bound == 0.0
-        and np.all((c.coeffs == 0.0) | (c.coeffs == 1.0))
-        for c in cs
-    ):
+    if all(c.sense == "==" and _forbids_patterns(c) for c in cs):
         ind = np.zeros(gamma.npatterns)
         for c in cs:
             ind = np.maximum(ind, c.coeffs)
@@ -312,6 +313,12 @@ def tv_distance_to_set(mu: PatternDistribution, gamma: ConstraintSet) -> float:
 # Admissibility of a single word
 # ---------------------------------------------------------------------------
 
+def _decimal(x) -> Fraction:
+    """A float bound or coefficient read as its shortest round-trip decimal,
+    so 0.3 means 3/10 (`Fraction(0.3)` is the binary float, below 3/10)."""
+    return Fraction(repr(float(x)))
+
+
 def _exact_row_check(counts: Sequence[int], con: LinearConstraint, total: int) -> bool:
     """Exact rational test of `con` against integer pattern counts/total."""
     lhs = Fraction(0)
@@ -319,8 +326,8 @@ def _exact_row_check(counts: Sequence[int], con: LinearConstraint, total: int) -
         if cnt:
             c = con.coeffs[i]
             if c:
-                lhs += Fraction(float(c)) * int(cnt)
-    rhs = Fraction(con.bound) * total
+                lhs += _decimal(c) * int(cnt)
+    rhs = _decimal(con.bound) * total
     if con.sense == "<=":
         return lhs <= rhs
     return lhs == rhs
@@ -403,7 +410,7 @@ def _scale_row(coeff_sets, bound: Fraction, scale: int, sense: str,
     integer weights = c * common.  For eps > 0 the budget is relaxed by the
     worst-case constraint movement within a TV ball of radius eps.
     """
-    fracs = [[Fraction(float(c)) for c in coeffs] for _, coeffs in coeff_sets]
+    fracs = [[_decimal(c) for c in coeffs] for _, coeffs in coeff_sets]
     common = 1
     for fs in fracs:
         for f in fs:
@@ -494,7 +501,7 @@ class _Counter:
             nplace = len(self.groups[g].offsets)
             for con in sys_.constraints:
                 self.rows.append(
-                    _scale_row([(g, con.coeffs)], Fraction(con.bound), nplace,
+                    _scale_row([(g, con.coeffs)], _decimal(con.bound), nplace,
                                con.sense, self.eps)
                 )
         else:
@@ -504,7 +511,7 @@ class _Counter:
                     nplace = len(self.groups[gids[i]].offsets)
                     for con in f.constraints:
                         self.rows.append(
-                            _scale_row([(gids[i], con.coeffs)], Fraction(con.bound),
+                            _scale_row([(gids[i], con.coeffs)], _decimal(con.bound),
                                        nplace, con.sense, self.eps)
                         )
             else:
@@ -513,7 +520,7 @@ class _Counter:
                 for con in f.constraints:
                     self.rows.append(
                         _scale_row([(g, con.coeffs) for g in gids],
-                                   Fraction(con.bound), nplace, con.sense, self.eps)
+                                   _decimal(con.bound), nplace, con.sense, self.eps)
                     )
 
         # Index placements by the assignment step that completes them.
@@ -709,16 +716,8 @@ def count_admissible_noncyclic(side: int, system, *,
     if convention not in ("tile", "halfopen"):
         raise ValidationError(f"unknown convention {convention!r}")
     factors = system.factors if isinstance(system, AxialSystem) else (system,)
-    for f in factors:
-        for c in f.constraints:
-            # zero-bound rows with 0/1 coefficients forbid their patterns
-            # outright, whichever sense they are written with
-            if c.bound != 0.0 or not np.all(
-                (c.coeffs == 0.0) | (c.coeffs == 1.0)
-            ):
-                raise ValidationError(
-                    "non-cyclic counting needs a fully-constrained system"
-                )
+    if not all(_forbids_patterns(c) for f in factors for c in f.constraints):
+        raise ValidationError("non-cyclic counting needs a fully-constrained system")
     if threads > 1:
         return _parallel_count(side, system, 0.0, False, convention, threads)
     return _Counter(side, system, 0.0, cyclic=False, convention=convention).count()

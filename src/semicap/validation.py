@@ -242,7 +242,7 @@ def hasse_report(gamma: ConstraintSet, dim: int, *,
     A violated edge raises ValidationError with a diagnostic — a report is
     only ever returned with all required edges holding.
     """
-    cap = capacity_1d(gamma, restarts=restarts, seed=seed)
+    cap = capacity_1d(gamma)
     best = None
     for n in hind_sides:
         if n < len(gamma.shape):

@@ -10,13 +10,30 @@ from semicap.capacity import (
     capacity_1d,
     elimeysch_lower_bound,
     internal_capacity_sequence,
+    pressure_dual,
     shift_invariant_equations,
     transfer_matrix_capacity,
 )
-from semicap.scs_model import ConstraintSet, LinearConstraint, rll_constraint
+from semicap.scs_model import (
+    ConstraintSet,
+    EmptySystemError,
+    LinearConstraint,
+    fully_constrained,
+    rll_constraint,
+)
 
 BIN = Alphabet.binary()
 GOLDEN_RATE = math.log2((1 + math.sqrt(5)) / 2)  # no-adjacent-ones capacity
+# Window 2: ones density <= 0.4 and mu(11) <= 0.15.
+TWO_ROW = ConstraintSet(BIN, Shape.segment(2), (
+    LinearConstraint((0, 0.5, 0.5, 1), 0.4),
+    LinearConstraint((0, 0, 0, 1), 0.15),
+))
+
+
+def _entropy(p):
+    p = p[p > 0]
+    return float(-(p * np.log2(p)).sum())
 
 
 def test_transfer_matrix_known_rates():
@@ -57,31 +74,133 @@ def test_shift_invariance_equations():
 def test_capacity_hard_systems_match_spectral_oracle():
     cap1 = capacity_1d(rll_constraint(1, 0.0))
     assert cap1.converged
-    assert cap1.value == pytest.approx(GOLDEN_RATE, abs=1e-6)
+    assert cap1.value == pytest.approx(GOLDEN_RATE, abs=1e-9)
     cap2 = capacity_1d(rll_constraint(2, 0.0))
     oracle = transfer_matrix_capacity([(1, 1, 1)])
-    assert cap2.value == pytest.approx(oracle, abs=1e-6)
+    assert cap2.value == pytest.approx(oracle, abs=1e-9)
+    # forbidding 00 and 11 over three symbols: hard rows prune the graph
+    tri = Alphabet.of_size(3)
+    res = capacity_1d(fully_constrained(tri, Shape.segment(2), [(0, 0), (1, 1)]))
+    assert res.converged
+    assert res.value == pytest.approx(
+        transfer_matrix_capacity([(0, 0), (1, 1)], tri), abs=1e-9)
+
+
+def test_capacity_free_equality_multiplier():
+    # window 1, mu(1) == 0.3: the multiplier is free and the capacity is H2(0.3)
+    gamma = ConstraintSet(BIN, Shape.segment(1), (LinearConstraint((0, 1), 0.3, "=="),))
+    res = capacity_1d(gamma)
+    assert res.converged
+    assert res.value == pytest.approx(_entropy(np.array([0.3, 0.7])), abs=1e-12)
+
+
+def test_capacity_inconsistent_equalities_are_empty():
+    gamma = ConstraintSet(BIN, Shape.segment(1), (
+        LinearConstraint((0, 1), 0.3, "=="),
+        LinearConstraint((0, 1), 0.4, "=="),
+    ))
+    with pytest.raises(EmptySystemError):
+        capacity_1d(gamma)
+
+
+def test_capacity_two_row_certificate():
+    res = capacity_1d(TWO_ROW)
+    assert res.converged and res.duality_gap <= 1e-9
+    assert TWO_ROW.contains(res.optimizer, tol=1e-9)
+    poly = ShiftInvariancePolytope.build(2, BIN)
+    assert poly.contains(res.optimizer, tol=1e-9)
+    # value is the conditional entropy of the returned optimizer
+    probs = res.optimizer.float_probs()
+    cond = _entropy(probs) - _entropy(probs.reshape(2, 2).sum(axis=1))
+    assert res.value == pytest.approx(cond, abs=1e-12)
+
+
+def _window2_row(alphabet, fn):
+    q = alphabet.size
+    return tuple(float(fn(a, b)) for a in range(q) for b in range(q))
+
+
+def test_capacity_on_reducible_graphs():
+    """Hard rows that split the de Bruijn graph into components, with soft
+    rows on top; the components tie at lam = 0."""
+    q4 = Alphabet.of_size(4)
+
+    def half(a):
+        return a >= 2
+
+    cases = [
+        # only the constant words 0^n and 1^n remain: capacity 0
+        (ConstraintSet(BIN, Shape.segment(2), (
+            LinearConstraint((0, 1, 1, 0), 0.0, "=="),
+            LinearConstraint((0, 0, 0, 1), 0.3),
+        )), 0.0),
+        # 01 forbidden: the edge 1 -> 0 lies on no cycle
+        (ConstraintSet(BIN, Shape.segment(2), (
+            LinearConstraint((0, 1, 0, 0), 0.0, "=="),
+            LinearConstraint((0, 0, 0, 1), 0.3),
+        )), 0.0),
+        # two full binary shifts on {0, 1} and {2, 3}; the mass of the
+        # second is capped, so the first carries the capacity
+        (ConstraintSet(q4, Shape.segment(2), (
+            LinearConstraint(_window2_row(q4, lambda a, b: half(a) != half(b)), 0.0, "=="),
+            LinearConstraint(_window2_row(q4, lambda a, b: half(a)), 0.3),
+        )), 1.0),
+        # the same two shifts joined one way, {0, 1} -> {2, 3}
+        (ConstraintSet(q4, Shape.segment(2), (
+            LinearConstraint(_window2_row(q4, lambda a, b: half(a) and not half(b)), 0.0, "=="),
+            LinearConstraint(_window2_row(q4, lambda a, b: a == b == 3), 0.1),
+        )), 1.0),
+    ]
+    for gamma, value in cases:
+        res = capacity_1d(gamma)
+        assert res.converged and res.duality_gap <= 1e-9
+        assert res.value == pytest.approx(value, abs=1e-12)
+        assert gamma.contains(res.optimizer, tol=1e-9)
+        poly = ShiftInvariancePolytope.build(2, gamma.alphabet)
+        assert poly.contains(res.optimizer, tol=1e-9)
+
+
+def test_capacity_budget_stops_short_inside_gamma():
+    g = rll_constraint(2, 0.05)
+    res = capacity_1d(g, max_iter=2)
+    assert not res.converged and res.iterations == 2
+    assert res.duality_gap > 1e-9
+    assert g.contains(res.optimizer, tol=1e-9)
+    assert ShiftInvariancePolytope.build(3, BIN).contains(res.optimizer, tol=1e-9)
+
+
+def test_site_slice_dual_on_random_slices():
+    """The one-state dual on random feasible 2-4-row slices meets every row
+    and never ends below the feasible point it started from."""
+    rng = np.random.default_rng(11)
+    for _ in range(200):
+        q, r = int(rng.integers(2, 5)), int(rng.integers(2, 5))
+        rows = rng.random((r, q)) * (rng.random((r, q)) < 0.8)
+        start = rng.dirichlet(np.ones(q))
+        # some rows tight at the start, the others with a little slack
+        bounds = rows @ start + rng.random(r) * 0.05 * (rng.random(r) < 0.6)
+        sol = pressure_dual(rows, bounds, np.zeros(r, dtype=bool), q, 1, start,
+                            max_iter=100, gap_tol=1e-12)
+        assert sol.converged
+        assert np.all(rows @ sol.measure <= bounds + 1e-12)
+        assert sol.value == pytest.approx(_entropy(sol.measure), abs=1e-12)
+        assert sol.value >= _entropy(start) - 1e-12
 
 
 def test_capacity_soft_cap_value():
-    res = capacity_1d(rll_constraint(2, 0.05))
-    assert res.converged and res.duality_gap <= 1e-6
-    assert res.value == pytest.approx(0.9759350654, abs=1e-6)
+    for gamma, value in ((rll_constraint(2, 0.05), 0.97593506545),
+                         (rll_constraint(1, 0.1), 0.93227315407),
+                         (rll_constraint(3, 0.02), 0.98616079775),
+                         (TWO_ROW, 0.96969485516)):
+        res = capacity_1d(gamma)
+        assert res.converged and res.duality_gap <= 1e-9
+        assert res.value == pytest.approx(value, abs=1e-9)
 
 
 def test_capacity_saturates_at_uniform_feasibility():
     # cap above the uniform measure's frequency: nothing binds
     assert capacity_1d(rll_constraint(1, 0.25)).value == pytest.approx(1.0)
-    assert capacity_1d(rll_constraint(2, 0.2)).value == pytest.approx(1.0)
-
-
-def test_step_rules_agree_on_value():
-    pairwise = capacity_1d(rll_constraint(2, 0.05), step_rule="pairwise")
-    classic = capacity_1d(rll_constraint(2, 0.05), step_rule="classic",
-                          max_iter=20000)
-    # the fixed-step variant converges in value long before its gap
-    # certificate tightens
-    assert classic.value == pytest.approx(pairwise.value, abs=1e-5)
+    assert capacity_1d(rll_constraint(2, 0.2)).value == 1.0
 
 
 def test_optimizer_is_feasible_and_shift_invariant():
@@ -97,20 +216,6 @@ def test_optimizer_is_feasible_and_shift_invariant():
     grid = probs.reshape(2, 2, 2)
     np.testing.assert_allclose(grid.sum(axis=2).ravel(),
                                grid.sum(axis=0).ravel(), atol=1e-7)
-
-
-def test_objective_concavity_on_random_segments():
-    """The optimised functional is concave: midpoint value dominates the
-    chord on random feasible segments."""
-    from semicap.capacity import _conditional_entropy_objective
-
-    f, _ = _conditional_entropy_objective(2, 3)
-    rng = np.random.default_rng(2)
-    for _ in range(40):
-        x = rng.dirichlet(np.ones(8))
-        y = rng.dirichlet(np.ones(8))
-        mid = 0.5 * (x + y)
-        assert f(mid) >= 0.5 * f(x) + 0.5 * f(y) - 1e-12
 
 
 def test_internal_capacity_sequence_rates():

@@ -246,6 +246,9 @@ def test_exit_on_config_errors(tmp_path, capsys):
     # a key from another constraint kind is rejected, not ignored
     mixed = write(tmp_path, RLL_FREE + "forbidden = 11\n", "mix.ini")
     assert main(["count", "--config", mixed, "--n", "4"]) == 2
+    # so is an unknown [solver] key
+    solver = write(tmp_path, RLL_FREE + "\n[solver]\nmomentum = 0.9\n", "sol.ini")
+    assert main(["capacity", "--config", solver]) == 2
     err = capsys.readouterr().err
     assert "config error" in err
 
@@ -269,7 +272,7 @@ def test_exit_size_guard(tmp_path, capsys):
 
 
 def test_exit_nonconvergence_still_reports(tmp_path):
-    # the classic step rule stalls short of the certificate inside 300 steps
+    # four dual iterations stop short of the certificate
     stall = """\
 [system]
 alphabet = 2
@@ -278,8 +281,7 @@ k = 2
 p = 0.05
 
 [solver]
-step_rule = classic
-max_iter = 300
+max_iter = 4
 """
     cfg = write(tmp_path, stall, "stall.ini")
     out = tmp_path / "stall.csv"

@@ -1,5 +1,6 @@
 """Constraint sets, distances, admissibility, and exact counting."""
 import itertools
+import math
 
 import numpy as np
 import pytest
@@ -11,6 +12,7 @@ from semicap.lattice_core import (
     SizeGuardError,
     ValidationError,
     Word,
+    empirical_distribution,
 )
 from semicap.scs_model import (
     AxialSystem,
@@ -129,6 +131,20 @@ def test_is_admissible_exact_and_relaxed():
     # 0110 has pair frequency fr(11)=1/4; within eps=0.3 but not 0.2
     assert is_admissible(Word.from_string("0110"), g, eps=0.3)
     assert not is_admissible(Word.from_string("0110"), g, eps=0.2)
+
+
+def test_decimal_caps_are_exact():
+    # rll(0, p) caps the number of ones in a 10-cycle at 10p, read as the
+    # decimal p: Fraction(0.3) is below 3/10 and would reject three ones
+    for i in range(1, 10):
+        gamma = rll_constraint(0, i / 10)
+        binomial = sum(math.comb(10, j) for j in range(i + 1))
+        assert count_admissible(10, gamma) == binomial
+        assert count_exhaustive(10, gamma) == binomial
+    w = Word.from_string("1110000000")
+    gamma = rll_constraint(0, 0.3)
+    assert is_admissible(w, gamma)
+    assert gamma.contains(empirical_distribution(w, gamma.shape))
 
 
 def test_cyclic_counts_no_adjacent_ones():
