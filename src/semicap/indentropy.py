@@ -46,9 +46,10 @@ from semicap.lattice_core import (
     ValidationError,
     Word,
     _entropy_vec,
+    _window_law,
     averaged_marginal,
     pattern_from_index,
-    pattern_space_size,
+    placements,
     product_entropy,
 )
 from semicap.capacity import pressure_dual
@@ -76,6 +77,14 @@ __all__ = [
 ]
 
 _CERT_TOL = 1e-8
+# Slack of the feasibility test on starts and optimised sites, and the
+# smallest effective cap the shared-multiplier ascent works on.
+_FEAS_SLACK = 1e-12
+# Site sweeps stop once the entropy (or, at a fixed multiplier, every site)
+# moves by no more than this.
+_SWEEP_STOP = 1e-13
+# A cap this close above the unconstrained optimum's value counts as slack.
+_CAP_SLACK = 1e-15
 # Site-slice dual: iteration budget and certificate.
 _SLICE_ITER = 100
 _SLICE_GAP = 1e-12
@@ -146,49 +155,40 @@ class _WindowModel:
         if side < self.k:
             raise ValidationError("side must be at least the window length")
         self.side = side
-        self.gamma = gamma
         self.q = gamma.alphabet.size
+        self.table = placements(gamma.shape, side)
+        self.windows = self.table.tolist()
         self.patterns = [
             pattern_from_index(i, self.q, self.k) for i in range(gamma.npatterns)
         ]
 
-    def averaged(self, rows: np.ndarray) -> np.ndarray:
-        """Averaged window distribution of the product measure given per-site rows."""
-        n, k, q = self.side, self.k, self.q
-        out = np.zeros(self.gamma.npatterns)
-        for u in range(n):
-            block = np.ones(1)
-            for j in range(k):
-                block = np.multiply.outer(block, rows[(u + j) % n]).reshape(-1)
-            out += block
-        return out / n
-
-    def site_coeffs(self, rows: np.ndarray, v: int, coeffs: np.ndarray):
-        """Write the constraint functional c . averaged(mu) as
-        const + lin . p_v;  returns (lin over symbols, const)."""
-        n, k, q = self.side, self.k, self.q
-        lin = np.zeros(q)
-        const = 0.0
-        for u in range(n):
-            window = [(u + j) % n for j in range(k)]
-            try:
-                slot = window.index(v)
-            except ValueError:
-                slot = -1
-            for pi, a in enumerate(self.patterns):
-                c = coeffs[pi]
-                if not c:
-                    continue
+    def site_coeffs(self, rows: np.ndarray, v: int, coeffs):
+        """Write each constraint functional c_r . averaged(mu) as
+        const_r + lin_r . p_v;  returns (lin, one row of symbol weights per
+        coefficient row, and const, one entry per coefficient row)."""
+        lin = [[0.0] * self.q for _ in coeffs]
+        const = [0.0] * len(coeffs)
+        # per pattern, the rows that charge it, with their coefficients
+        coeff_rows = np.asarray(coeffs).tolist()
+        charged = []
+        for pi, a in enumerate(self.patterns):
+            terms = [(r, cf[pi]) for r, cf in enumerate(coeff_rows) if cf[pi]]
+            if terms:
+                charged.append((a, terms))
+        site_rows = rows.tolist()
+        for window in self.windows:
+            slot = window.index(v) if v in window else -1
+            for a, terms in charged:
                 prod = 1.0
                 for j, site in enumerate(window):
-                    if j == slot:
-                        continue
-                    prod *= rows[site][a[j]]
-                if slot < 0:
-                    const += c * prod
-                else:
-                    lin[a[slot]] += c * prod
-        return lin / n, const / n
+                    if j != slot:
+                        prod *= site_rows[site][a[j]]
+                for r, c in terms:
+                    if slot < 0:
+                        const[r] += c * prod
+                    else:
+                        lin[r][a[slot]] += c * prod
+        return np.divide(lin, self.side), np.divide(const, self.side)
 
 
 def _sweep_hard(model: _WindowModel, rows: np.ndarray, bounds_eff: list[float],
@@ -203,7 +203,7 @@ def _sweep_hard(model: _WindowModel, rows: np.ndarray, bounds_eff: list[float],
     prev = -math.inf
     for _ in range(sweeps):
         for v in range(n):
-            lins, consts = zip(*(model.site_coeffs(rows, v, cf) for cf in coeff_list))
+            lins, consts = model.site_coeffs(rows, v, coeff_list)
             try:
                 sol = pressure_dual(lins, np.subtract(bounds_eff, consts),
                                     [False] * len(lins), model.q, 1, rows[v],
@@ -212,7 +212,7 @@ def _sweep_hard(model: _WindowModel, rows: np.ndarray, bounds_eff: list[float],
                 continue
             rows[v], lams[v] = sol.measure, sol.lam
         val = sum(_entropy_vec(r) for r in rows)
-        if val <= prev + 1e-13:
+        if val <= prev + _SWEEP_STOP:
             break
         prev = val
     return rows
@@ -226,12 +226,12 @@ def _lagrangian_fixed_point(model: _WindowModel, rows: np.ndarray,
     for _ in range(sweeps):
         delta = 0.0
         for v in range(n):
-            lin, _ = model.site_coeffs(rows, v, coeffs)
+            (lin,), _ = model.site_coeffs(rows, v, [coeffs])
             w = np.exp2(-lam * (lin - lin.min()))
             new = w / w.sum()
             delta = max(delta, float(np.abs(new - rows[v]).max()))
             rows[v] = new
-        if delta < 1e-13:
+        if delta < _SWEEP_STOP:
             break
     return rows
 
@@ -240,9 +240,9 @@ def _optimize_single_cap(model: _WindowModel, start: np.ndarray,
                          coeffs: np.ndarray, bound_eff: float) -> np.ndarray:
     """Shared-multiplier ascent for a single mass-cap constraint."""
     rows = start.copy()
-    value_at = lambda r: float(coeffs @ model.averaged(r))
+    value_at = lambda r: float(coeffs @ _window_law(r, model.table))
     rows0 = _lagrangian_fixed_point(model, rows.copy(), coeffs, 0.0)
-    if value_at(rows0) <= bound_eff + 1e-15:
+    if value_at(rows0) <= bound_eff + _CAP_SLACK:
         return rows0  # the cap is slack at the unconstrained optimum
     lo, hi = 0.0, 1.0
     rows_hi = _lagrangian_fixed_point(model, rows.copy(), coeffs, hi)
@@ -309,12 +309,12 @@ def hind_fixed_n(gamma: ConstraintSet, side: int, eps: float = 0.0, *,
             bounds_eff.append(eps)
 
     def feasible_rows(rows) -> bool:
-        avg = model.averaged(rows)
+        avg = _window_law(rows, model.table)
         if cap is not None:
             ind, b = cap
-            return float(ind @ avg) <= b + eps + 1e-12
+            return float(ind @ avg) <= b + eps + _FEAS_SLACK
         mu = PatternDistribution(gamma.alphabet, gamma.shape, avg)
-        return tv_distance_to_set(mu, gamma) <= eps + 1e-12
+        return tv_distance_to_set(mu, gamma) <= eps + _FEAS_SLACK
 
     # deterministic anchor: point mass on an admissible word
     w0 = find_admissible_word(side, gamma, eps)
@@ -345,7 +345,7 @@ def hind_fixed_n(gamma: ConstraintSet, side: int, eps: float = 0.0, *,
     if not starts:
         return HindResult(-math.inf, None, side, eps, False, math.inf, restarts)
 
-    single_cap_positive = cap is not None and (cap[1] + eps) > 1e-12
+    single_cap_positive = cap is not None and (cap[1] + eps) > _FEAS_SLACK
     best_rows, best_val = None, -math.inf
     for start in starts:
         if single_cap_positive:
@@ -527,19 +527,9 @@ def hind_com_fixed_n(gamma: ConstraintSet, side: int) -> HindComResult:
     if ncells * math.log2(nmasks) > 30:
         raise SizeGuardError("multi-choice search space too large")
 
-    # placements and their flat cell indices, grouped by completing cell
-    placements = []
-    for v in itertools.product(range(side), repeat=d):
-        cells = []
-        for s in shape.points:
-            w = tuple((c + dc) % side for c, dc in zip(v, s))
-            flat = 0
-            for c in w:
-                flat = flat * side + c
-            cells.append(flat)
-        placements.append(cells)
+    # placements, grouped by the cell that completes them
     by_cell: list[list[list[int]]] = [[] for _ in range(ncells)]
-    for cells in placements:
+    for cells in placements(shape, side).tolist():
         by_cell[max(cells)].append(cells)
 
     masks = np.zeros(ncells, dtype=np.int64)

@@ -13,6 +13,12 @@ Pattern indexing is positional: the points of a shape are kept in sorted
 first point as the most significant digit.  `enumerate_patterns` yields
 patterns in exactly this order.
 
+Where a shape's windows sit is decided in one place, the placement table
+of `placements`: one row per placement, holding the flat (row-major) cell
+indices of the shape's points in shape order.  Empirical counts, averaged
+marginals, the exact counter and the product-measure optimiser all read
+windows through it.
+
 Empirical statistics are computed in exact integer/rational arithmetic
 (`fractions.Fraction` with denominator n^d); floating point enters only when
 a caller asks for floats or computes entropies.
@@ -38,7 +44,7 @@ __all__ = [
     "enumerate_patterns",
     "pattern_index",
     "pattern_from_index",
-    "positions",
+    "placements",
     "position_index",
     "empirical_counts",
     "empirical_distribution",
@@ -51,6 +57,8 @@ __all__ = [
 
 # Refuse to materialise pattern spaces larger than this many entries.
 MAX_PATTERN_SPACE = 1 << 26
+# Largest temporary (in floats) that averaging over placements builds.
+_BLOCK_FLOATS = 1 << 22
 
 LOG2 = math.log(2.0)
 
@@ -234,17 +242,36 @@ def enumerate_patterns(alphabet: Alphabet, shape: Shape) -> Iterator[tuple[int, 
     yield from itertools.product(range(alphabet.size), repeat=len(shape))
 
 
-def positions(side: int, dim: int) -> Iterator[tuple[int, ...]]:
-    """All lattice positions of the cube {0..side-1}^dim in row-major order."""
-    yield from itertools.product(range(side), repeat=dim)
-
-
 def position_index(v: Sequence[int], side: int) -> int:
     """Row-major rank of a cube position (coordinates taken mod side)."""
     idx = 0
     for c in v:
         idx = idx * side + (int(c) % side)
     return idx
+
+
+def placements(shape: Shape, side: int, *, cyclic: bool = True,
+               slack: int = 0) -> np.ndarray:
+    """The placement table of `shape` in the cube {0..side-1}^dim: one row
+    per origin v (row-major), holding the flat cells of v + s for the
+    shape's points s in order.  Cyclic placements reduce v + s mod side.
+    Non-cyclic ones move the shape to a zero minimum and keep the origins
+    whose windows fit, stopping `slack` offsets short of the far edge
+    ("tile" is slack 0, "halfopen" slack 1)."""
+    pts = np.array(shape.points, dtype=np.int64)
+    dim = pts.shape[1]
+    if cyclic:
+        tops = (side,) * dim
+    else:
+        pts = pts - pts.min(axis=0)
+        tops = tuple(int(t) for t in side - pts.max(axis=0) - slack)
+        if min(tops) < 1:
+            raise ValidationError("side too small for non-cyclic windows")
+    origins = np.indices(tops).reshape(dim, -1).T
+    cells = origins[:, None, :] + pts[None, :, :]
+    if cyclic:
+        cells %= side
+    return cells @ side ** np.arange(dim - 1, -1, -1)
 
 
 # ---------------------------------------------------------------------------
@@ -389,13 +416,9 @@ def empirical_counts(word: Word, shape: Shape) -> np.ndarray:
         )
     q = word.alphabet.size
     m = pattern_space_size(word.alphabet, shape)
-    idx = np.zeros_like(word.cells)
-    axes = tuple(range(word.dim))
-    for s in shape.points:
-        rolled = np.roll(word.cells, shift=tuple(-c for c in s), axis=axes)
-        idx = idx * q + rolled
-    counts = np.bincount(idx.reshape(-1), minlength=m)
-    return counts.astype(np.int64)
+    symbols = word.cells.reshape(-1)[placements(shape, word.side)]
+    idx = symbols @ q ** np.arange(len(shape) - 1, -1, -1)
+    return np.bincount(idx, minlength=m).astype(np.int64)
 
 
 def empirical_distribution(word: Word, shape: Shape) -> PatternDistribution:
@@ -466,17 +489,29 @@ def averaged_marginal(mu: SiteProductMeasure, shape: Shape) -> PatternDistributi
         raise ValidationError(
             f"shape dimension {shape.dim} != measure dimension {mu.dim}"
         )
-    n = mu.side
-    m = pattern_space_size(mu.alphabet, shape)
+    pattern_space_size(mu.alphabet, shape)  # size guard before any law is built
+    probs = _window_law(mu.site_dists, placements(shape, mu.side))
+    return PatternDistribution(mu.alphabet, shape, probs)
+
+
+def _window_law(rows: np.ndarray, table: np.ndarray) -> np.ndarray:
+    """Mean over the placements of `table` of the pattern law that the
+    per-cell distributions `rows` induce: the outer product of the cells'
+    rows, first point most significant.  Blocks of placements keep every
+    temporary within `_BLOCK_FLOATS` floats, and each block's sum starts
+    from the running total, so the sum is sequential whatever the block."""
+    nplace, k = table.shape
+    m = rows.shape[1] ** k
+    block = max(1, _BLOCK_FLOATS // m)
     total = np.zeros(m)
-    for v in positions(n, mu.dim):
-        block = np.ones(1)
-        for s in shape.points:
-            row = mu.site(tuple(c + dc for c, dc in zip(v, s)))
-            block = np.multiply.outer(block, row).reshape(-1)
-        total += block
-    total /= n ** mu.dim
-    return PatternDistribution(mu.alphabet, shape, total)
+    for start in range(0, nplace, block):
+        cols = table[start:start + block].T
+        law = rows[cols[0]]
+        for col in cols[1:]:
+            law = (law[:, :, None] * rows[col][:, None, :]).reshape(len(col), -1)
+        law[0] += total
+        total = law.sum(axis=0)
+    return total / nplace
 
 
 # ---------------------------------------------------------------------------

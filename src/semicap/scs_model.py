@@ -30,11 +30,11 @@ from semicap.lattice_core import (
     ValidationError,
     Word,
     empirical_counts,
+    # unused here; kept importable because the benchmark tracer patches it
     empirical_distribution,
     pattern_index,
     pattern_space_size,
-    position_index,
-    positions,
+    placements,
 )
 from semicap.linprog import FEASIBILITY_TOL, solve_lp
 
@@ -333,42 +333,39 @@ def _exact_row_check(counts: Sequence[int], con: LinearConstraint, total: int) -
     return lhs == rhs
 
 
+def _checks(system) -> list[tuple[list[Shape], ConstraintSet]]:
+    """What admissibility checks, as (shapes, factor) pairs: the pattern
+    counts of the shapes are summed, and the averaged distribution must lie
+    in the factor.  A constraint set is one check on its own shape, a strict
+    axial product one check per axis, and a weak one a single check on all
+    axis shapes together."""
+    if isinstance(system, ConstraintSet):
+        return [([system.shape], system)]
+    if isinstance(system, AxialSystem):
+        shapes = [system.axis_shape(i) for i in range(system.dim)]
+        if system.mode == "strict":
+            return [([s], f) for s, f in zip(shapes, system.factors)]
+        return [(shapes, system.factors[0])]
+    raise ValidationError(f"unsupported system type {type(system).__name__}")
+
+
 def is_admissible(word: Word, system, eps: float = 0.0) -> bool:
     """Does the word's empirical distribution lie within TV distance eps of
     the system?  At eps = 0 the test is exact (integer counts, rational
     comparisons); for eps > 0 distances are computed to LP tolerance."""
     if eps < 0:
         raise ValidationError("eps must be >= 0")
-    total = word.side ** word.dim
-    if isinstance(system, ConstraintSet):
+    for shapes, gamma in _checks(system):
+        counts = sum(empirical_counts(word, s) for s in shapes)
+        total = word.side ** word.dim * len(shapes)
         if eps == 0:
-            counts = empirical_counts(word, system.shape)
-            return all(_exact_row_check(counts, c, total) for c in system.constraints)
-        mu = empirical_distribution(word, system.shape)
-        return tv_distance_to_set(mu, system) <= eps + FEASIBILITY_TOL
-    if isinstance(system, AxialSystem):
-        if system.mode == "strict":
-            for i, f in enumerate(system.factors):
-                counts = empirical_counts(word, system.axis_shape(i))
-                if eps == 0:
-                    if not all(_exact_row_check(counts, c, total) for c in f.constraints):
-                        return False
-                else:
-                    mu = PatternDistribution(f.alphabet, f.shape, counts / total)
-                    if tv_distance_to_set(mu, f) > eps + FEASIBILITY_TOL:
-                        return False
-            return True
-        # weak mode: average the per-axis empirical distributions
-        f = system.factors[0]
-        counts = [empirical_counts(word, system.axis_shape(i)) for i in range(system.dim)]
-        summed = np.sum(counts, axis=0)
-        if eps == 0:
-            return all(
-                _exact_row_check(summed, c, total * system.dim) for c in f.constraints
-            )
-        mu = PatternDistribution(f.alphabet, f.shape, summed / (total * system.dim))
-        return tv_distance_to_set(mu, f) <= eps + FEASIBILITY_TOL
-    raise ValidationError(f"unsupported system type {type(system).__name__}")
+            ok = all(_exact_row_check(counts, c, total) for c in gamma.constraints)
+        else:
+            mu = PatternDistribution(gamma.alphabet, gamma.shape, counts / total)
+            ok = tv_distance_to_set(mu, gamma) <= eps + FEASIBILITY_TOL
+        if not ok:
+            return False
+    return True
 
 
 # ---------------------------------------------------------------------------
@@ -393,14 +390,14 @@ class _Group:
 @dataclass
 class _Row:
     groups: list[int]
-    weights: list[np.ndarray]  # integer weight per pattern (object dtype), per group
+    weights: np.ndarray        # integer weight per pattern (object dtype), shared by the groups
     budget: Fraction           # prune/test:  sum over groups of weights.counts <= budget
     prunable: bool
     sense: str                 # "<=" or "==": leaf semantics at eps = 0
 
 
-def _scale_row(coeff_sets, bound: Fraction, scale: int, sense: str,
-               eps: float) -> _Row:
+def _scale_row(groups: list[int], coeffs: np.ndarray, bound: Fraction,
+               scale: int, sense: str, eps: float) -> _Row:
     """Turn a constraint on (averaged) distributions into an integer-weight
     row on raw pattern counts.
 
@@ -410,13 +407,10 @@ def _scale_row(coeff_sets, bound: Fraction, scale: int, sense: str,
     integer weights = c * common.  For eps > 0 the budget is relaxed by the
     worst-case constraint movement within a TV ball of radius eps.
     """
-    fracs = [[_decimal(c) for c in coeffs] for _, coeffs in coeff_sets]
-    common = 1
-    for fs in fracs:
-        for f in fs:
-            common = common * f.denominator // math.gcd(common, f.denominator)
-    weights = [np.array([int(f * common) for f in fs], dtype=object) for fs in fracs]
-    allw = [int(w) for ws in weights for w in ws]
+    fracs = [_decimal(c) for c in coeffs]
+    common = math.lcm(*(f.denominator for f in fracs))
+    weights = np.array([int(f * common) for f in fracs], dtype=object)
+    allw = [int(w) for w in weights]
     nonneg = all(w >= 0 for w in allw)
     wmax, wmin = max(allw), min(allw)
     # the leaf test accepts distance <= eps + FEASIBILITY_TOL, so the prune
@@ -435,7 +429,7 @@ def _scale_row(coeff_sets, bound: Fraction, scale: int, sense: str,
             # Inside the eps-ball;  c.mu <= eps * cmax  is a valid relaxation
             # of the distance condition for an equality-to-zero row.
             budget = eps_frac * wmax * scale
-    return _Row([g for g, _ in coeff_sets], weights, budget, prunable, sense)
+    return _Row(groups, weights, budget, prunable, sense)
 
 
 class _Counter:
@@ -445,83 +439,37 @@ class _Counter:
                  convention: str = "tile"):
         self.side = side
         self.eps = float(eps)
-        self.system = system
         self.cyclic = cyclic
-        if isinstance(system, ConstraintSet):
-            self.alphabet, self.dim = system.alphabet, system.shape.dim
-        elif isinstance(system, AxialSystem):
-            self.alphabet, self.dim = system.alphabet, system.dim
-        else:
-            raise ValidationError(f"unsupported system type {type(system).__name__}")
+        checks = _checks(system)
+        shapes, gamma = checks[0]
+        self.alphabet, self.dim = gamma.alphabet, shapes[0].dim
         self.q = self.alphabet.size
         self.ncells = side ** self.dim
         self.groups: list[_Group] = []
         self.rows: list[_Row] = []
-        self._build(convention)
+        # per check: (its groups, placements summed over them, its factor)
+        self.checks: list[tuple[list[int], int, ConstraintSet]] = []
+        self._build(checks, convention)
 
     # -- construction ------------------------------------------------------
 
     def _add_group(self, shape: Shape, convention: str) -> int:
-        n, d = self.side, self.dim
-        lo = [min(p[j] for p in shape.points) for j in range(d)]
-        pts = [tuple(c - l for c, l in zip(p, lo)) for p in shape.points]
-        offsets = []
-        if self.cyclic:
-            placements = positions(n, d)
-        else:
-            extent = [max(p[j] for p in pts) for j in range(d)]
-            slack = 0 if convention == "tile" else 1
-            ranges = []
-            for j in range(d):
-                top = n - extent[j] - slack
-                if top < 1:
-                    raise ValidationError("side too small for non-cyclic windows")
-                ranges.append(range(top))
-            placements = itertools.product(*ranges)
-        for v in placements:
-            cells = []
-            for s in pts:
-                w = tuple(c + dc for c, dc in zip(v, s))
-                if self.cyclic:
-                    cells.append(position_index(w, n))
-                else:
-                    idx = 0
-                    for c in w:
-                        idx = idx * n + c
-                    cells.append(idx)
-            offsets.append(cells)
-        self.groups.append(_Group(offsets, pattern_space_size(self.alphabet, shape)))
+        table = placements(shape, self.side, cyclic=self.cyclic,
+                           slack=0 if convention == "tile" else 1)
+        self.groups.append(_Group(table.tolist(),
+                                  pattern_space_size(self.alphabet, shape)))
         return len(self.groups) - 1
 
-    def _build(self, convention: str) -> None:
-        sys_, d = self.system, self.dim
-        total = self.ncells
-        if isinstance(sys_, ConstraintSet):
-            g = self._add_group(sys_.shape, convention)
-            nplace = len(self.groups[g].offsets)
-            for con in sys_.constraints:
+    def _build(self, checks, convention: str) -> None:
+        for shapes, gamma in checks:
+            gids = [self._add_group(s, convention) for s in shapes]
+            nplace = sum(len(self.groups[g].offsets) for g in gids)
+            for con in gamma.constraints:
                 self.rows.append(
-                    _scale_row([(g, con.coeffs)], _decimal(con.bound), nplace,
+                    _scale_row(gids, con.coeffs, _decimal(con.bound), nplace,
                                con.sense, self.eps)
                 )
-        else:
-            gids = [self._add_group(sys_.axis_shape(i), convention) for i in range(d)]
-            if sys_.mode == "strict":
-                for i, f in enumerate(sys_.factors):
-                    nplace = len(self.groups[gids[i]].offsets)
-                    for con in f.constraints:
-                        self.rows.append(
-                            _scale_row([(gids[i], con.coeffs)], _decimal(con.bound),
-                                       nplace, con.sense, self.eps)
-                        )
-            else:
-                f = sys_.factors[0]
-                nplace = sum(len(self.groups[g].offsets) for g in gids)
-                for con in f.constraints:
-                    self.rows.append(
-                        _scale_row([(g, con.coeffs) for g in gids],
-                                   _decimal(con.bound), nplace, con.sense, self.eps)
-                    )
+            self.checks.append((gids, nplace, gamma))
 
         # Index placements by the assignment step that completes them.
         self.by_cell: list[list[tuple[int, int]]] = [[] for _ in range(self.ncells)]
@@ -530,12 +478,8 @@ class _Counter:
                 self.by_cell[max(cells)].append((gi, pi))
 
         # Row weights folded per (group, pattern) for the incremental update.
-        self.row_weight: list[dict[int, np.ndarray]] = []
-        for row in self.rows:
-            per_group: dict[int, np.ndarray] = {}
-            for slot, g in enumerate(row.groups):
-                per_group[g] = row.weights[slot]
-            self.row_weight.append(per_group)
+        self.row_weight: list[dict[int, np.ndarray]] = [
+            dict.fromkeys(row.groups, row.weights) for row in self.rows]
 
         space_bits = self.ncells * math.log2(self.q)
         if not any(r.prunable for r in self.rows):
@@ -631,11 +575,10 @@ class _Counter:
         if self.eps == 0:
             for ri, row in enumerate(self.rows):
                 lhs = 0
-                for slot, g in enumerate(row.groups):
-                    w = row.weights[slot]
+                for g in row.groups:
                     cnt = self._counts[g]
                     for i in np.nonzero(cnt)[0]:
-                        wi = int(w[i])
+                        wi = int(row.weights[i])
                         if wi:
                             lhs += wi * int(cnt[i])
                 if row.sense == "<=":
@@ -647,25 +590,13 @@ class _Counter:
         return self._leaf_ok_eps()
 
     def _leaf_ok_eps(self) -> bool:
-        sys_ = self.system
         tol = self.eps + FEASIBILITY_TOL
-        counts = self._counts
-        if isinstance(sys_, ConstraintSet):
-            nplace = len(self.groups[0].offsets)
-            mu = PatternDistribution(self.alphabet, sys_.shape, counts[0] / nplace)
-            return tv_distance_to_set(mu, sys_) <= tol
-        if sys_.mode == "strict":
-            for i, f in enumerate(sys_.factors):
-                nplace = len(self.groups[i].offsets)
-                mu = PatternDistribution(f.alphabet, f.shape, counts[i] / nplace)
-                if tv_distance_to_set(mu, f) > tol:
-                    return False
-            return True
-        f = sys_.factors[0]
-        nplace = sum(len(g.offsets) for g in self.groups)
-        avg = np.sum([np.asarray(c, dtype=np.float64) for c in counts], axis=0) / nplace
-        mu = PatternDistribution(f.alphabet, f.shape, avg)
-        return tv_distance_to_set(mu, f) <= tol
+        for gids, nplace, gamma in self.checks:
+            counts = sum(self._counts[g] for g in gids)
+            mu = PatternDistribution(gamma.alphabet, gamma.shape, counts / nplace)
+            if tv_distance_to_set(mu, gamma) > tol:
+                return False
+        return True
 
 
 def _count_task(args) -> int:
@@ -715,8 +646,7 @@ def count_admissible_noncyclic(side: int, system, *,
     """
     if convention not in ("tile", "halfopen"):
         raise ValidationError(f"unknown convention {convention!r}")
-    factors = system.factors if isinstance(system, AxialSystem) else (system,)
-    if not all(_forbids_patterns(c) for f in factors for c in f.constraints):
+    if not all(_forbids_patterns(c) for _, f in _checks(system) for c in f.constraints):
         raise ValidationError("non-cyclic counting needs a fully-constrained system")
     if threads > 1:
         return _parallel_count(side, system, 0.0, False, convention, threads)
@@ -725,10 +655,8 @@ def count_admissible_noncyclic(side: int, system, *,
 
 def count_exhaustive(side: int, system, eps: float = 0.0) -> int:
     """Reference counter: enumerate every word and test admissibility."""
-    if isinstance(system, ConstraintSet):
-        alphabet, dim = system.alphabet, system.shape.dim
-    else:
-        alphabet, dim = system.alphabet, system.dim
+    shapes, gamma = _checks(system)[0]
+    alphabet, dim = gamma.alphabet, shapes[0].dim
     ncells = side ** dim
     if alphabet.size ** ncells > MAX_ENUMERATION:
         raise SizeGuardError("exhaustive enumeration too large")

@@ -173,7 +173,8 @@ def concentration_check(mu, gamma: ConstraintSet,
         if n % mu.period or n < len(gamma.shape):
             raise ValidationError(f"side {n} incompatible with the measure")
 
-    base = averaged_marginal(mu.tile(sides[0]), gamma.shape)
+    tiled = [mu.tile(n) for n in sides]
+    base = averaged_marginal(tiled[0], gamma.shape)
     base_distance = tv_distance_to_set(base, gamma)
     base_feasible = base_distance < min(eps_list)
 
@@ -181,7 +182,7 @@ def concentration_check(mu, gamma: ConstraintSet,
     for j, n in enumerate(sides):
         inside = np.zeros(len(eps_list))
         for t in range(trials):
-            w = sample_word(mu, seed ^ (j * trials + t), n)
+            w = sample_word(tiled[j], seed ^ (j * trials + t))
             dist = tv_distance_to_set(
                 empirical_distribution(w, gamma.shape), gamma
             )

@@ -24,6 +24,8 @@ from semicap.indentropy import (
     hind_com_fixed_n,
     hind_fixed_n,
 )
+from semicap.indentropy import _WindowModel
+from semicap.lattice_core import _window_law
 
 BIN = Alphabet.binary()
 
@@ -205,6 +207,32 @@ def test_hind_deterministic_given_seed():
     b = hind_fixed_n(gamma, 3, restarts=6, seed=7)
     assert a.value == b.value
     assert np.array_equal(a.measure.site_dists, b.measure.site_dists)
+
+
+def test_site_coeffs_affine_identity():
+    # each row's functional is affine in one site: const + lin . p_v must
+    # equal c . averaged(rows) at every site, for every row at once
+    rng = np.random.default_rng(41)
+    tri = Alphabet.of_size(3)
+    for alphabet, k, side in ((BIN, 2, 5), (tri, 3, 4)):
+        m = alphabet.size ** k
+        coeffs = rng.random((2, m))
+        coeffs[0, rng.random(m) < 0.3] = 0.0   # sparse rows skip patterns
+        gamma = ConstraintSet(alphabet, Shape.segment(k), tuple(
+            LinearConstraint(c, 0.5) for c in coeffs))
+        model = _WindowModel(gamma, side)
+        for _ in range(5):
+            rows = rng.dirichlet(np.ones(alphabet.size), size=side)
+            target = coeffs @ _window_law(rows, model.table)
+            for v in range(side):
+                lin, const = model.site_coeffs(rows, v, coeffs)
+                assert lin.shape == (2, alphabet.size) and const.shape == (2,)
+                np.testing.assert_allclose(const + lin @ rows[v], target,
+                                           rtol=0, atol=1e-15)
+                # one call for all rows gives each row's own values exactly
+                for r in range(2):
+                    (lin_r,), (const_r,) = model.site_coeffs(rows, v, coeffs[r:r + 1])
+                    assert np.array_equal(lin_r, lin[r]) and const_r == const[r]
 
 
 # ---------------------------------------------------------------------------

@@ -1,5 +1,6 @@
 """Exact empirical statistics, marginals, and measure plumbing."""
 import itertools
+import tracemalloc
 from fractions import Fraction
 
 import numpy as np
@@ -20,6 +21,7 @@ from semicap.lattice_core import (
     marginal,
     pattern_from_index,
     pattern_index,
+    placements,
     product_entropy,
     tv_distance,
 )
@@ -162,6 +164,104 @@ def test_tv_distance_contracts_under_marginal():
         b = PatternDistribution.from_floats(BIN, shape, pb)
         assert tv_distance(marginal(a, sub), marginal(b, sub)) \
             <= tv_distance(a, b) + 1e-12
+
+
+def _placement_loop(shape, side, cyclic, slack):
+    """Reference: every placement's flat cells, one origin at a time."""
+    pts, d = shape.points, shape.dim
+    if cyclic:
+        origins = itertools.product(range(side), repeat=d)
+    else:
+        lo = [min(p[j] for p in pts) for j in range(d)]
+        pts = [tuple(c - l for c, l in zip(p, lo)) for p in pts]
+        tops = [side - max(p[j] for p in pts) - slack for j in range(d)]
+        origins = itertools.product(*(range(t) for t in tops))
+    table = []
+    for v in origins:
+        row = []
+        for p in pts:
+            flat = 0
+            for c, dc in zip(v, p):
+                flat = flat * side + (c + dc) % side
+            row.append(flat)
+        table.append(row)
+    return table
+
+
+def test_placements_match_loop_oracle():
+    shapes = [
+        (Shape.segment(3), 5),
+        (Shape([(2,), (-1,), (5,)]), 8),               # translated, gapped
+        (Shape.box(2, 2), 4),
+        (Shape.box(2, 2).translate((3, -2)), 5),
+        (Shape([(0, 0), (1, 2), (-1, 1)]), 5),          # not a box
+        (Shape.box(2, 3), 3),
+    ]
+    for shape, side in shapes:
+        for cyclic, slack in ((True, 0), (False, 0), (False, 1)):
+            table = placements(shape, side, cyclic=cyclic, slack=slack)
+            expect = _placement_loop(shape, side, cyclic, slack)
+            assert table.shape == (len(expect), len(shape))
+            assert table.tolist() == expect
+    # a cyclic table covers every cell once per shape point
+    table = placements(Shape([(0, 0), (1, 2), (-1, 1)]), 5)
+    for col in table.T:
+        assert sorted(col.tolist()) == list(range(25))
+
+
+def test_placements_reject_too_small_side():
+    with pytest.raises(ValidationError, match="side too small"):
+        placements(Shape.segment(3), 2, cyclic=False)
+    with pytest.raises(ValidationError, match="side too small"):
+        placements(Shape.segment(3), 3, cyclic=False, slack=1)  # halfopen
+    with pytest.raises(ValidationError, match="side too small"):
+        placements(Shape([(0, 0), (0, 3)]), 3, cyclic=False)
+    assert placements(Shape.segment(3), 3, cyclic=False).tolist() == [[0, 1, 2]]
+    assert placements(Shape.segment(3), 2).tolist() == [[0, 1, 0], [1, 0, 1]]
+
+
+def _averaged_loop(mu, shape):
+    """Reference: the placement-by-placement outer-product sum."""
+    total = np.zeros(mu.alphabet.size ** len(shape))
+    for v in itertools.product(range(mu.side), repeat=mu.dim):
+        block = np.ones(1)
+        for s in shape.points:
+            row = mu.site(tuple(c + dc for c, dc in zip(v, s)))
+            block = np.multiply.outer(block, row).reshape(-1)
+        total += block
+    return total / mu.side ** mu.dim
+
+
+def test_averaged_marginal_matches_placement_loop():
+    rng = np.random.default_rng(31)
+    tri = Alphabet.of_size(3)
+    cases = [
+        (1, 7, Shape([(2,), (-1,), (5,)])),
+        (2, 4, Shape.box(2, 2)),
+        (2, 5, Shape([(0, 0), (1, 2), (-1, 1)])),
+        (3, 3, Shape.box(2, 3)),
+    ]
+    for dim, side, shape in cases:
+        rows = rng.dirichlet(np.ones(3), size=side ** dim)
+        mu = SiteProductMeasure(tri, dim, side, rows)
+        got = averaged_marginal(mu, shape).probs
+        assert np.array_equal(got, _averaged_loop(mu, shape))
+
+
+def test_averaged_marginal_large_window_stays_small():
+    # 256 placements of a 16-cell window: 2^16 patterns each, summed in
+    # blocks so that memory stays far below placements x patterns floats
+    rng = np.random.default_rng(37)
+    mu = SiteProductMeasure(BIN, 2, 16, rng.dirichlet(np.ones(2), size=256))
+    shape = Shape.box(4, 2)
+    tracemalloc.start()
+    try:
+        got = averaged_marginal(mu, shape).probs
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 64 * 2 ** 20
+    assert np.array_equal(got, _averaged_loop(mu, shape))
 
 
 def test_averaged_marginal_translation_invariant():
