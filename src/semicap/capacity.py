@@ -490,12 +490,9 @@ class CountRow:
 def internal_capacity_sequence(system, sides: Iterable[int], eps: float = 0.0,
                                *, threads: int = 1) -> list[CountRow]:
     """Admissible-word counts and normalised log-counts over a range of sides."""
-    from semicap.scs_model import count_admissible
+    from semicap.scs_model import _checks, count_admissible
 
-    if isinstance(system, ConstraintSet):
-        d = system.shape.dim
-    else:
-        d = system.dim
+    d = _checks(system)[0][0][0].dim
     rows = []
     for n in sides:
         c = count_admissible(n, system, eps, threads=threads)

@@ -19,8 +19,9 @@ Exit codes: 0 success; 2 configuration or usage error; 3 a size guard
 refused the computation; 4 numerical non-convergence or a failed
 consistency check (partial values are still emitted where they exist).
 
-``--threads`` (default: SEMICAP_THREADS, else all cores) fans out counting
-work; all other computation is deterministic for a given config and seed.
+``--threads`` (default: SEMICAP_THREADS, else all cores) is parsed and
+checked but changes nothing: counting runs in one process.  Every result
+is deterministic for a given config and seed.
 """
 from __future__ import annotations
 
@@ -130,7 +131,8 @@ def _add_common(sub, *, config_required=True):
     sub.add_argument("--seed", type=int, default=None,
                      help="override the config seed")
     sub.add_argument("--threads", type=int, default=None,
-                     help="worker processes (default: SEMICAP_THREADS or all cores)")
+                     help="accepted for compatibility; counting runs in one process "
+                          "(default: SEMICAP_THREADS or all cores)")
     sub.add_argument("--format", choices=("csv", "jsonl"), default="csv")
     sub.add_argument("--out", metavar="PATH", default=None,
                      help="write the table here instead of stdout")

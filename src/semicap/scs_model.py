@@ -8,15 +8,18 @@ per-axis mode or *weak* axis-averaged mode).  A word is admissible at slack
 distance ε of Γ.
 
 Counting is exact: admissibility of a word is decided from integer pattern
-counts by rational-arithmetic comparisons when ε = 0, and the backtracking
-counter prunes on partial counts using the same exact comparisons, so the
-pruned and exhaustive counters agree word for word.
+counts by rational-arithmetic comparisons when ε = 0.  The counter is a
+transfer over the cells that merges words agreeing on the cells later
+windows still read and on their integer pattern statistics, prunes on
+partial statistics with the same exact comparisons, and tests each merged
+class once at the end, so it agrees with the exhaustive counter word for
+word.
 """
 from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Sequence
 
@@ -56,8 +59,9 @@ __all__ = [
 
 # Exhaustive enumeration refuses alphabets^cells beyond this.
 MAX_ENUMERATION = 1 << 26
-# Even the pruned counter refuses search spaces beyond roughly this many words.
-MAX_SEARCH_BITS = 60
+# The transfer counter refuses a frontier of more than this many bits
+# (cells * log2 q) and a layer of more than 2^this many live states.
+MAX_STATE_BITS = 20
 
 
 class EmptySystemError(ValidationError):
@@ -372,47 +376,44 @@ def is_admissible(word: Word, system, eps: float = 0.0) -> bool:
 # Counting engine
 # ---------------------------------------------------------------------------
 #
-# The counter walks cells in row-major order.  Each "window group" is a set
-# of placements of one shape; a placement's pattern becomes known exactly
-# when its latest (in assignment order) cell is filled, at which point the
-# placement contributes to running pattern counts.  Monitored rows with
-# nonnegative integer weights and a budget are checked after every
-# contribution, which prunes entire subtrees; the precise admissibility
-# condition is re-checked at the leaves, where the running counts equal the
-# full empirical counts.
-
-@dataclass
-class _Group:
-    offsets: list[list[int]]   # per placement: flat cell indices, in shape-point order
-    npatterns: int
-
+# The counter is one forward transfer over the cells in row-major order.  A
+# placement's pattern becomes known when its latest cell is filled, and a
+# filled cell stays in the *frontier* while a placement completing later
+# still reads it.  A state is the frontier's values plus integer statistics
+# of the placements completed so far: at eps = 0 one exact total per
+# constraint row; at eps > 0 the totals of the prunable rows and each
+# check's pattern-count vector (its type).  Equal states merge and their
+# word counts add as Python ints.  Rows with nonnegative integer weights
+# and a budget are checked after every cell, which drops every word their
+# partial totals already rule out; the precise admissibility condition is
+# tested once per final state, where the statistics are the full counts.
+# In 1-D this is the de Bruijn transfer matrix with the head kept for the
+# wrap, in 2-D the row-profile transfer.
 
 @dataclass
 class _Row:
-    groups: list[int]
-    weights: np.ndarray        # integer weight per pattern (object dtype), shared by the groups
-    budget: Fraction           # prune/test:  sum over groups of weights.counts <= budget
+    weights: list[int]         # integer weight per pattern of the row's check
+    budget: Fraction           # prune/test:  weights.counts <= budget
     prunable: bool
     sense: str                 # "<=" or "==": leaf semantics at eps = 0
 
 
-def _scale_row(groups: list[int], coeffs: np.ndarray, bound: Fraction,
-               scale: int, sense: str, eps: float) -> _Row:
+def _scale_row(coeffs: np.ndarray, bound: Fraction, scale: int, sense: str,
+               eps: float) -> _Row:
     """Turn a constraint on (averaged) distributions into an integer-weight
     row on raw pattern counts.
 
     `scale` is the factor relating counts to probabilities (placements per
-    word, times the number of averaged groups), so the exact test of
+    word, times the number of averaged shapes), so the exact test of
     c.mu (<=) b becomes  sum(weights.counts) <= b * scale * common  with
     integer weights = c * common.  For eps > 0 the budget is relaxed by the
     worst-case constraint movement within a TV ball of radius eps.
     """
     fracs = [_decimal(c) for c in coeffs]
     common = math.lcm(*(f.denominator for f in fracs))
-    weights = np.array([int(f * common) for f in fracs], dtype=object)
-    allw = [int(w) for w in weights]
-    nonneg = all(w >= 0 for w in allw)
-    wmax, wmin = max(allw), min(allw)
+    weights = [int(f * common) for f in fracs]
+    nonneg = all(w >= 0 for w in weights)
+    wmax, wmin = max(weights), min(weights)
     # the leaf test accepts distance <= eps + FEASIBILITY_TOL, so the prune
     # budget must be relaxed by at least that much to stay conservative
     eps_frac = Fraction(float(eps)) + Fraction(FEASIBILITY_TOL)
@@ -429,206 +430,184 @@ def _scale_row(groups: list[int], coeffs: np.ndarray, bound: Fraction,
             # Inside the eps-ball;  c.mu <= eps * cmax  is a valid relaxation
             # of the distance condition for an equality-to-zero row.
             budget = eps_frac * wmax * scale
-    return _Row(groups, weights, budget, prunable, sense)
+    return _Row(weights, budget, prunable, sense)
 
 
-class _Counter:
-    """Backtracking admissible-word counter over the cube {0..n-1}^d."""
+def _advance(stats: tuple, delta: tuple) -> tuple | None:
+    """Statistics after the increments, or None once a capped slot exceeds
+    its cap."""
+    new = list(stats)
+    for s, w, cap in delta:
+        new[s] += w
+        if new[s] > cap:
+            return None
+    return tuple(new)
+
+
+class _Transfer:
+    """Forward transfer counter over the cube {0..side-1}^d."""
 
     def __init__(self, side: int, system, eps: float = 0.0, cyclic: bool = True,
                  convention: str = "tile"):
-        self.side = side
         self.eps = float(eps)
-        self.cyclic = cyclic
         checks = _checks(system)
-        shapes, gamma = checks[0]
-        self.alphabet, self.dim = gamma.alphabet, shapes[0].dim
-        self.q = self.alphabet.size
-        self.ncells = side ** self.dim
-        self.groups: list[_Group] = []
-        self.rows: list[_Row] = []
-        # per check: (its groups, placements summed over them, its factor)
-        self.checks: list[tuple[list[int], int, ConstraintSet]] = []
-        self._build(checks, convention)
+        self.alphabet, self.dim = checks[0][1].alphabet, checks[0][0][0].dim
+        self.side, self.q = side, self.alphabet.size
+        ncells = side ** self.dim
+        slack = 0 if convention == "tile" else 1
 
-    # -- construction ------------------------------------------------------
-
-    def _add_group(self, shape: Shape, convention: str) -> int:
-        table = placements(shape, self.side, cyclic=self.cyclic,
-                           slack=0 if convention == "tile" else 1)
-        self.groups.append(_Group(table.tolist(),
-                                  pattern_space_size(self.alphabet, shape)))
-        return len(self.groups) - 1
-
-    def _build(self, checks, convention: str) -> None:
+        # Statistic slots, per check: its rows (only the prunable ones at
+        # eps > 0), then at eps > 0 its type.  `charge[pattern]` lists the
+        # (slot, increment) pairs one placement of the check adds.
+        self.rows: list[tuple[int, _Row]] = []
+        self.types: list[tuple[int, int, ConstraintSet]] = []  # (first slot, placements, factor)
+        self.caps: list = []                                   # per slot: prune cap
+        last = np.full(ncells, -1, dtype=np.int64)             # last step reading each cell
+        done: list[list] = [[] for _ in range(ncells)]         # per step: (charge, cells) completed
         for shapes, gamma in checks:
-            gids = [self._add_group(s, convention) for s in shapes]
-            nplace = sum(len(self.groups[g].offsets) for g in gids)
+            tables = [placements(s, side, cyclic=cyclic, slack=slack) for s in shapes]
+            nplace = sum(len(tab) for tab in tables)
+            charge: list[list[tuple[int, int]]] = [[] for _ in range(gamma.npatterns)]
             for con in gamma.constraints:
-                self.rows.append(
-                    _scale_row(gids, con.coeffs, _decimal(con.bound), nplace,
-                               con.sense, self.eps)
-                )
-            self.checks.append((gids, nplace, gamma))
-
-        # Index placements by the assignment step that completes them.
-        self.by_cell: list[list[tuple[int, int]]] = [[] for _ in range(self.ncells)]
-        for gi, grp in enumerate(self.groups):
-            for pi, cells in enumerate(grp.offsets):
-                self.by_cell[max(cells)].append((gi, pi))
-
-        # Row weights folded per (group, pattern) for the incremental update.
-        self.row_weight: list[dict[int, np.ndarray]] = [
-            dict.fromkeys(row.groups, row.weights) for row in self.rows]
-
-        space_bits = self.ncells * math.log2(self.q)
-        if not any(r.prunable for r in self.rows):
-            if space_bits > math.log2(MAX_ENUMERATION):
-                raise SizeGuardError(
-                    f"no prunable constraint and search space is 2^{space_bits:.0f} words"
-                )
-        elif space_bits > MAX_SEARCH_BITS:
-            raise SizeGuardError(f"search space is 2^{space_bits:.0f} words")
-
-    # -- search ------------------------------------------------------------
-
-    def count(self, prefix: Sequence[int] = ()) -> int:
-        return self._run(list(prefix), first=False)
-
-    def first_word(self, prefix: Sequence[int] = ()) -> Word | None:
-        self._run(list(prefix), first=True)
-        return self._found
-
-    def _run(self, prefix, first) -> int:
-        self._assign = np.full(self.ncells, -1, dtype=np.int64)
-        self._counts = [np.zeros(g.npatterns, dtype=np.int64) for g in self.groups]
-        self._partial = [Fraction(0)] * len(self.rows)
-        self._found: Word | None = None
-        self._first = first
-        return self._dfs(0, prefix)
-
-    def _apply(self, t: int) -> tuple[list[tuple[int, int]], bool]:
-        """Record placements completed by cell t; returns (contributions, dead)."""
-        done = []
-        dead = False
-        assign = self._assign
-        for gi, pi in self.by_cell[t]:
-            grp = self.groups[gi]
-            idx = 0
-            for cell in grp.offsets[pi]:
-                idx = idx * self.q + assign[cell]
-            self._counts[gi][idx] += 1
-            done.append((gi, idx))
-        if done:
-            for ri, row in enumerate(self.rows):
-                if not row.prunable:
+                row = _scale_row(con.coeffs, _decimal(con.bound), nplace, con.sense,
+                                 self.eps)
+                if self.eps and not row.prunable:
                     continue
-                wmap = self.row_weight[ri]
-                inc = 0
-                for gi, idx in done:
-                    w = wmap.get(gi)
-                    if w is not None:
-                        inc += int(w[idx])
-                if inc:
-                    self._partial[ri] += inc
-                    if self._partial[ri] > row.budget:
-                        dead = True
-        return done, dead
+                self.rows.append((len(self.caps), row))
+                for i, w in enumerate(row.weights):
+                    if w:
+                        charge[i].append((len(self.caps), w))
+                self.caps.append(math.floor(row.budget) if row.prunable else math.inf)
+            if self.eps:
+                self.types.append((len(self.caps), nplace, gamma))
+                for i in range(gamma.npatterns):
+                    charge[i].append((len(self.caps) + i, 1))
+                self.caps += [math.inf] * gamma.npatterns
+            for tab in tables:
+                np.maximum.at(last, tab, tab.max(axis=1, keepdims=True))
+                for cells in tab.tolist():
+                    done[max(cells)].append((charge, cells))
+        self.zero = (0,) * len(self.caps)
 
-    def _unapply(self, done) -> None:
-        for gi, idx in done:
-            self._counts[gi][idx] -= 1
-        for ri, row in enumerate(self.rows):
-            if not row.prunable:
-                continue
-            wmap = self.row_weight[ri]
-            dec = 0
-            for gi, idx in done:
-                w = wmap.get(gi)
-                if w is not None:
-                    dec += int(w[idx])
-            if dec:
-                self._partial[ri] -= dec
+        # Per step: the completed placements as (charge, frontier positions
+        # read in shape-point order), and the positions the frontier keeps.
+        self.steps: list[tuple[list, tuple[int, ...]]] = []
+        frontier: list[int] = []
+        last = last.tolist()
+        for t in range(ncells):
+            ext = frontier + [t]
+            pos = {c: i for i, c in enumerate(ext)}
+            keep = tuple(i for i, c in enumerate(ext) if last[c] > t)
+            self.steps.append(([(ch, [pos[c] for c in cells]) for ch, cells in done[t]], keep))
+            frontier = [ext[i] for i in keep]
+            if len(frontier) * math.log2(self.q) > MAX_STATE_BITS:
+                raise SizeGuardError(f"transfer frontier holds {len(frontier)} cells, "
+                                     f"above {MAX_STATE_BITS} bits")
 
-    def _dfs(self, t: int, prefix) -> int:
-        if t == self.ncells:
-            if self._leaf_ok():
-                if self._first:
-                    cells = self._assign.reshape((self.side,) * self.dim).copy()
-                    self._found = Word(self.alphabet, cells)
-                return 1
-            return 0
-        total = 0
-        syms = (prefix[t],) if t < len(prefix) else range(self.q)
-        for a in syms:
-            self._assign[t] = a
-            done, dead = self._apply(t)
-            if not dead:
-                total += self._dfs(t + 1, prefix)
-            self._unapply(done)
-            if self._first and self._found is not None:
-                break
-        self._assign[t] = -1
-        return total
+    def _edge(self, t: int, front: tuple, a: int):
+        """The frontier after writing `a` at cell t, and the statistic
+        increments as (slot, increment, cap) triples."""
+        reads, keep = self.steps[t]
+        ext = front + (a,)
+        q = self.q
+        inc: dict[int, int] = {}
+        for charge, poss in reads:
+            idx = 0
+            for p in poss:
+                idx = idx * q + ext[p]
+            for slot, w in charge[idx]:
+                inc[slot] = inc.get(slot, 0) + w
+        caps = self.caps
+        delta = tuple((s, w, caps[s]) for s, w in inc.items() if w)
+        return tuple(ext[i] for i in keep), delta
 
-    def _leaf_ok(self) -> bool:
-        if self.eps == 0:
-            for ri, row in enumerate(self.rows):
-                lhs = 0
-                for g in row.groups:
-                    cnt = self._counts[g]
-                    for i in np.nonzero(cnt)[0]:
-                        wi = int(row.weights[i])
-                        if wi:
-                            lhs += wi * int(cnt[i])
-                if row.sense == "<=":
-                    if lhs > row.budget:
-                        return False
-                elif lhs != row.budget:
+    def _transfer(self, prefix: Sequence[int] = (), back: list | None = None) -> dict:
+        """The final layer {(frontier, statistics): words}.  With `back`, each
+        layer's first-arrival links {state: (previous state, symbol)} are
+        appended to it."""
+        layer = {((), self.zero): 1}
+        for t in range(len(self.steps)):
+            syms = (prefix[t],) if t < len(prefix) else range(self.q)
+            edges: dict = {}
+            nxt: dict = {}
+            links: dict = {}
+            for state, words in layer.items():
+                front, stats = state
+                for a in syms:
+                    e = edges.get((front, a))
+                    if e is None:
+                        e = edges[front, a] = self._edge(t, front, a)
+                    nfront, delta = e
+                    new = _advance(stats, delta) if delta else stats
+                    if new is None:
+                        continue
+                    key = (nfront, new)
+                    if key in nxt:
+                        nxt[key] += words
+                    else:
+                        if len(nxt) >= 1 << MAX_STATE_BITS:
+                            raise SizeGuardError(
+                                f"transfer layer {t} exceeds 2^{MAX_STATE_BITS} states")
+                        nxt[key] = words
+                        links[key] = (state, a)
+            if back is not None:
+                back.append(links)
+            layer = nxt
+        return layer
+
+    def _accepts(self, stats: tuple, seen: dict) -> bool:
+        """The exact admissibility test on one final state's statistics."""
+        if not self.eps:
+            for slot, row in self.rows:
+                lhs = stats[slot]
+                if (lhs > row.budget) if row.sense == "<=" else (lhs != row.budget):
                     return False
             return True
-        return self._leaf_ok_eps()
-
-    def _leaf_ok_eps(self) -> bool:
         tol = self.eps + FEASIBILITY_TOL
-        for gids, nplace, gamma in self.checks:
-            counts = sum(self._counts[g] for g in gids)
-            mu = PatternDistribution(gamma.alphabet, gamma.shape, counts / nplace)
-            if tv_distance_to_set(mu, gamma) > tol:
+        for first, nplace, gamma in self.types:
+            counts = stats[first:first + gamma.npatterns]
+            ok = seen.get((first, counts))
+            if ok is None:
+                mu = PatternDistribution(gamma.alphabet, gamma.shape,
+                                         np.array(counts, dtype=np.int64) / nplace)
+                ok = seen[first, counts] = tv_distance_to_set(mu, gamma) <= tol
+            if not ok:
                 return False
         return True
 
+    def count(self) -> int:
+        seen: dict = {}
+        return sum(words for (_, stats), words in self._transfer().items()
+                   if self._accepts(stats, seen))
 
-def _count_task(args) -> int:
-    side, system, eps, cyclic, convention, prefix = args
-    counter = _Counter(side, system, eps, cyclic=cyclic, convention=convention)
-    return counter.count(prefix=prefix)
-
-
-def _parallel_count(side, system, eps, cyclic, convention, threads) -> int:
-    import concurrent.futures
-
-    probe = _Counter(side, system, eps, cyclic=cyclic, convention=convention)
-    q = probe.q
-    depth = min(probe.ncells, max(1, math.ceil(math.log(max(2, threads), q))))
-    prefixes = list(itertools.product(range(q), repeat=depth))
-    jobs = [(side, system, eps, cyclic, convention, list(p)) for p in prefixes]
-    with concurrent.futures.ProcessPoolExecutor(max_workers=threads) as ex:
-        return sum(ex.map(_count_task, jobs))
+    def first_word(self, prefix: Sequence[int] = ()) -> Word | None:
+        """The lexicographically first admissible word.  States enter each
+        layer in the order of the first prefix reaching them, so the first
+        accepted final state's first-arrival chain spells that word."""
+        back: list = []
+        seen: dict = {}
+        for state in self._transfer(prefix, back):
+            if self._accepts(state[1], seen):
+                cells = []
+                for links in reversed(back):
+                    state, a = links[state]
+                    cells.append(a)
+                cells.reverse()
+                return Word(self.alphabet, np.array(cells, dtype=np.int64)
+                            .reshape((self.side,) * self.dim))
+        return None
 
 
 def count_admissible(side: int, system, eps: float = 0.0, *,
                      threads: int = 1) -> int:
     """Exact number of admissible side^d words (cyclic windows).
 
-    The search space is partitioned across workers by the first assigned
-    cells when threads > 1; the result does not depend on the thread count.
+    `threads` is accepted for compatibility and ignored: the transfer
+    counter runs in the calling process.
     """
     if side < 1:
         raise ValidationError("side must be >= 1")
-    if threads > 1:
-        return _parallel_count(side, system, eps, True, "tile", threads)
-    return _Counter(side, system, eps).count()
+    return _Transfer(side, system, eps).count()
 
 
 def count_admissible_noncyclic(side: int, system, *,
@@ -643,14 +622,13 @@ def count_admissible_noncyclic(side: int, system, *,
     window of extent k-1 per axis: "tile" slides over all n-k+1 offsets per
     axis, so windows cover the whole cube, while "halfopen" stops one
     offset short (n-k per axis), leaving the trailing window unchecked.
+    `threads` is accepted for compatibility and ignored.
     """
     if convention not in ("tile", "halfopen"):
         raise ValidationError(f"unknown convention {convention!r}")
     if not all(_forbids_patterns(c) for _, f in _checks(system) for c in f.constraints):
         raise ValidationError("non-cyclic counting needs a fully-constrained system")
-    if threads > 1:
-        return _parallel_count(side, system, 0.0, False, convention, threads)
-    return _Counter(side, system, 0.0, cyclic=False, convention=convention).count()
+    return _Transfer(side, system, 0.0, cyclic=False, convention=convention).count()
 
 
 def count_exhaustive(side: int, system, eps: float = 0.0) -> int:
@@ -671,4 +649,4 @@ def count_exhaustive(side: int, system, eps: float = 0.0) -> int:
 def find_admissible_word(side: int, system, eps: float = 0.0,
                          prefix: Sequence[int] = ()) -> Word | None:
     """First admissible word in lexicographic cell order, or None."""
-    return _Counter(side, system, eps).first_word(prefix=prefix)
+    return _Transfer(side, system, eps).first_word(prefix=prefix)

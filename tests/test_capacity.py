@@ -228,6 +228,21 @@ def test_internal_capacity_sequence_rates():
     assert abs(rows[-1].rate - GOLDEN_RATE) < 0.01
 
 
+def test_count_rates_rise_under_the_trace_bound():
+    # N_n <= trace(A_lam^n) 2^(n lam.b) <= #states * 2^(n D(lam)): the
+    # cyclic count rate sits below the certified dual value plus
+    # log2(#de Bruijn states)/n, and climbs toward capacity
+    g = rll_constraint(2, 0.05)
+    cap = capacity_1d(g)
+    rows = internal_capacity_sequence(g, [100, 400])
+    rates = [r.rate for r in rows]
+    assert [round(r, 5) for r in rates] == [0.95876, 0.96945]
+    assert rates[0] < rates[1]
+    states = g.alphabet.size ** (len(g.shape) - 1)
+    for r in rows:
+        assert r.rate < cap.value + cap.duality_gap + math.log2(states) / r.side
+
+
 def test_dimension_interpolation_bound():
     b = elimeysch_lower_bound(0.976, 3)
     assert b.value == pytest.approx(1 + 3 * (0.976 - 1.0), abs=1e-12)

@@ -14,6 +14,7 @@ from semicap.lattice_core import (
     Word,
     empirical_distribution,
 )
+from semicap import scs_model
 from semicap.scs_model import (
     AxialSystem,
     ConstraintSet,
@@ -239,6 +240,72 @@ def test_find_admissible_word():
     assert find_admissible_word(3, empty) is None
 
 
+def _first_admissible(n, system, dim, eps, prefix=()):
+    """Brute-force oracle: the first word in lexicographic cell order that
+    starts with `prefix` and is admissible."""
+    q = system.alphabet.size
+    for tail in itertools.product(range(q), repeat=n ** dim - len(prefix)):
+        cells = np.array(list(prefix) + list(tail), dtype=np.int64)
+        w = Word(system.alphabet, cells.reshape((n,) * dim))
+        if is_admissible(w, system, eps):
+            return w
+    return None
+
+
+def _window2_system(rng, dim):
+    """A nonempty window-2 polytope with signed coefficients, which also
+    charge the pattern 00, so the first admissible word is often not all
+    zeros; in 2-D its strict or weak axial product."""
+    while True:
+        rows = [LinearConstraint(tuple(rng.uniform(-0.5, 1.0, size=4)),
+                                 float(rng.uniform(0.0, 0.5)), "<=")
+                for _ in range(int(rng.integers(1, 3)))]
+        gamma = ConstraintSet(BIN, Shape.segment(2), rows)
+        try:
+            gamma.feasible_point()
+        except EmptySystemError:
+            continue
+        if dim == 1:
+            return gamma
+        return axial_product(gamma, 2, "strict" if rng.integers(0, 2) else "weak")
+
+
+def test_find_admissible_word_is_lexicographically_first():
+    rng = np.random.default_rng(404)
+    for i in range(16):
+        dim, eps = 1 + i % 2, (0.0, 0.0, 0.05, 0.05)[i % 4]
+        system = _window2_system(rng, dim)
+        n = 3 if dim == 2 else int(rng.integers(3, 8))
+        prefix = rng.integers(0, 2, size=int(rng.integers(1, 4))).tolist()
+        for pre in ((), prefix):
+            got = find_admissible_word(n, system, eps, prefix=pre)
+            want = _first_admissible(n, system, dim, eps, pre)
+            if want is None:
+                assert got is None, f"{system} n={n} eps={eps} prefix={pre}"
+            else:
+                assert got is not None and np.array_equal(got.cells, want.cells), \
+                    f"{system} n={n} eps={eps} prefix={pre}"
+    empty = fully_constrained(BIN, Shape.segment(1), [(0,), (1,)])
+    assert _first_admissible(3, empty, 1, 0.0) is None
+    assert find_admissible_word(3, empty) is None
+
+
+def test_count_exceeds_int64():
+    # the Lucas number L_100: counts are Python ints, never int64 or float64
+    count = count_admissible(100, rll_constraint(1, 0.0))
+    assert count == 792070839848372253127
+    assert count > 2 ** 63
+
+
+def test_two_dimensional_counts_pinned():
+    # values the word-by-word search confirmed in minutes
+    factor = rll_constraint(1, 0.1)
+    assert count_admissible(5, axial_product(factor, 2, "strict")) == 1_128_256
+    assert count_admissible(5, axial_product(factor, 2, "weak")) == 2_632_486
+    hard_squares = axial_product(rll_constraint(1, 0.0), 2)
+    assert count_admissible(6, hard_squares) == 2_406_862
+
+
 def test_axial_system_validation():
     factor = rll_constraint(1, 0.1)
     other = rll_constraint(1, 0.2)
@@ -253,3 +320,16 @@ def test_counting_size_guard():
     g = rll_constraint(2, 0.5)
     with pytest.raises(SizeGuardError):
         count_admissible(30, axial_product(g, 3, "strict"), eps=0.4)
+
+
+def test_transfer_size_guard_limits(monkeypatch):
+    # one limit bounds both the frontier (cells * log2 q) and the live
+    # states of a layer; lowered, each trips on a small input
+    monkeypatch.setattr(scs_model, "MAX_STATE_BITS", 4)
+    # a frontier of 4 cells passes, but the states carrying the row total
+    # outgrow 2^4
+    with pytest.raises(SizeGuardError, match="states"):
+        count_admissible(30, rll_constraint(2, 0.5))
+    # the first row stays in the frontier for the vertical wrap
+    with pytest.raises(SizeGuardError, match="frontier"):
+        count_admissible(5, axial_product(rll_constraint(1, 0.0), 2))
