@@ -13,16 +13,18 @@ optimiser exploits:
 
 * for a single mass-cap system the constraint carries one KKT multiplier
   shared by all sites; sites are updated in closed form (a Gibbs/softmax
-  step) at fixed multiplier, and the multiplier is found by bisection —
-  per-site hard-constraint sweeps would instead stall on a continuum of
-  non-stationary fixed points (any split of the budget across sites is
-  axis-wise optimal), which is why the multiplier is global;
+  step) at fixed multiplier, and the multiplier is the root of the cap's
+  excess, bracketed by doubling and found by safeguarded (Illinois)
+  regula falsi — per-site hard-constraint sweeps would instead stall on a
+  continuum of non-stationary fixed points (any split of the budget across
+  sites is axis-wise optimal), which is why the multiplier is global;
 * zero-budget and multi-constraint systems fall back to per-site entropy
   maximisation over the feasible slice, the one-state case of the
   certified pressure dual in `capacity` (one multiplier per constraint,
   warm-started from the site's previous solve);
 * everything is repeated from random restarts plus i.i.d. and period-2
-  warm starts, and the winner is certified feasible by an LP distance check.
+  warm starts (screened row by row at eps = 0, by the LP distance above
+  it), and the winner is certified feasible by an LP distance check.
 
 `hind_com_fixed_n` is the combinatorial counterpart: over words whose cells
 hold nonempty symbol subsets, maximise the per-cell choice count subject to
@@ -83,6 +85,12 @@ _FEAS_SLACK = 1e-12
 # Site sweeps stop once the entropy (or, at a fixed multiplier, every site)
 # moves by no more than this.
 _SWEEP_STOP = 1e-13
+# Shared-multiplier root search: it stops once the bracket is this narrow
+# relative to the multiplier, or once the feasible side is this close below
+# the cap, or after this many fixed-point solves.
+_ROOT_RTOL = 1e-12
+_ROOT_ATOL = 1e-14
+_ROOT_ITER = 80
 # A cap this close above the unconstrained optimum's value counts as slack.
 _CAP_SLACK = 1e-15
 # Site-slice dual: iteration budget and certificate.
@@ -157,10 +165,32 @@ class _WindowModel:
         self.side = side
         self.q = gamma.alphabet.size
         self.table = placements(gamma.shape, side)
-        self.windows = self.table.tolist()
         self.patterns = [
             pattern_from_index(i, self.q, self.k) for i in range(gamma.npatterns)
         ]
+        # per site, every window in table order as (the site's slot in it,
+        # or -1 if it misses the site; the other (slot, site) pairs)
+        windows = self.table.tolist()
+        self.by_site = [[(w.index(v) if v in w else -1,
+                          [(j, s) for j, s in enumerate(w) if s != v])
+                         for w in windows] for v in range(side)]
+        self._charged = {}
+
+    def _charged_patterns(self, coeffs) -> list:
+        """Per pattern, the rows that charge it with their coefficients
+        (patterns no row charges are left out); built once per row set."""
+        coeffs = np.asarray(coeffs, dtype=np.float64)
+        key = (coeffs.shape, coeffs.tobytes())
+        charged = self._charged.get(key)
+        if charged is None:
+            coeff_rows = coeffs.tolist()
+            charged = []
+            for pi, a in enumerate(self.patterns):
+                terms = [(r, cf[pi]) for r, cf in enumerate(coeff_rows) if cf[pi]]
+                if terms:
+                    charged.append((a, terms))
+            self._charged[key] = charged
+        return charged
 
     def site_coeffs(self, rows: np.ndarray, v: int, coeffs):
         """Write each constraint functional c_r . averaged(mu) as
@@ -168,26 +198,20 @@ class _WindowModel:
         coefficient row, and const, one entry per coefficient row)."""
         lin = [[0.0] * self.q for _ in coeffs]
         const = [0.0] * len(coeffs)
-        # per pattern, the rows that charge it, with their coefficients
-        coeff_rows = np.asarray(coeffs).tolist()
-        charged = []
-        for pi, a in enumerate(self.patterns):
-            terms = [(r, cf[pi]) for r, cf in enumerate(coeff_rows) if cf[pi]]
-            if terms:
-                charged.append((a, terms))
+        charged = self._charged_patterns(coeffs)
         site_rows = rows.tolist()
-        for window in self.windows:
-            slot = window.index(v) if v in window else -1
+        for slot, others in self.by_site[v]:
             for a, terms in charged:
                 prod = 1.0
-                for j, site in enumerate(window):
-                    if j != slot:
-                        prod *= site_rows[site][a[j]]
-                for r, c in terms:
-                    if slot < 0:
+                for j, site in others:
+                    prod *= site_rows[site][a[j]]
+                if slot < 0:
+                    for r, c in terms:
                         const[r] += c * prod
-                    else:
-                        lin[r][a[slot]] += c * prod
+                else:
+                    s = a[slot]
+                    for r, c in terms:
+                        lin[r][s] += c * prod
         return np.divide(lin, self.side), np.divide(const, self.side)
 
 
@@ -238,28 +262,52 @@ def _lagrangian_fixed_point(model: _WindowModel, rows: np.ndarray,
 
 def _optimize_single_cap(model: _WindowModel, start: np.ndarray,
                          coeffs: np.ndarray, bound_eff: float) -> np.ndarray:
-    """Shared-multiplier ascent for a single mass-cap constraint."""
+    """Shared-multiplier ascent for a single mass-cap constraint.
+
+    The multiplier is the root of g(lam) = c . averaged(rows_lam) - bound,
+    rows_lam being the fixed point at lam.  Doubling brackets it, then
+    Illinois regula falsi (Dowell & Jarratt, BIT 11, 1971) narrows the
+    bracket, bisecting whenever the secant point leaves it; the rows on the
+    feasible side of the bracket are returned.
+    """
     rows = start.copy()
     value_at = lambda r: float(coeffs @ _window_law(r, model.table))
     rows0 = _lagrangian_fixed_point(model, rows.copy(), coeffs, 0.0)
-    if value_at(rows0) <= bound_eff + _CAP_SLACK:
+    v0 = value_at(rows0)
+    if v0 <= bound_eff + _CAP_SLACK:
         return rows0  # the cap is slack at the unconstrained optimum
     lo, hi = 0.0, 1.0
+    g_lo = v0 - bound_eff
     rows_hi = _lagrangian_fixed_point(model, rows.copy(), coeffs, hi)
+    g_hi = value_at(rows_hi) - bound_eff
     guard = 0
-    while value_at(rows_hi) > bound_eff and guard < 60:
-        lo, hi = hi, hi * 2.0
+    while g_hi > 0 and guard < 60:
+        lo, g_lo, hi = hi, g_hi, hi * 2.0
         rows_hi = _lagrangian_fixed_point(model, rows_hi, coeffs, hi)
+        g_hi = value_at(rows_hi) - bound_eff
         guard += 1
-    best_feasible = rows_hi.copy()
-    for _ in range(80):
-        mid = 0.5 * (lo + hi)
-        rows_mid = _lagrangian_fixed_point(model, best_feasible.copy(), coeffs, mid)
-        if value_at(rows_mid) > bound_eff:
-            lo = mid
+    # the feasible side's rows and their distance below the cap (negative
+    # if doubling found no feasible side); g_lo and g_hi get Illinois-scaled
+    best_feasible, residual = rows_hi.copy(), -g_hi
+    moved = 0  # +1 after hi moved, -1 after lo moved
+    for _ in range(_ROOT_ITER):
+        if hi - lo <= _ROOT_RTOL * hi or residual <= _ROOT_ATOL:
+            break
+        lam = (lo * g_hi - hi * g_lo) / (g_hi - g_lo)
+        if not lo < lam < hi:
+            lam = 0.5 * (lo + hi)
+        rows_lam = _lagrangian_fixed_point(model, best_feasible.copy(), coeffs, lam)
+        g = value_at(rows_lam) - bound_eff
+        if g > 0:
+            lo, g_lo = lam, g
+            if moved < 0:
+                g_hi *= 0.5  # Illinois: hi was kept twice
+            moved = -1
         else:
-            hi = mid
-            best_feasible = rows_mid
+            hi, g_hi, best_feasible, residual = lam, g, rows_lam, -g
+            if moved > 0:
+                g_lo *= 0.5
+            moved = 1
     return best_feasible
 
 
@@ -313,6 +361,9 @@ def hind_fixed_n(gamma: ConstraintSet, side: int, eps: float = 0.0, *,
         if cap is not None:
             ind, b = cap
             return float(ind @ avg) <= b + eps + _FEAS_SLACK
+        if eps == 0.0:
+            # distance zero means every row holds: no LP needed
+            return all(c.satisfied(avg, _FEAS_SLACK) for c in gamma.constraints)
         mu = PatternDistribution(gamma.alphabet, gamma.shape, avg)
         return tv_distance_to_set(mu, gamma) <= eps + _FEAS_SLACK
 

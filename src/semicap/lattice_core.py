@@ -45,7 +45,6 @@ __all__ = [
     "pattern_index",
     "pattern_from_index",
     "placements",
-    "position_index",
     "empirical_counts",
     "empirical_distribution",
     "marginal",
@@ -242,14 +241,6 @@ def enumerate_patterns(alphabet: Alphabet, shape: Shape) -> Iterator[tuple[int, 
     yield from itertools.product(range(alphabet.size), repeat=len(shape))
 
 
-def position_index(v: Sequence[int], side: int) -> int:
-    """Row-major rank of a cube position (coordinates taken mod side)."""
-    idx = 0
-    for c in v:
-        idx = idx * side + (int(c) % side)
-    return idx
-
-
 def placements(shape: Shape, side: int, *, cyclic: bool = True,
                slack: int = 0) -> np.ndarray:
     """The placement table of `shape` in the cube {0..side-1}^dim: one row
@@ -369,9 +360,6 @@ class SiteProductMeasure:
         if np.abs(rows.sum(axis=1) - 1.0).max(initial=0.0) > 1e-9:
             raise ValidationError("site distributions must sum to 1")
         object.__setattr__(self, "site_dists", rows)
-
-    def site(self, v: Sequence[int]) -> np.ndarray:
-        return self.site_dists[position_index(v, self.side)]
 
     @classmethod
     def uniform(cls, alphabet: Alphabet, dim: int, side: int) -> "SiteProductMeasure":

@@ -17,7 +17,6 @@ word.
 """
 from __future__ import annotations
 
-import itertools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
@@ -59,6 +58,8 @@ __all__ = [
 
 # Exhaustive enumeration refuses alphabets^cells beyond this.
 MAX_ENUMERATION = 1 << 26
+# Words the exhaustive counter enumerates at once.
+_ENUMERATION_BLOCK = 1 << 13
 # The transfer counter refuses a frontier of more than this many bits
 # (cells * log2 q) and a layer of more than 2^this many live states.
 MAX_STATE_BITS = 20
@@ -361,15 +362,19 @@ def is_admissible(word: Word, system, eps: float = 0.0) -> bool:
         raise ValidationError("eps must be >= 0")
     for shapes, gamma in _checks(system):
         counts = sum(empirical_counts(word, s) for s in shapes)
-        total = word.side ** word.dim * len(shapes)
-        if eps == 0:
-            ok = all(_exact_row_check(counts, c, total) for c in gamma.constraints)
-        else:
-            mu = PatternDistribution(gamma.alphabet, gamma.shape, counts / total)
-            ok = tv_distance_to_set(mu, gamma) <= eps + FEASIBILITY_TOL
-        if not ok:
+        if not _counts_admissible(counts, word.side ** word.dim * len(shapes), gamma, eps):
             return False
     return True
+
+
+def _counts_admissible(counts: np.ndarray, total: int, gamma: ConstraintSet,
+                       eps: float) -> bool:
+    """Does the distribution counts/total lie within TV distance eps of Γ?
+    Exact at eps = 0 (integer counts, rational comparisons)."""
+    if eps == 0:
+        return all(_exact_row_check(counts, c, total) for c in gamma.constraints)
+    mu = PatternDistribution(gamma.alphabet, gamma.shape, counts / total)
+    return tv_distance_to_set(mu, gamma) <= eps + FEASIBILITY_TOL
 
 
 # ---------------------------------------------------------------------------
@@ -632,17 +637,45 @@ def count_admissible_noncyclic(side: int, system, *,
 
 
 def count_exhaustive(side: int, system, eps: float = 0.0) -> int:
-    """Reference counter: enumerate every word and test admissibility."""
-    shapes, gamma = _checks(system)[0]
-    alphabet, dim = gamma.alphabet, shapes[0].dim
+    """Reference counter: enumerate every word and test admissibility.
+
+    It does not use the transfer counter: each word's pattern counts are
+    read off the placement tables, and `is_admissible`'s test runs once per
+    distinct count vector of a check.
+    """
+    if eps < 0:
+        raise ValidationError("eps must be >= 0")
+    checks = _checks(system)
+    q, dim = checks[0][1].alphabet.size, checks[0][0][0].dim
     ncells = side ** dim
-    if alphabet.size ** ncells > MAX_ENUMERATION:
+    nwords = q ** ncells
+    if nwords > MAX_ENUMERATION:
         raise SizeGuardError("exhaustive enumeration too large")
+    # per check: all its placements, pattern digit weights, and its verdicts
+    tests = []
+    for shapes, gamma in checks:
+        table = np.vstack([placements(s, side) for s in shapes])
+        weights = q ** np.arange(table.shape[1] - 1, -1, -1)
+        tests.append((table, weights, gamma, {}))
+    digits = q ** np.arange(ncells - 1, -1, -1)  # cell 0 most significant
     count = 0
-    for cells in itertools.product(range(alphabet.size), repeat=ncells):
-        w = Word(alphabet, np.array(cells, dtype=np.int64).reshape((side,) * dim))
-        if is_admissible(w, system, eps):
-            count += 1
+    for start in range(0, nwords, _ENUMERATION_BLOCK):
+        index = np.arange(start, min(start + _ENUMERATION_BLOCK, nwords))
+        words = index[:, None] // digits % q
+        ok = np.ones(len(words), dtype=bool)
+        for table, weights, gamma, seen in tests:
+            m = gamma.npatterns
+            pats = words[:, table] @ weights + m * np.arange(len(words))[:, None]
+            counts = np.bincount(pats.ravel(), minlength=m * len(words)).reshape(-1, m)
+            vecs, inverse = np.unique(counts, axis=0, return_inverse=True)
+            verdicts = []
+            for vec in vecs:
+                key = vec.tobytes()
+                if key not in seen:
+                    seen[key] = _counts_admissible(vec, len(table), gamma, eps)
+                verdicts.append(seen[key])
+            ok &= np.array(verdicts)[inverse.reshape(-1)]
+        count += int(ok.sum())
     return count
 
 

@@ -24,6 +24,7 @@ from semicap.indentropy import (
     hind_com_fixed_n,
     hind_fixed_n,
 )
+from semicap import indentropy
 from semicap.indentropy import _WindowModel
 from semicap.lattice_core import _window_law
 
@@ -199,6 +200,44 @@ def test_hind_respects_capacity_bound():
 def test_hind_rejects_short_side():
     with pytest.raises(ValidationError):
         hind_fixed_n(rll_constraint(2, 0.05), 2)
+
+
+def test_hind_window2_matches_curve_to_nine_digits():
+    # the shared-multiplier root search must land on the curve optimum itself
+    for p in (0.01, 0.03, 0.05, 0.1, 0.15, 0.2, 0.24):
+        res = hind_fixed_n(rll_constraint(1, p), 2, restarts=10, seed=0)
+        assert abs(res.value - curve_optimum_01p(p).value) <= 1e-9, p
+
+
+def test_hind_single_cap_solves_per_start(monkeypatch):
+    # the multiplier search converges superlinearly (13 fixed-point solves
+    # per start here); bisecting to double precision takes about 85
+    calls = 0
+    solve = indentropy._lagrangian_fixed_point
+
+    def counted(*args, **kwargs):
+        nonlocal calls
+        calls += 1
+        return solve(*args, **kwargs)
+
+    monkeypatch.setattr(indentropy, "_lagrangian_fixed_point", counted)
+    res = hind_fixed_n(rll_constraint(2, 0.05), 3, restarts=20, seed=0)
+    assert res.feasible and res.restarts == 22
+    assert calls <= 25 * res.restarts
+
+
+def test_hind_single_cap_results_are_certified():
+    # a seeded battery of single caps, slack and binding, at eps 0 and above
+    rng = np.random.default_rng(13)
+    for _ in range(16):
+        k = int(rng.integers(0, 3))
+        p = float(rng.choice([0.01, 0.05, 0.1, 0.3]))
+        eps = float(rng.choice([0.0, 0.01]))
+        side = int(rng.integers(k + 1, 5))
+        res = hind_fixed_n(rll_constraint(k, p), side, eps, restarts=2, seed=5)
+        assert res.feasible and res.distance <= eps + 1e-8, (k, p, side, eps)
+        cap = capacity_1d(rll_constraint(k, p + eps)).value
+        assert res.value <= cap + 1e-9, (k, p, side, eps)
 
 
 def test_hind_deterministic_given_seed():

@@ -226,8 +226,10 @@ def _averaged_loop(mu, shape):
     for v in itertools.product(range(mu.side), repeat=mu.dim):
         block = np.ones(1)
         for s in shape.points:
-            row = mu.site(tuple(c + dc for c, dc in zip(v, s)))
-            block = np.multiply.outer(block, row).reshape(-1)
+            idx = 0
+            for c, dc in zip(v, s):
+                idx = idx * mu.side + (c + dc) % mu.side  # row-major rank
+            block = np.multiply.outer(block, mu.site_dists[idx]).reshape(-1)
         total += block
     return total / mu.side ** mu.dim
 
