@@ -134,7 +134,7 @@ class PeriodicProductMeasure:
         period so the cyclic extension is well defined)."""
         if side % self.period:
             raise ValidationError("side must be divisible by the period")
-        rows = np.vstack([self.site_dists[i % self.period] for i in range(side)])
+        rows = np.tile(self.site_dists, (side // self.period, 1))
         return SiteProductMeasure(self.alphabet, 1, side, rows)
 
 

@@ -39,6 +39,7 @@ __all__ = [
     "Alphabet",
     "Shape",
     "Word",
+    "cell_dtype",
     "PatternDistribution",
     "SiteProductMeasure",
     "enumerate_patterns",
@@ -165,23 +166,39 @@ class Shape:
         return Shape(tuple(c + dv for c, dv in zip(p, v)) for p in self.points)
 
 
+def cell_dtype(alphabet: Alphabet) -> type:
+    """The dtype a `Word` stores its cells in: one byte a cell for
+    alphabets of at most 256 symbols, int64 beyond."""
+    return np.uint8 if alphabet.size <= 256 else np.int64
+
+
 @dataclass(frozen=True, eq=False)
 class Word:
-    """A side^dim array of symbol indices, read cyclically."""
+    """A side^dim array of symbol indices, read cyclically.
+
+    `cells` may be given as bools, integers, or integral floats; it is
+    stored as `cell_dtype(alphabet)`.
+    """
 
     alphabet: Alphabet
     cells: np.ndarray
 
     def __post_init__(self) -> None:
-        cells = np.asarray(self.cells, dtype=np.int64)
+        cells = np.asarray(self.cells)
         if cells.ndim < 1:
             raise ValidationError("word must be at least 1-dimensional")
         n = cells.shape[0]
         if any(s != n for s in cells.shape):
             raise ValidationError("word must be a cube (equal side lengths)")
+        if cells.dtype.kind == "f":
+            if not np.array_equal(cells, np.trunc(cells)):
+                raise ValidationError("cell values must be integers")
+        elif cells.dtype.kind not in "biu":
+            raise ValidationError(f"cell values of dtype {cells.dtype} are not integers")
         if cells.size and (cells.min() < 0 or cells.max() >= self.alphabet.size):
             raise ValidationError("cell values out of alphabet range")
-        object.__setattr__(self, "cells", cells)
+        object.__setattr__(self, "cells",
+                           cells.astype(cell_dtype(self.alphabet), copy=False))
 
     @classmethod
     def from_string(cls, s: str, alphabet: Alphabet | None = None) -> "Word":

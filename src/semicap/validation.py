@@ -31,6 +31,7 @@ from semicap.lattice_core import (
     ValidationError,
     Word,
     averaged_marginal,
+    cell_dtype,
     empirical_distribution,
     product_entropy,
 )
@@ -70,7 +71,8 @@ class SplitMix64:
     reproducibility: state advances by the golden-ratio increment
     0x9E3779B97F4A7C15 and the output mixes with the Stafford "mix13"
     constants.  `next_float` takes the top 53 bits, so results are
-    bit-identical on every platform.
+    bit-identical on every platform.  `floats` is the same stream as one
+    numpy block; the scalar methods stay its reference.
     """
 
     GAMMA = 0x9E3779B97F4A7C15
@@ -91,15 +93,34 @@ class SplitMix64:
         """Uniform in [0, 1) with 53 random bits."""
         return (self.next_u64() >> 11) * 2.0 ** -53
 
+    def floats(self, n: int) -> np.ndarray:
+        """The next n values of `next_float` as one float64 array; the
+        state advances by n.  uint64 array arithmetic wraps mod 2^64, which
+        is the scalar form's masking."""
+        if n < 0:
+            raise ValidationError("cannot draw a negative number of floats")
+        z = np.arange(1, n + 1, dtype=np.uint64)
+        z *= np.uint64(self.GAMMA)
+        z += np.uint64(self.state)
+        self.state = (self.state + n * self.GAMMA) & _MASK64
+        z ^= z >> np.uint64(30)
+        z *= np.uint64(self.MIX1)
+        z ^= z >> np.uint64(27)
+        z *= np.uint64(self.MIX2)
+        z ^= z >> np.uint64(31)
+        z >>= np.uint64(11)
+        return z.astype(np.float64) * 2.0 ** -53
+
 
 def sample_word(mu, seed: int, side: int | None = None) -> Word:
-    """Draw one word cell-by-cell from a product measure.
+    """Draw one word from a product measure.
 
     `mu` is a SiteProductMeasure (side fixed by the measure) or a
     PeriodicProductMeasure together with `side` (a multiple of the period).
-    Cells are filled in row-major order by inverse-CDF lookup on one
-    SplitMix64 stream seeded with `seed` — equal seeds give bit-identical
-    words everywhere.
+    The cells, in row-major order, take one block of a SplitMix64 stream
+    seeded with `seed` (cell i the i-th `next_float`), and each cell's
+    symbol is the inverse CDF of its site row at its draw — equal seeds
+    give bit-identical words everywhere.
     """
     if isinstance(mu, PeriodicProductMeasure):
         if side is None:
@@ -107,15 +128,12 @@ def sample_word(mu, seed: int, side: int | None = None) -> Word:
         mu = mu.tile(side)
     if not isinstance(mu, SiteProductMeasure):
         raise ValidationError("expected a site-product or periodic measure")
-    rng = SplitMix64(seed)
-    cums = np.cumsum(mu.site_dists, axis=1)
-    ncells = mu.side ** mu.dim
-    cells = np.empty(ncells, dtype=np.int64)
-    q = mu.alphabet.size
-    for i in range(ncells):
-        u = rng.next_float()
-        c = int(np.searchsorted(cums[i], u, side="right"))
-        cells[i] = min(c, q - 1)
+    u = SplitMix64(seed).floats(mu.side ** mu.dim)
+    # The symbol is the number of cumulative masses at or below the draw,
+    # clamped to q-1 against rounding in the last sum.  The cumulative row
+    # is nondecreasing, so leaving out its last entry is that clamp.
+    cums = np.cumsum(mu.site_dists, axis=1)[:, :-1]
+    cells = (cums <= u[:, None]).sum(axis=1, dtype=cell_dtype(mu.alphabet))
     return Word(mu.alphabet, cells.reshape((mu.side,) * mu.dim))
 
 

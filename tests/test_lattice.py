@@ -53,6 +53,42 @@ def test_word_from_string_and_shape_basics():
         Word.from_string("0012")  # symbol outside the binary alphabet
 
 
+def test_word_rejects_non_integral_cells():
+    # an unsafe cast would store [0.5, 1.7] as a valid-looking [0, 1]
+    for bad in ([0.5, 1.7], [0.0, np.nan], np.array(["0", "1"])):
+        with pytest.raises(ValidationError):
+            Word(BIN, bad)
+    with pytest.raises(ValidationError):
+        Word(BIN, [-1, 0])  # range is checked before the one-byte store
+    for good in ([1.0, 0.0], [True, False], np.array([1, 0], dtype=np.int16)):
+        assert Word(BIN, good).cells.tolist() == [1, 0]
+
+
+def test_word_compact_storage():
+    for q, dtype in ((2, np.uint8), (3, np.uint8), (256, np.uint8),
+                     (257, np.int64)):
+        w = Word(Alphabet.of_size(q), np.arange(q))
+        assert w.cells.dtype == dtype
+        assert w.cells.tolist() == list(range(q))
+    # a 12-point binary window reaches pattern index 4095: the one-byte
+    # symbols must not overflow the index arithmetic
+    rng = np.random.default_rng(12)
+    bits = [1] * 12 + rng.integers(0, 2, size=28).tolist()
+    w = Word(BIN, bits)
+    expect = [0] * 4096
+    for v in range(40):
+        expect[int("".join(str(bits[(v + j) % 40]) for j in range(12)), 2)] += 1
+    assert expect[4095] >= 1
+    assert empirical_counts(w, Shape.segment(12)).tolist() == expect
+    # point masses and printing read the cells as before
+    w = Word.from_string("0110")
+    assert str(w) == "0110"
+    np.testing.assert_array_equal(SiteProductMeasure.point_mass(w).site_dists,
+                                  [[1, 0], [0, 1], [0, 1], [1, 0]])
+    assert str(Word(BIN, [[0, 1], [1, 1]])) == "[[0 1]\n [1 1]]"
+    assert str(Word(Alphabet.of_size(12), [11, 0])) == "s11s0"
+
+
 def test_empirical_pairs_worked_example():
     # cyclic pair frequencies of 0010111001 are (1/5, 3/10, 3/10, 1/5)
     w = Word.from_string("0010111001")

@@ -92,6 +92,80 @@ def test_sample_word_covers_alphabet():
     assert counts.min() > 120  # each symbol near its expected 200
 
 
+def _scalar_word(mu, seed):
+    """The reference draw: one `next_float` per cell in row-major order,
+    inverse CDF by `searchsorted`, clamped to q - 1."""
+    rng = SplitMix64(seed)
+    q = mu.alphabet.size
+    cells = [min(int(np.searchsorted(row, rng.next_float(), side="right")), q - 1)
+             for row in np.cumsum(mu.site_dists, axis=1)]
+    return np.array(cells).reshape((mu.side,) * mu.dim)
+
+
+def _seed_with_first_output(out: int) -> int:
+    """The seed whose first `next_u64` is `out`: the mix13 steps are
+    invertible (odd multipliers, xor-shifts), so run them backwards."""
+    mask = (1 << 64) - 1
+
+    def unshift(y, s):
+        x = y
+        for _ in range(64 // s + 1):
+            x = y ^ (x >> s)
+        return x
+
+    z = unshift(out, 31)
+    z = unshift(z * pow(SplitMix64.MIX2, -1, 1 << 64) & mask, 27)
+    z = unshift(z * pow(SplitMix64.MIX1, -1, 1 << 64) & mask, 30)
+    return (z - SplitMix64.GAMMA) & mask
+
+
+def test_splitmix64_floats_is_the_scalar_stream():
+    for seed in (0, 12345, 2 ** 63 + 5, 2 ** 64 - 1):
+        ref = SplitMix64(seed)
+        expect = [ref.next_float() for _ in range(40)]
+        rng = SplitMix64(seed)
+        got = list(rng.floats(7)) + [rng.next_float()] + list(rng.floats(0)) \
+            + list(rng.floats(20)) + [rng.next_float(), rng.next_float()] \
+            + list(rng.floats(10))
+        assert got == expect
+        assert rng.state == ref.state
+    with pytest.raises(ValidationError):
+        SplitMix64(0).floats(-1)
+
+
+def test_sample_word_matches_scalar_stream():
+    rng = np.random.default_rng(3)
+    seeds = (0, 1, 987654321, 2 ** 63, 2 ** 63 + 977, 2 ** 64 - 1)
+    for q in (2, 3, 4):
+        alpha = Alphabet.of_size(q)
+        for period in (1, 2, 3):
+            rows = rng.dirichlet(np.ones(q), size=period)
+            rows[-1, :-1] += rows[-1, -1] / (q - 1)  # a zero-mass last symbol
+            rows[-1, -1] = 0.0
+            mu = PeriodicProductMeasure(alpha, period, rows)
+            for seed in seeds:
+                w = sample_word(mu, seed, side=30 * period)
+                assert w.cells.dtype == np.uint8
+                assert np.array_equal(w.cells, _scalar_word(mu.tile(30 * period), seed))
+    mu = SiteProductMeasure(Alphabet.of_size(3), 2, 7,
+                            rng.dirichlet(np.ones(3), size=49))
+    for seed in seeds:
+        w = sample_word(mu, seed)
+        assert w.cells.shape == (7, 7)
+        assert np.array_equal(w.cells, _scalar_word(mu, seed))
+
+
+def test_sample_word_clamps_short_rows():
+    # rows may sum to 1 - 5e-10; a draw above the total lands on q - 1
+    top = _seed_with_first_output((1 << 64) - 1)
+    assert SplitMix64(top).next_float() == 1.0 - 2.0 ** -53
+    for rows in ([[0.5, 0.5 - 5e-10]], [[0.3, 0.7 - 5e-10, 0.0]]):
+        q = len(rows[0])
+        mu = SiteProductMeasure(Alphabet.of_size(q), 1, 1, rows)
+        assert sample_word(mu, top).cells.tolist() == [q - 1]
+        assert _scalar_word(mu, top).tolist() == [q - 1]
+
+
 def test_sample_word_requires_side_for_periodic():
     mu = PeriodicProductMeasure.iid(BIN, [0.5, 0.5])
     with pytest.raises(ValidationError):
