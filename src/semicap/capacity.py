@@ -417,16 +417,20 @@ def capacity_1d(gamma: ConstraintSet, *, max_iter: int = 50000,
 # Transfer-matrix cross-check
 # ---------------------------------------------------------------------------
 
+# Power iteration stops once the eigenpair residual is this small relative
+# to the iterate's norm, or after this many steps.
+_POWER_RTOL = 1e-10
+_POWER_ITER = 1_000_000
+
+
 def transfer_matrix_capacity(forbidden: Iterable[Sequence[int]],
-                             alphabet: Alphabet | None = None, *,
-                             rel_tol: float = 1e-10,
-                             max_iter: int = 1_000_000) -> float:
+                             alphabet: Alphabet | None = None) -> float:
     """log2 growth rate of the words avoiding the given equal-length words.
 
     Builds the de Bruijn graph on (k-1)-grams with forbidden transitions
     removed and returns log2 of its spectral radius, estimated by power
-    iteration (on A + I, which also handles periodic graphs) to the given
-    relative tolerance.
+    iteration (on A + I, which also handles periodic graphs) to relative
+    tolerance `_POWER_RTOL`.
     """
     alphabet = alphabet or Alphabet.binary()
     q = alphabet.size
@@ -460,7 +464,7 @@ def transfer_matrix_capacity(forbidden: Iterable[Sequence[int]],
     # a complex pair, which this graph family routinely produces.
     v = np.ones(nstates) / math.sqrt(nstates)
     lam = float("nan")
-    for _ in range(max_iter):
+    for _ in range(_POWER_ITER):
         w = a @ v + v
         nw = float(np.linalg.norm(w))
         if nw < 1e-300:
@@ -468,7 +472,7 @@ def transfer_matrix_capacity(forbidden: Iterable[Sequence[int]],
         lam = float(v @ w)  # Rayleigh quotient of A + I (v has unit norm)
         residual = float(np.linalg.norm(w - lam * v))
         v = w / nw
-        if residual <= rel_tol * max(1.0, nw):
+        if residual <= _POWER_RTOL * max(1.0, nw):
             break
     rho = lam - 1.0
     if rho <= 1e-12:
@@ -487,15 +491,15 @@ class CountRow:
     rate: float  # log2(count) / side^d;  -inf when the count is zero
 
 
-def internal_capacity_sequence(system, sides: Iterable[int], eps: float = 0.0,
-                               *, threads: int = 1) -> list[CountRow]:
+def internal_capacity_sequence(system, sides: Iterable[int],
+                               eps: float = 0.0) -> list[CountRow]:
     """Admissible-word counts and normalised log-counts over a range of sides."""
     from semicap.scs_model import _checks, count_admissible
 
     d = _checks(system)[0][0][0].dim
     rows = []
     for n in sides:
-        c = count_admissible(n, system, eps, threads=threads)
+        c = count_admissible(n, system, eps)
         rate = math.log2(c) / (n ** d) if c > 0 else -math.inf
         rows.append(CountRow(n, c, rate))
     return rows

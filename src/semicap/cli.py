@@ -15,13 +15,15 @@ input, a header row, then data rows with floats printed in shortest
 round-trip form — reparsing a table reproduces the values bit for bit.
 ``--format jsonl`` mirrors the same records as JSON lines.
 
+``--seed`` takes an integer >= 0 and ``--dim`` one >= 1 (`report` and
+`cyclic-vs-noncyclic`); out-of-range values are configuration errors.
+
 Exit codes: 0 success; 2 configuration or usage error; 3 a size guard
 refused the computation; 4 numerical non-convergence or a failed
 consistency check (partial values are still emitted where they exist).
 
-``--threads`` (default: SEMICAP_THREADS, else all cores) is parsed and
-checked but changes nothing: counting runs in one process.  Every result
-is deterministic for a given config and seed.
+Everything runs in one process, and every result is deterministic for a
+given config and seed.
 """
 from __future__ import annotations
 
@@ -30,7 +32,6 @@ import csv
 import hashlib
 import json
 import math
-import os
 import sys
 
 import numpy as np
@@ -130,29 +131,25 @@ def _add_common(sub, *, config_required=True):
                          help="system definition file (INI; see semicap.config)")
     sub.add_argument("--seed", type=int, default=None,
                      help="override the config seed")
-    sub.add_argument("--threads", type=int, default=None,
-                     help="accepted for compatibility; counting runs in one process "
-                          "(default: SEMICAP_THREADS or all cores)")
     sub.add_argument("--format", choices=("csv", "jsonl"), default="csv")
     sub.add_argument("--out", metavar="PATH", default=None,
                      help="write the table here instead of stdout")
 
 
-def _resolve_threads(args) -> int:
-    if args.threads is not None:
-        value = args.threads
-    else:
-        env = os.environ.get("SEMICAP_THREADS", "").strip()
-        if env:
-            try:
-                value = int(env)
-            except ValueError:
-                raise ConfigError(f"SEMICAP_THREADS is not an integer: {env!r}")
-        else:
-            value = os.cpu_count() or 1
-    if value < 1:
-        raise ConfigError("thread count must be at least 1")
-    return value
+def _seed(args, default: int) -> int:
+    if args.seed is None:
+        return default
+    if args.seed < 0:
+        raise ConfigError("--seed must be nonnegative")
+    return args.seed
+
+
+def _dim(args, default: int) -> int:
+    if args.dim is None:
+        return default
+    if args.dim < 1:
+        raise ConfigError("--dim must be at least 1")
+    return args.dim
 
 
 def _parse_sides(args) -> list[int]:
@@ -185,16 +182,14 @@ def _args_sha(parts) -> str:
 
 def _cmd_count(args) -> tuple[_Table, int]:
     cfg = SystemConfig.load(args.config)
-    seed = args.seed if args.seed is not None else cfg.solver.seed
+    seed = _seed(args, cfg.solver.seed)
     eps = args.eps if args.eps is not None else cfg.eps_list[0]
     if eps < 0:
         raise ConfigError("eps must be nonnegative")
     sides = _parse_sides(args)
-    threads = _resolve_threads(args)
     table = _Table("count", cfg.sha256, seed, args.format)
     table.header("n", "count", "rate")
-    for row in internal_capacity_sequence(cfg.system(), sides, eps,
-                                          threads=threads):
+    for row in internal_capacity_sequence(cfg.system(), sides, eps):
         table.row(n=row.side, count=row.count, rate=row.rate)
     return table, EXIT_OK
 
@@ -203,7 +198,7 @@ def _cmd_capacity(args) -> tuple[_Table, int]:
     cfg = SystemConfig.load(args.config)
     if cfg.dimension != 1:
         raise ConfigError("capacity is computed for 1-D systems")
-    seed = args.seed if args.seed is not None else cfg.solver.seed
+    seed = _seed(args, cfg.solver.seed)
     sol = cfg.solver
     result = capacity_1d(cfg.factor(), max_iter=sol.max_iter, gap_tol=sol.gap_tol)
     table = _Table("capacity", cfg.sha256, seed, args.format)
@@ -223,7 +218,7 @@ def _cmd_capacity(args) -> tuple[_Table, int]:
 
 def _cmd_indentropy(args) -> tuple[_Table, int]:
     cfg = SystemConfig.load(args.config)
-    seed = args.seed if args.seed is not None else cfg.solver.seed
+    seed = _seed(args, cfg.solver.seed)
     eps_list = (args.eps,) if args.eps is not None else cfg.eps_list
     if args.n is not None:
         sides = [args.n]
@@ -270,7 +265,7 @@ def _cmd_curve(args) -> tuple[_Table, int]:
             raise ConfigError(f"bad --grid {args.grid!r}") from exc
         if not grid:
             raise ConfigError("empty p grid")
-    seed = args.seed if args.seed is not None else 0
+    seed = _seed(args, 0)
     table = _Table("curve", _args_sha(["curve"] + grid), seed, args.format)
     table.header("p", "value", "x", "y")
     for p in grid:
@@ -281,15 +276,13 @@ def _cmd_curve(args) -> tuple[_Table, int]:
 
 def _cmd_report(args) -> tuple[_Table, int]:
     cfg = SystemConfig.load(args.config)
-    seed = args.seed if args.seed is not None else cfg.solver.seed
-    dim = args.dim if args.dim is not None else cfg.dimension
-    threads = _resolve_threads(args)
+    seed = _seed(args, cfg.solver.seed)
+    dim = _dim(args, cfg.dimension)
     restarts = cfg.solver.restarts if cfg.solver.restarts is not None else 10
     table = _Table("report", cfg.sha256, seed, args.format)
     table.header("record", "name", "value")
     try:
-        hasse = hasse_report(cfg.factor(), dim, restarts=restarts, seed=seed,
-                             threads=threads)
+        hasse = hasse_report(cfg.factor(), dim, restarts=restarts, seed=seed)
     except ValidationError as exc:
         table.note(f"consistency failure: {exc}")
         return table, EXIT_NO_CONVERGENCE
@@ -325,12 +318,11 @@ def _cmd_cyclic_vs_noncyclic(args) -> tuple[_Table, int]:
         raise ConfigError(
             "cyclic-vs-noncyclic applies to forbidden-pattern systems"
         )
-    seed = args.seed if args.seed is not None else cfg.solver.seed
-    dim = args.dim if args.dim is not None else cfg.dimension
+    seed = _seed(args, cfg.solver.seed)
+    dim = _dim(args, cfg.dimension)
     sides = _parse_sides(args)
-    threads = _resolve_threads(args)
     report = cyclic_vs_noncyclic(cfg.factor(), sides, dim=dim, mode=cfg.mode,
-                                 convention=args.convention, threads=threads)
+                                 convention=args.convention)
     table = _Table("cyclic-vs-noncyclic", cfg.sha256, seed, args.format)
     table.header("convention", "n", "cyclic", "noncyclic", "contained", "gap")
     for r in report.rows:

@@ -12,11 +12,11 @@ A system is described by an INI-style text with two sections::
     eps = 0, 0.01           # relaxation radii offered to subcommands
 
     [solver]
-    seed = 0
-    restarts = 20           # product-measure restarts (10 in `report`)
-    max_iter = 50000        # capacity: iteration budget of the pressure dual
-    gap_tol = 1e-9          # capacity: duality-gap certificate
-    trials = 500            # Monte Carlo trials in `report`
+    seed = 0                # >= 0
+    restarts = 20           # >= 0 product-measure restarts (10 in `report`)
+    max_iter = 50000        # >= 1 capacity: iteration budget of the pressure dual
+    gap_tol = 1e-9          # > 0 capacity: duality-gap certificate
+    trials = 500            # >= 1 Monte Carlo trials in `report`
 
     # constraint = forbidden takes instead:
     #   forbidden = 11, 101      (digit strings, all of one length)
@@ -98,19 +98,13 @@ def _float_list(raw: str) -> tuple[float, ...]:
 class SystemConfig:
     """A parsed and validated system description."""
 
-    alphabet_size: int
     dimension: int
     mode: str
     kind: str                      # rll | forbidden | linear
     eps_list: tuple[float, ...]
     solver: SolverOptions
     sha256: str
-    k: int | None = None
-    p: float | None = None
-    forbidden: tuple[str, ...] = ()
-    window: int | None = None
-    linear_rows: tuple[tuple[tuple[float, ...], str, float], ...] = ()
-    _factor: ConstraintSet = field(repr=False, default=None)
+    _factor: ConstraintSet = field(repr=False)
 
     # -- construction ------------------------------------------------------
 
@@ -182,12 +176,17 @@ class SystemConfig:
                 gap_tol=_get(sol_sec, "gap_tol", float, default=1e-9),
                 trials=_get(sol_sec, "trials", int, default=500),
             )
+            if solver.seed < 0:
+                raise ConfigError("seed must be nonnegative")
+            if solver.restarts is not None and solver.restarts < 0:
+                raise ConfigError("restarts must be nonnegative")
+            if solver.max_iter < 1:
+                raise ConfigError("max_iter must be at least 1")
+            if not solver.gap_tol > 0:
+                raise ConfigError("gap_tol must be positive")
+            if solver.trials < 1:
+                raise ConfigError("trials must be at least 1")
 
-        digest = hashlib.sha256(text.encode("utf-8")).hexdigest()
-        kwargs = dict(
-            alphabet_size=q, dimension=dim, mode=mode, kind=kind,
-            eps_list=eps_list, solver=solver, sha256=digest,
-        )
         alphabet = Alphabet.of_size(q)
         if kind == "rll":
             k = _get(sys_sec, "k", int, required=True)
@@ -198,7 +197,6 @@ class SystemConfig:
                 factor = rll_constraint(k, p)
             except ValidationError as exc:
                 raise ConfigError(str(exc)) from exc
-            kwargs.update(k=k, p=p, _factor=factor)
         elif kind == "forbidden":
             raw = _get(sys_sec, "forbidden", str, required=True)
             pats = tuple(
@@ -216,7 +214,6 @@ class SystemConfig:
                     raise ConfigError(f"pattern {pat!r} has symbols outside 0..{q-1}")
                 tuples.append(tuple(int(ch) for ch in pat))
             factor = fully_constrained(alphabet, Shape.segment(window), tuples)
-            kwargs.update(forbidden=pats, window=window, _factor=factor)
         else:  # linear
             window = _get(sys_sec, "window", int, required=True)
             if window < 1:
@@ -244,15 +241,12 @@ class SystemConfig:
                     raise ConfigError(
                         f"row has {len(coeffs)} coefficients, expected {m}"
                     )
-                rows.append((coeffs, tokens[si], bound))
+                rows.append(LinearConstraint(coeffs, bound, tokens[si]))
             if not rows:
                 raise ConfigError("linear constraint list is empty")
-            factor = ConstraintSet(
-                alphabet, Shape.segment(window),
-                [LinearConstraint(c, b, s) for c, s, b in rows],
-            )
-            kwargs.update(window=window, linear_rows=tuple(rows), _factor=factor)
-        return cls(**kwargs)
+            factor = ConstraintSet(alphabet, Shape.segment(window), rows)
+        digest = hashlib.sha256(text.encode("utf-8")).hexdigest()
+        return cls(dim, mode, kind, eps_list, solver, digest, factor)
 
     # -- built objects -----------------------------------------------------
 

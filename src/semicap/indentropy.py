@@ -83,8 +83,11 @@ _CERT_TOL = 1e-8
 # smallest effective cap the shared-multiplier ascent works on.
 _FEAS_SLACK = 1e-12
 # Site sweeps stop once the entropy (or, at a fixed multiplier, every site)
-# moves by no more than this.
+# moves by no more than this, or after this many sweeps (hard-constraint
+# sweeps, fixed-multiplier sweeps).
 _SWEEP_STOP = 1e-13
+_HARD_SWEEPS = 400
+_FIXED_POINT_SWEEPS = 300
 # Shared-multiplier root search: it stops once the bracket is this narrow
 # relative to the multiplier, or once the feasible side is this close below
 # the cap, or after this many fixed-point solves.
@@ -216,7 +219,7 @@ class _WindowModel:
 
 
 def _sweep_hard(model: _WindowModel, rows: np.ndarray, bounds_eff: list[float],
-                coeff_list: list[np.ndarray], sweeps: int = 400) -> np.ndarray:
+                coeff_list: list[np.ndarray]) -> np.ndarray:
     """Cyclic per-site entropy maximisation within the feasible slice.
 
     Each site's slice {p : lin_r . p <= bound_r} is the one-state case of
@@ -225,7 +228,7 @@ def _sweep_hard(model: _WindowModel, rows: np.ndarray, bounds_eff: list[float],
     n = model.side
     lams = np.zeros((n, len(coeff_list)))
     prev = -math.inf
-    for _ in range(sweeps):
+    for _ in range(_HARD_SWEEPS):
         for v in range(n):
             lins, consts = model.site_coeffs(rows, v, coeff_list)
             try:
@@ -243,11 +246,10 @@ def _sweep_hard(model: _WindowModel, rows: np.ndarray, bounds_eff: list[float],
 
 
 def _lagrangian_fixed_point(model: _WindowModel, rows: np.ndarray,
-                            coeffs: np.ndarray, lam: float,
-                            sweeps: int = 300) -> np.ndarray:
+                            coeffs: np.ndarray, lam: float) -> np.ndarray:
     """Cyclic softmax site updates at a fixed shared multiplier."""
     n = model.side
-    for _ in range(sweeps):
+    for _ in range(_FIXED_POINT_SWEEPS):
         delta = 0.0
         for v in range(n):
             (lin,), _ = model.site_coeffs(rows, v, [coeffs])
@@ -337,6 +339,8 @@ def hind_fixed_n(gamma: ConstraintSet, side: int, eps: float = 0.0, *,
     certificate (distance of the averaged marginal re-checked exactly);
     only a certified result is a valid lower bound.
     """
+    if eps < 0:
+        raise ValidationError("eps must be >= 0")
     model = _WindowModel(gamma, side)
     n, q = side, model.q
     rng = np.random.default_rng(seed)
@@ -630,8 +634,9 @@ class IndependenceReport:
     sides: tuple[int, ...]
     rows: tuple[HindResult, ...]       # one per (eps, side)
     best: HindResult                   # best certified result at the smallest eps
-    lift: SiteProductMeasure | None
-    lift_rate_error: float
+    lift: SiteProductMeasure           # `best.measure` lifted to `dim` dimensions
+    lift_rate: float                   # entropy rate of `lift`
+    lift_rate_error: float             # |lift_rate - best.value|
     curve_reference: float | None      # closed-form check for window-2 caps
     lower_bound: float                 # certified d-dimensional lower bound
 
@@ -654,11 +659,8 @@ def hind_bound_report(gamma: ConstraintSet, dim: int,
     if not certified:
         raise ValidationError("no certified product measure found")
     best = max(certified, key=lambda r: r.value)
-    lift = axial_lift(best.measure, dim) if best.measure is not None else None
-    err = 0.0
-    if lift is not None:
-        rate_d = product_entropy(lift) / (best.side ** dim)
-        err = abs(rate_d - best.value)
+    lift = axial_lift(best.measure, dim)
+    lift_rate = product_entropy(lift) / (best.side ** dim)
     curve_ref = None
     cap = _single_set_cap(gamma)
     if cap is not None and len(gamma.shape) == 2 and gamma.alphabet.size == 2:
@@ -666,6 +668,6 @@ def hind_bound_report(gamma: ConstraintSet, dim: int,
         if ind[3] == 1.0 and ind[:3].sum() == 0.0:
             curve_ref = curve_optimum_01p(b).value
     return IndependenceReport(
-        dim, eps_list, sides, tuple(rows), best, lift, err, curve_ref,
-        best.value,
+        dim, eps_list, sides, tuple(rows), best, lift, lift_rate,
+        abs(lift_rate - best.value), curve_ref, best.value,
     )

@@ -568,14 +568,12 @@ class _Transfer:
                 if (lhs > row.budget) if row.sense == "<=" else (lhs != row.budget):
                     return False
             return True
-        tol = self.eps + FEASIBILITY_TOL
         for first, nplace, gamma in self.types:
             counts = stats[first:first + gamma.npatterns]
             ok = seen.get((first, counts))
             if ok is None:
-                mu = PatternDistribution(gamma.alphabet, gamma.shape,
-                                         np.array(counts, dtype=np.int64) / nplace)
-                ok = seen[first, counts] = tv_distance_to_set(mu, gamma) <= tol
+                ok = seen[first, counts] = _counts_admissible(
+                    np.array(counts, dtype=np.int64), nplace, gamma, self.eps)
             if not ok:
                 return False
         return True
@@ -607,8 +605,9 @@ def count_admissible(side: int, system, eps: float = 0.0, *,
                      threads: int = 1) -> int:
     """Exact number of admissible side^d words (cyclic windows).
 
-    `threads` is accepted for compatibility and ignored: the transfer
-    counter runs in the calling process.
+    `threads` is ignored: the transfer counter runs in the calling process.
+    The parameter stays only because the benchmark worker passes
+    `threads=1`; it goes with the next change to the benchmark.
     """
     if side < 1:
         raise ValidationError("side must be >= 1")
@@ -627,7 +626,8 @@ def count_admissible_noncyclic(side: int, system, *,
     window of extent k-1 per axis: "tile" slides over all n-k+1 offsets per
     axis, so windows cover the whole cube, while "halfopen" stops one
     offset short (n-k per axis), leaving the trailing window unchecked.
-    `threads` is accepted for compatibility and ignored.
+    `threads` is ignored and stays only for the benchmark worker, as in
+    `count_admissible`.
     """
     if convention not in ("tile", "halfopen"):
         raise ValidationError(f"unknown convention {convention!r}")

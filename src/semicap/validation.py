@@ -33,7 +33,6 @@ from semicap.lattice_core import (
     averaged_marginal,
     cell_dtype,
     empirical_distribution,
-    product_entropy,
 )
 from semicap.capacity import (
     CountRow,
@@ -41,7 +40,7 @@ from semicap.capacity import (
     elimeysch_lower_bound,
     internal_capacity_sequence,
 )
-from semicap.indentropy import PeriodicProductMeasure, axial_lift, hind_fixed_n
+from semicap.indentropy import PeriodicProductMeasure, hind_bound_report
 from semicap.scs_model import (
     ConstraintSet,
     axial_product,
@@ -181,6 +180,10 @@ def concentration_check(mu, gamma: ConstraintSet,
     """
     eps_list = tuple(sorted(float(e) for e in eps_list))
     sides = tuple(sorted(int(n) for n in sides))
+    if not eps_list or not sides:
+        raise ValidationError("concentration_check needs at least one eps and one side")
+    if trials < 1:
+        raise ValidationError("concentration_check needs at least one trial")
     if isinstance(mu, SiteProductMeasure):
         if mu.dim != 1:
             raise ValidationError("concentration_check samples 1-D words")
@@ -245,11 +248,14 @@ class HasseReport:
         raise KeyError(name)
 
 
+# Slack of the chain's "<= capacity_1d" edges.
+_CHAIN_TOL = 1e-6
+
+
 def hasse_report(gamma: ConstraintSet, dim: int, *,
                  hind_sides: Sequence[int] = (2, 3, 4),
                  count_sides: Sequence[int] = (4, 6, 8),
-                 restarts: int = 10, seed: int = 0,
-                 tol: float = 1e-6, threads: int = 1) -> HasseReport:
+                 restarts: int = 10, seed: int = 0) -> HasseReport:
     """Assemble the bound chain for a 1-D system and its d-dimensional
     axial product, then assert every inequality that must hold:
 
@@ -258,28 +264,21 @@ def hasse_report(gamma: ConstraintSet, dim: int, *,
     * the lift to d dimensions preserves the entropy rate to 1e-12;
     * the dimension-interpolation bound never exceeds the 1-D capacity.
 
-    A violated edge raises ValidationError with a diagnostic — a report is
-    only ever returned with all required edges holding.
+    The product-measure bound and its lift are `hind_bound_report`'s at
+    eps = 0 over `hind_sides`.  A violated edge raises ValidationError with
+    a diagnostic — a report is only ever returned with all required edges
+    holding.
     """
     cap = capacity_1d(gamma)
-    best = None
-    for n in hind_sides:
-        if n < len(gamma.shape):
-            continue
-        r = hind_fixed_n(gamma, n, 0.0, restarts=restarts, seed=seed)
-        if r.feasible and (best is None or r.value > best.value):
-            best = r
-    if best is None:
-        raise ValidationError("no certified product measure on the given sides")
-    lift = axial_lift(best.measure, dim)
-    lift_rate = product_entropy(lift) / (best.side ** dim)
-    lift_err = abs(lift_rate - best.value)
+    hind = hind_bound_report(gamma, dim, (0.0,), hind_sides,
+                             restarts=restarts, seed=seed)
+    best = hind.best
     dim_bound = elimeysch_lower_bound(cap.value, dim)
-    rows = internal_capacity_sequence(gamma, count_sides, 0.0, threads=threads)
+    rows = internal_capacity_sequence(gamma, count_sides, 0.0)
 
     quantities = (
         HasseQuantity("hind", best.value, "indentropy.hind_fixed_n"),
-        HasseQuantity("hind_lift", lift_rate, "indentropy.axial_lift"),
+        HasseQuantity("hind_lift", hind.lift_rate, "indentropy.axial_lift"),
         HasseQuantity("capacity_1d", cap.value, "capacity.capacity_1d"),
         HasseQuantity("dimension_bound", dim_bound.value,
                       "capacity.elimeysch_lower_bound"),
@@ -288,11 +287,12 @@ def hasse_report(gamma: ConstraintSet, dim: int, *,
                       "validation.hasse_report"),
     )
     edges = (
-        ("hind <= capacity_1d", best.value <= cap.value + tol,
+        ("hind <= capacity_1d", best.value <= cap.value + _CHAIN_TOL,
          f"{best.value:.12g} vs {cap.value:.12g}"),
-        ("lift preserves rate", lift_err <= 1e-12, f"error {lift_err:.3g}"),
+        ("lift preserves rate", hind.lift_rate_error <= 1e-12,
+         f"error {hind.lift_rate_error:.3g}"),
         ("dimension_bound <= capacity_1d",
-         dim_bound.value <= cap.value + tol,
+         dim_bound.value <= cap.value + _CHAIN_TOL,
          f"{dim_bound.value:.12g} vs {cap.value:.12g}"),
     )
     bad = [(desc, detail) for desc, ok, detail in edges if not ok]
@@ -325,8 +325,7 @@ class CyclicReport:
 
 def cyclic_vs_noncyclic(gamma: ConstraintSet, sides: Sequence[int], *,
                         dim: int = 1, mode: str = "strict",
-                        convention: str = "tile",
-                        threads: int = 1) -> CyclicReport:
+                        convention: str = "tile") -> CyclicReport:
     """Count admissible words under wrapped and non-wrapped placements of a
     fully-constrained system and report the per-cell rate gap.
 
@@ -338,9 +337,8 @@ def cyclic_vs_noncyclic(gamma: ConstraintSet, sides: Sequence[int], *,
     system = gamma if dim == 1 else axial_product(gamma, dim, mode)
     rows = []
     for n in sorted(int(n) for n in sides):
-        cyc = count_admissible(n, system, 0.0, threads=threads)
-        noncyc = count_admissible_noncyclic(n, system, convention=convention,
-                                            threads=threads)
+        cyc = count_admissible(n, system, 0.0)
+        noncyc = count_admissible_noncyclic(n, system, convention=convention)
         cells = n ** dim
         if cyc > 0 and noncyc > 0:
             gap = (math.log2(noncyc) - math.log2(cyc)) / cells

@@ -214,14 +214,19 @@ def test_seed_flag_lands_in_header(tmp_path):
     assert "seed=9" in text.splitlines()[0]
 
 
-def test_threads_env_fallback(tmp_path, monkeypatch):
+def test_threads_option_removed(tmp_path, monkeypatch, capsys):
+    # counting runs in one process: there is no --threads flag, and
+    # SEMICAP_THREADS is not read
     cfg = write(tmp_path, RLL_FREE)
-    _, serial = run(["count", "--config", cfg, "--n-range", "4:8",
-                     "--threads", "2"], tmp_path, "t.csv")
-    monkeypatch.setenv("SEMICAP_THREADS", "2")
-    _, env = run(["count", "--config", cfg, "--n-range", "4:8"],
-                 tmp_path, "e.csv")
-    assert serial == env
+    assert main(["count", "--config", cfg, "--n", "4", "--threads", "2"]) == 2
+    capsys.readouterr()
+    _, plain = run(["count", "--config", cfg, "--n-range", "4:8"],
+                   tmp_path, "p.csv")
+    monkeypatch.setenv("SEMICAP_THREADS", "abc")
+    rc, env = run(["count", "--config", cfg, "--n-range", "4:8"],
+                  tmp_path, "e.csv")
+    assert rc == 0
+    assert env == plain
 
 
 # ---------------------------------------------------------------------------
@@ -251,6 +256,42 @@ def test_exit_on_config_errors(tmp_path, capsys):
     assert main(["capacity", "--config", solver]) == 2
     err = capsys.readouterr().err
     assert "config error" in err
+
+
+@pytest.mark.parametrize("solver, command", [
+    ("trials = 0", "report"),
+    ("seed = -3", "indentropy"),
+    ("seed = -3", "report"),
+    ("restarts = -1", "report"),
+    ("max_iter = 0", "capacity"),
+    ("gap_tol = 0", "capacity"),
+    ("gap_tol = -1e-9", "capacity"),
+])
+def test_exit_on_out_of_range_solver_values(tmp_path, capsys, solver, command):
+    cfg = write(tmp_path, RLL_FREE + f"\n[solver]\n{solver}\n")
+    assert main([command, "--config", cfg]) == 2
+    assert "config error" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("command", ["count", "indentropy", "report", "curve"])
+def test_exit_on_negative_seed_flag(tmp_path, capsys, command):
+    args = [command, "--seed", "-3"]
+    if command != "curve":
+        args += ["--config", write(tmp_path, RLL_FREE)]
+    if command in ("count", "indentropy"):
+        args += ["--n", "3"]
+    assert main(args) == 2
+    assert "config error" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("command, extra", [
+    ("report", []),
+    ("cyclic-vs-noncyclic", ["--n", "4"]),
+])
+def test_exit_on_dimension_below_one(tmp_path, capsys, command, extra):
+    cfg = write(tmp_path, FORBIDDEN)
+    assert main([command, "--config", cfg, "--dim", "0", *extra]) == 2
+    assert "config error" in capsys.readouterr().err
 
 
 def test_exit_capacity_needs_one_dimension(tmp_path, capsys):

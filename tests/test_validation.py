@@ -243,6 +243,19 @@ def test_concentration_rejects_bad_sides():
         concentration_check(mu, gamma, [0.05], [2], 20, seed=0)  # below window
 
 
+def test_concentration_rejects_empty_grids_and_no_trials():
+    gamma = rll_constraint(2, 0.05)
+    mu = PeriodicProductMeasure.iid(BIN, [0.5, 0.5])
+    for eps, sides, trials in (([], [9], 20), ([0.05], [], 20), ([0.05], [9], 0)):
+        with pytest.raises(ValidationError):
+            concentration_check(mu, gamma, eps, sides, trials, seed=0)
+
+
+def test_hind_fixed_n_rejects_negative_eps():
+    with pytest.raises(ValidationError):
+        hind_fixed_n(rll_constraint(1, 0.1), 3, -0.01, restarts=2)
+
+
 # ---------------------------------------------------------------------------
 # The bound-chain report
 # ---------------------------------------------------------------------------
