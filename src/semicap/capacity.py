@@ -40,7 +40,7 @@ from semicap.lattice_core import (
     _entropy_vec,
 )
 from semicap.linprog import solve_lp
-from semicap.scs_model import ConstraintSet, EmptySystemError, LinearConstraint
+from semicap.scs_model import ConstraintSet, EmptySystemError
 
 __all__ = [
     "ShiftInvariancePolytope",

@@ -15,8 +15,9 @@ input, a header row, then data rows with floats printed in shortest
 round-trip form — reparsing a table reproduces the values bit for bit.
 ``--format jsonl`` mirrors the same records as JSON lines.
 
-``--seed`` takes an integer >= 0 and ``--dim`` one >= 1 (`report` and
-`cyclic-vs-noncyclic`); out-of-range values are configuration errors.
+``--seed`` takes an integer >= 0, ``--dim`` one >= 1 (`report` and
+`cyclic-vs-noncyclic`) and ``--eps`` a finite number >= 0 (`count` and
+`indentropy`); out-of-range values are configuration errors.
 
 Exit codes: 0 success; 2 configuration or usage error; 3 a size guard
 refused the computation; 4 numerical non-convergence or a failed
@@ -31,7 +32,6 @@ import argparse
 import csv
 import hashlib
 import json
-import math
 import sys
 
 import numpy as np
@@ -152,6 +152,14 @@ def _dim(args, default: int) -> int:
     return args.dim
 
 
+def _eps(args) -> float | None:
+    """The --eps flag, checked as the config's eps values are; None when
+    it is not given."""
+    if args.eps is not None and not (args.eps >= 0 and np.isfinite(args.eps)):
+        raise ConfigError("--eps must be finite and nonnegative")
+    return args.eps
+
+
 def _parse_sides(args) -> list[int]:
     if getattr(args, "n", None) is not None:
         return [args.n]
@@ -183,9 +191,9 @@ def _args_sha(parts) -> str:
 def _cmd_count(args) -> tuple[_Table, int]:
     cfg = SystemConfig.load(args.config)
     seed = _seed(args, cfg.solver.seed)
-    eps = args.eps if args.eps is not None else cfg.eps_list[0]
-    if eps < 0:
-        raise ConfigError("eps must be nonnegative")
+    eps = _eps(args)
+    if eps is None:
+        eps = cfg.eps_list[0]
     sides = _parse_sides(args)
     table = _Table("count", cfg.sha256, seed, args.format)
     table.header("n", "count", "rate")
@@ -219,7 +227,8 @@ def _cmd_capacity(args) -> tuple[_Table, int]:
 def _cmd_indentropy(args) -> tuple[_Table, int]:
     cfg = SystemConfig.load(args.config)
     seed = _seed(args, cfg.solver.seed)
-    eps_list = (args.eps,) if args.eps is not None else cfg.eps_list
+    eps = _eps(args)
+    eps_list = (eps,) if eps is not None else cfg.eps_list
     if args.n is not None:
         sides = [args.n]
     elif args.n_range is not None:

@@ -9,7 +9,7 @@ A system is described by an INI-style text with two sections::
     constraint = rll        # rll | forbidden | linear
     k = 2                   # rll: cap the frequency of k+1 consecutive ones
     p = 0.05                # rll: the cap
-    eps = 0, 0.01           # relaxation radii offered to subcommands
+    eps = 0, 0.01           # finite, >= 0: relaxation radii offered to subcommands
 
     [solver]
     seed = 0                # >= 0
@@ -36,6 +36,7 @@ from __future__ import annotations
 import configparser
 import hashlib
 import io
+import math
 from dataclasses import dataclass, field
 
 from semicap.lattice_core import Alphabet, Shape, ValidationError
@@ -160,8 +161,8 @@ class SystemConfig:
         if mode not in ("strict", "weak"):
             raise ConfigError("mode must be strict or weak")
         eps_list = _get(sys_sec, "eps", _float_list, default=(0.0,))
-        if any(e < 0 for e in eps_list):
-            raise ConfigError("eps values must be nonnegative")
+        if not all(e >= 0 and math.isfinite(e) for e in eps_list):
+            raise ConfigError("eps values must be finite and nonnegative")
 
         solver = SolverOptions()
         if "solver" in parser:

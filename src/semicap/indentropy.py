@@ -17,7 +17,11 @@ optimiser exploits:
   excess, bracketed by doubling and found by safeguarded (Illinois)
   regula falsi — per-site hard-constraint sweeps would instead stall on a
   continuum of non-stationary fixed points (any split of the budget across
-  sites is axis-wise optimal), which is why the multiplier is global;
+  sites is axis-wise optimal), which is why the multiplier is global.
+  The starts run as one batch: each site update and each root-search step
+  acts on every start still searching at once, from gather tables built
+  once per model, while each start keeps its own multiplier, bracket,
+  stopping tests and result, exactly as if it ran alone;
 * zero-budget and multi-constraint systems fall back to per-site entropy
   maximisation over the feasible slice, the one-state case of the
   certified pressure dual in `capacity` (one multiplier per constraint,
@@ -34,8 +38,8 @@ from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import dataclass, field
-from typing import Iterable, Sequence
+from dataclasses import dataclass
+from typing import Sequence
 
 import numpy as np
 
@@ -46,7 +50,6 @@ from semicap.lattice_core import (
     SiteProductMeasure,
     SizeGuardError,
     ValidationError,
-    Word,
     _entropy_vec,
     _window_law,
     averaged_marginal,
@@ -178,6 +181,7 @@ class _WindowModel:
                           [(j, s) for j, s in enumerate(w) if s != v])
                          for w in windows] for v in range(side)]
         self._charged = {}
+        self._gathers = {}
 
     def _charged_patterns(self, coeffs) -> list:
         """Per pattern, the rows that charge it with their coefficients
@@ -217,6 +221,35 @@ class _WindowModel:
                         lin[r][s] += c * prod
         return np.divide(lin, self.side), np.divide(const, self.side)
 
+    def site_gathers(self, coeffs: np.ndarray) -> list:
+        """Per site v, one coefficient row's linear term at v as gathers,
+        built once per row: for every (window holding v, charged pattern)
+        pair, the flat indices site*q + symbol of the window's other cells,
+        and a weight row holding the pattern's coefficient at its symbol in
+        v's slot.  For a stack of rows flattened to (S, n*q), v's terms are
+        (flat[:, idx].prod(axis=2)[:, :, None] * weights).sum(axis=1) / n;
+        the sum runs over the pairs in `site_coeffs`'s order, so each stack
+        entry's terms equal that method's `lin` exactly."""
+        key = np.asarray(coeffs, dtype=np.float64).tobytes()
+        gathers = self._gathers.get(key)
+        if gathers is None:
+            charged = self._charged_patterns([coeffs])
+            gathers = []
+            for v in range(self.side):
+                idx, weights = [], []
+                for slot, others in self.by_site[v]:
+                    if slot < 0:
+                        continue
+                    for a, ((_, c),) in charged:
+                        idx.append([site * self.q + a[j] for j, site in others])
+                        weights.append([c if s == a[slot] else 0.0
+                                        for s in range(self.q)])
+                pairs = len(idx)
+                gathers.append((np.array(idx, dtype=np.intp).reshape(pairs, self.k - 1),
+                                np.array(weights).reshape(pairs, self.q)))
+            self._gathers[key] = gathers
+        return gathers
+
 
 def _sweep_hard(model: _WindowModel, rows: np.ndarray, bounds_eff: list[float],
                 coeff_list: list[np.ndarray]) -> np.ndarray:
@@ -246,71 +279,92 @@ def _sweep_hard(model: _WindowModel, rows: np.ndarray, bounds_eff: list[float],
 
 
 def _lagrangian_fixed_point(model: _WindowModel, rows: np.ndarray,
-                            coeffs: np.ndarray, lam: float) -> np.ndarray:
-    """Cyclic softmax site updates at a fixed shared multiplier."""
+                            coeffs: np.ndarray, lam: np.ndarray) -> np.ndarray:
+    """Cyclic softmax site updates at fixed shared multipliers, on a stack
+    of starts: `rows` (S, n, q) is updated in place and returned, and
+    `lam` holds one multiplier per start.  Each start leaves the stack
+    after the sweep in which none of its sites moved by `_SWEEP_STOP`."""
     n = model.side
+    gathers = model.site_gathers(coeffs)
+    live = np.arange(len(rows))
     for _ in range(_FIXED_POINT_SWEEPS):
-        delta = 0.0
-        for v in range(n):
-            (lin,), _ = model.site_coeffs(rows, v, [coeffs])
-            w = np.exp2(-lam * (lin - lin.min()))
-            new = w / w.sum()
-            delta = max(delta, float(np.abs(new - rows[v]).max()))
-            rows[v] = new
-        if delta < _SWEEP_STOP:
+        sub = rows[live]
+        flat = sub.reshape(len(live), -1)
+        scale = -lam[live, None]
+        delta = np.zeros(len(live))
+        for v, (idx, weights) in enumerate(gathers):
+            lin = (flat[:, idx].prod(axis=2)[:, :, None] * weights).sum(axis=1) / n
+            w = np.exp2(scale * (lin - lin.min(axis=1, keepdims=True)))
+            new = w / w.sum(axis=1, keepdims=True)
+            np.maximum(delta, np.abs(new - sub[:, v]).max(axis=1), out=delta)
+            sub[:, v] = new
+        rows[live] = sub
+        live = live[~(delta < _SWEEP_STOP)]
+        if not live.size:
             break
     return rows
 
 
-def _optimize_single_cap(model: _WindowModel, start: np.ndarray,
+def _optimize_single_cap(model: _WindowModel, starts: np.ndarray,
                          coeffs: np.ndarray, bound_eff: float) -> np.ndarray:
-    """Shared-multiplier ascent for a single mass-cap constraint.
+    """Shared-multiplier ascent for a single mass-cap constraint, run on a
+    stack of starts (S, n, q); returns one row set per start.
 
-    The multiplier is the root of g(lam) = c . averaged(rows_lam) - bound,
-    rows_lam being the fixed point at lam.  Doubling brackets it, then
-    Illinois regula falsi (Dowell & Jarratt, BIT 11, 1971) narrows the
+    Each start's multiplier is the root of g(lam) = c . averaged(rows_lam)
+    - bound, rows_lam being the fixed point at lam.  Doubling brackets it,
+    then Illinois regula falsi (Dowell & Jarratt, BIT 11, 1971) narrows the
     bracket, bisecting whenever the secant point leaves it; the rows on the
-    feasible side of the bracket are returned.
+    feasible side of the bracket are returned.  Every start keeps its own
+    bracket, stopping tests and result; the starts only share the loop, each
+    fixed-point solve taking the starts still searching.
     """
-    rows = start.copy()
-    value_at = lambda r: float(coeffs @ _window_law(r, model.table))
-    rows0 = _lagrangian_fixed_point(model, rows.copy(), coeffs, 0.0)
-    v0 = value_at(rows0)
-    if v0 <= bound_eff + _CAP_SLACK:
-        return rows0  # the cap is slack at the unconstrained optimum
-    lo, hi = 0.0, 1.0
-    g_lo = v0 - bound_eff
-    rows_hi = _lagrangian_fixed_point(model, rows.copy(), coeffs, hi)
+    value_at = lambda stack: np.array(
+        [float(coeffs @ _window_law(r, model.table)) for r in stack])
+    solve = lambda stack, lam: _lagrangian_fixed_point(model, stack, coeffs, lam)
+    result = solve(starts.copy(), np.zeros(len(starts)))
+    v0 = value_at(result)
+    # the starts whose cap binds at the unconstrained optimum; the others
+    # return it
+    live = np.flatnonzero(~(v0 <= bound_eff + _CAP_SLACK))
+    if not live.size:
+        return result
+    lo, hi = np.zeros(len(live)), np.ones(len(live))
+    g_lo = v0[live] - bound_eff
+    rows_hi = solve(starts[live], hi)
     g_hi = value_at(rows_hi) - bound_eff
-    guard = 0
-    while g_hi > 0 and guard < 60:
-        lo, g_lo, hi = hi, g_hi, hi * 2.0
-        rows_hi = _lagrangian_fixed_point(model, rows_hi, coeffs, hi)
-        g_hi = value_at(rows_hi) - bound_eff
-        guard += 1
+    for _ in range(60):
+        up = np.flatnonzero(g_hi > 0)
+        if not up.size:
+            break
+        lo[up], g_lo[up], hi[up] = hi[up], g_hi[up], hi[up] * 2.0
+        rows_hi[up] = solve(rows_hi[up], hi[up])
+        g_hi[up] = value_at(rows_hi[up]) - bound_eff
     # the feasible side's rows and their distance below the cap (negative
     # if doubling found no feasible side); g_lo and g_hi get Illinois-scaled
-    best_feasible, residual = rows_hi.copy(), -g_hi
-    moved = 0  # +1 after hi moved, -1 after lo moved
+    best_feasible, residual = rows_hi, -g_hi
+    moved = np.zeros(len(live), dtype=np.int8)  # +1 after hi moved, -1 after lo
+    searching = np.ones(len(live), dtype=bool)
     for _ in range(_ROOT_ITER):
-        if hi - lo <= _ROOT_RTOL * hi or residual <= _ROOT_ATOL:
+        searching &= ~((hi - lo <= _ROOT_RTOL * hi) | (residual <= _ROOT_ATOL))
+        at = np.flatnonzero(searching)
+        if not at.size:
             break
-        lam = (lo * g_hi - hi * g_lo) / (g_hi - g_lo)
-        if not lo < lam < hi:
-            lam = 0.5 * (lo + hi)
-        rows_lam = _lagrangian_fixed_point(model, best_feasible.copy(), coeffs, lam)
+        lam = (lo[at] * g_hi[at] - hi[at] * g_lo[at]) / (g_hi[at] - g_lo[at])
+        outside = ~((lo[at] < lam) & (lam < hi[at]))
+        lam[outside] = 0.5 * (lo[at] + hi[at])[outside]
+        rows_lam = solve(best_feasible[at], lam)
         g = value_at(rows_lam) - bound_eff
-        if g > 0:
-            lo, g_lo = lam, g
-            if moved < 0:
-                g_hi *= 0.5  # Illinois: hi was kept twice
-            moved = -1
-        else:
-            hi, g_hi, best_feasible, residual = lam, g, rows_lam, -g
-            if moved > 0:
-                g_lo *= 0.5
-            moved = 1
-    return best_feasible
+        above = g > 0
+        up, down = at[above], at[~above]
+        lo[up], g_lo[up] = lam[above], g[above]
+        g_hi[up[moved[up] < 0]] *= 0.5  # Illinois: hi was kept twice
+        moved[up] = -1
+        hi[down], g_hi[down] = lam[~above], g[~above]
+        best_feasible[down], residual[down] = rows_lam[~above], -g[~above]
+        g_lo[down[moved[down] > 0]] *= 0.5
+        moved[down] = 1
+    result[live] = best_feasible
+    return result
 
 
 def _mix_until_feasible(model: _WindowModel, anchor: np.ndarray,
@@ -339,8 +393,8 @@ def hind_fixed_n(gamma: ConstraintSet, side: int, eps: float = 0.0, *,
     certificate (distance of the averaged marginal re-checked exactly);
     only a certified result is a valid lower bound.
     """
-    if eps < 0:
-        raise ValidationError("eps must be >= 0")
+    if not (eps >= 0 and math.isfinite(eps)):
+        raise ValidationError("eps must be finite and >= 0")
     model = _WindowModel(gamma, side)
     n, q = side, model.q
     rng = np.random.default_rng(seed)
@@ -401,13 +455,15 @@ def hind_fixed_n(gamma: ConstraintSet, side: int, eps: float = 0.0, *,
         return HindResult(-math.inf, None, side, eps, False, math.inf, restarts)
 
     single_cap_positive = cap is not None and (cap[1] + eps) > _FEAS_SLACK
+    if single_cap_positive:
+        ascended = _optimize_single_cap(model, np.array(starts), cap[0], cap[1] + eps)
+        polished = (_sweep_hard(model, rows, [cap[1] + eps], [cap[0]])
+                    for rows in ascended)
+    else:
+        polished = (_sweep_hard(model, start.copy(), bounds_eff, coeff_list)
+                    for start in starts)
     best_rows, best_val = None, -math.inf
-    for start in starts:
-        if single_cap_positive:
-            rows = _optimize_single_cap(model, start, cap[0], cap[1] + eps)
-            rows = _sweep_hard(model, rows, [cap[1] + eps], [cap[0]])
-        else:
-            rows = _sweep_hard(model, start.copy(), bounds_eff, coeff_list)
+    for rows in polished:
         if not feasible_rows(rows):
             continue
         val = sum(_entropy_vec(r) for r in rows) / n

@@ -455,6 +455,8 @@ class _Transfer:
     def __init__(self, side: int, system, eps: float = 0.0, cyclic: bool = True,
                  convention: str = "tile"):
         self.eps = float(eps)
+        if not (self.eps >= 0 and math.isfinite(self.eps)):
+            raise ValidationError("eps must be finite and >= 0")
         checks = _checks(system)
         self.alphabet, self.dim = checks[0][1].alphabet, checks[0][0][0].dim
         self.side, self.q = side, self.alphabet.size

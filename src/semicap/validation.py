@@ -24,9 +24,6 @@ from typing import Sequence
 import numpy as np
 
 from semicap.lattice_core import (
-    Alphabet,
-    PatternDistribution,
-    Shape,
     SiteProductMeasure,
     ValidationError,
     Word,

@@ -294,6 +294,23 @@ def test_exit_on_dimension_below_one(tmp_path, capsys, command, extra):
     assert "config error" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("command", ["count", "indentropy"])
+@pytest.mark.parametrize("eps", ["nan", "inf"])
+def test_exit_on_non_finite_eps_flag(tmp_path, capsys, command, eps):
+    cfg = write(tmp_path, RLL_SOFT)
+    assert main([command, "--config", cfg, "--n", "3", "--eps", eps]) == 2
+    assert "config error" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("command", ["count", "indentropy", "report"])
+@pytest.mark.parametrize("eps", ["nan", "0, inf"])
+def test_exit_on_non_finite_eps_in_config(tmp_path, capsys, command, eps):
+    cfg = write(tmp_path, RLL_FREE + f"eps = {eps}\n")
+    args = [command, "--config", cfg] + (["--n", "3"] if command != "report" else [])
+    assert main(args) == 2
+    assert "config error" in capsys.readouterr().err
+
+
 def test_exit_capacity_needs_one_dimension(tmp_path, capsys):
     cfg = write(tmp_path, soft_with_dimension(2), "d2.ini")
     assert main(["capacity", "--config", cfg]) == 2

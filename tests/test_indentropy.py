@@ -211,19 +211,105 @@ def test_hind_window2_matches_curve_to_nine_digits():
 
 def test_hind_single_cap_solves_per_start(monkeypatch):
     # the multiplier search converges superlinearly (13 fixed-point solves
-    # per start here); bisecting to double precision takes about 85
+    # per start here); bisecting to double precision takes about 85.  The
+    # starts share each batched solve, so a call counts its live starts.
     calls = 0
     solve = indentropy._lagrangian_fixed_point
 
-    def counted(*args, **kwargs):
+    def counted(model, rows, coeffs, lam):
         nonlocal calls
-        calls += 1
-        return solve(*args, **kwargs)
+        calls += len(rows)
+        return solve(model, rows, coeffs, lam)
 
     monkeypatch.setattr(indentropy, "_lagrangian_fixed_point", counted)
     res = hind_fixed_n(rll_constraint(2, 0.05), 3, restarts=20, seed=0)
     assert res.feasible and res.restarts == 22
     assert calls <= 25 * res.restarts
+
+
+def test_hind_batch_matches_single_starts(monkeypatch):
+    # the batched ascent runs every start as a stack of one would: the same
+    # rows, and the same fixed-point solves (inputs and number) per start;
+    # at the window-3 cap 0.11 the starts stop after different numbers of
+    # solves, so the stack's live set shrinks unevenly
+    solves = []
+    solve = indentropy._lagrangian_fixed_point
+
+    def recorded(model, rows, coeffs, lam):
+        solves.extend(zip(rows.copy(), lam.copy()))
+        return solve(model, rows, coeffs, lam)
+
+    monkeypatch.setattr(indentropy, "_lagrangian_fixed_point", recorded)
+    rng = np.random.default_rng(29)
+    tri = Alphabet.of_size(3)
+    cases = (  # (alphabet, window, side, capped patterns, cap, slack?)
+        (BIN, 1, 3, [1], 0.2, False),
+        (BIN, 2, 4, [3], 0.1, False),
+        (BIN, 2, 3, [3], 0.6, True),
+        (BIN, 3, 4, [7], 0.11, False),
+        (BIN, 3, 5, [7], 0.11, False),
+        (BIN, 3, 4, [3, 6], 0.05, False),
+        (tri, 1, 3, [2], 0.9, True),
+        (tri, 2, 3, [8], 0.03, False),
+        (tri, 3, 3, [13, 26], 0.01, False),
+    )
+    uneven = []
+    for alphabet, k, side, capped, bound, slack in cases:
+        coeffs = np.zeros(alphabet.size ** k)
+        coeffs[capped] = 1.0
+        model = _WindowModel(ConstraintSet(alphabet, Shape.segment(k), (
+            LinearConstraint(coeffs, bound),)), side)
+        starts = rng.dirichlet(np.ones(alphabet.size), size=(5, side))
+        solves.clear()
+        batch = indentropy._optimize_single_cap(model, starts, coeffs, bound)
+        unmatched, counts = list(solves), set()
+        for i in range(len(starts)):
+            solves.clear()
+            alone = indentropy._optimize_single_cap(model, starts[i:i + 1], coeffs, bound)
+            # only per-start arithmetic: equal exactly, not just to 1e-15
+            assert np.array_equal(batch[i], alone[0]), (k, side, i)
+            assert (len(solves) == 1) == slack, (k, side, i)
+            counts.add(len(solves))
+            for rows, lam in solves:
+                twin = next((j for j, (r, lm) in enumerate(unmatched)
+                             if lm == lam and np.array_equal(r, rows)), None)
+                assert twin is not None, (k, side, i, lam)
+                del unmatched[twin]
+        assert not unmatched, (k, side)
+        uneven.append(len(counts) > 1)
+    assert any(uneven)
+
+
+def test_hind_benchmark_values():
+    # the four product-measure bounds a benchmark `bounds` round computes
+    two_rows = ConstraintSet(BIN, Shape.segment(2), (
+        LinearConstraint(np.array([0.0, 0.5, 0.5, 1.0]), 0.4),
+        LinearConstraint(np.array([0.0, 0.0, 0.0, 1.0]), 0.15)))
+    for gamma, side, eps, value in (
+            (rll_constraint(2, 0.05), 3, 0.0, 0.9494380930666207),
+            (rll_constraint(1, 0.1), 2, 0.0, 0.9002320226345673),
+            (rll_constraint(1, 0.1), 4, 0.01, 0.9166159099453555),
+            (two_rows, 4, 0.0, 0.9539600076279061)):
+        res = hind_fixed_n(gamma, side, eps)
+        assert res.feasible and abs(res.value - value) <= 1e-15, (side, eps)
+
+
+def test_site_gathers_match_site_coeffs():
+    # the gathered linear terms of a stack are `site_coeffs`'s, bit for bit
+    rng = np.random.default_rng(43)
+    tri = Alphabet.of_size(3)
+    for alphabet, k, side in ((BIN, 1, 3), (BIN, 2, 5), (BIN, 4, 6), (tri, 3, 4)):
+        m = alphabet.size ** k
+        coeffs = rng.random(m) * (rng.random(m) < 0.5)
+        model = _WindowModel(ConstraintSet(alphabet, Shape.segment(k), (
+            LinearConstraint(coeffs, 0.5),)), side)
+        stack = rng.dirichlet(np.ones(alphabet.size), size=(4, side))
+        flat = stack.reshape(4, -1)
+        for v, (idx, weights) in enumerate(model.site_gathers(coeffs)):
+            lin = (flat[:, idx].prod(axis=2)[:, :, None] * weights).sum(axis=1) / side
+            for s, rows in enumerate(stack):
+                (ref,), _ = model.site_coeffs(rows, v, [coeffs])
+                assert np.array_equal(lin[s], ref), (k, side, v)
 
 
 def test_hind_single_cap_results_are_certified():

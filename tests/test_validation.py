@@ -256,6 +256,14 @@ def test_hind_fixed_n_rejects_negative_eps():
         hind_fixed_n(rll_constraint(1, 0.1), 3, -0.01, restarts=2)
 
 
+@pytest.mark.parametrize("eps", [math.nan, math.inf])
+def test_non_finite_eps_is_rejected(eps):
+    with pytest.raises(ValidationError):
+        hind_fixed_n(rll_constraint(1, 0.1), 3, eps, restarts=2)
+    with pytest.raises(ValidationError):
+        count_admissible(4, rll_constraint(1, 0.1), eps)
+
+
 # ---------------------------------------------------------------------------
 # The bound-chain report
 # ---------------------------------------------------------------------------
