@@ -160,12 +160,16 @@ def _eps(args) -> float | None:
     return args.eps
 
 
-def _parse_sides(args) -> list[int]:
+def _parse_sides(args, default: list[int] | None = None) -> list[int]:
+    """The sides that --n or --n-range name, else `default`; with neither
+    flag nor default it is a configuration error."""
     if getattr(args, "n", None) is not None:
         return [args.n]
     raw = getattr(args, "n_range", None)
     if raw is None:
-        raise ConfigError("one of --n or --n-range is required")
+        if default is None:
+            raise ConfigError("one of --n or --n-range is required")
+        return default
     parts = raw.split(":")
     if len(parts) not in (2, 3):
         raise ConfigError("--n-range takes LO:HI or LO:HI:STEP")
@@ -229,12 +233,7 @@ def _cmd_indentropy(args) -> tuple[_Table, int]:
     seed = _seed(args, cfg.solver.seed)
     eps = _eps(args)
     eps_list = (eps,) if eps is not None else cfg.eps_list
-    if args.n is not None:
-        sides = [args.n]
-    elif args.n_range is not None:
-        sides = _parse_sides(args)
-    else:
-        sides = [2, 3, 4, 5, 6]
+    sides = _parse_sides(args, default=[2, 3, 4, 5, 6])
     restarts = cfg.solver.restarts if cfg.solver.restarts is not None else 20
     report = hind_bound_report(cfg.factor(), cfg.dimension, eps_list, sides,
                                restarts=restarts, seed=seed)

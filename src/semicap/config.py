@@ -242,7 +242,10 @@ class SystemConfig:
                     raise ConfigError(
                         f"row has {len(coeffs)} coefficients, expected {m}"
                     )
-                rows.append(LinearConstraint(coeffs, bound, tokens[si]))
+                try:
+                    rows.append(LinearConstraint(coeffs, bound, tokens[si]))
+                except ValidationError as exc:
+                    raise ConfigError(f"{exc}: {line!r}") from exc
             if not rows:
                 raise ConfigError("linear constraint list is empty")
             factor = ConstraintSet(alphabet, Shape.segment(window), rows)

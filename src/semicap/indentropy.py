@@ -25,7 +25,10 @@ optimiser exploits:
 * zero-budget and multi-constraint systems fall back to per-site entropy
   maximisation over the feasible slice, the one-state case of the
   certified pressure dual in `capacity` (one multiplier per constraint,
-  warm-started from the site's previous solve);
+  warm-started from the site's previous solve), which also polishes the
+  ascent's result.  These sweeps run on the same stack of starts: each
+  site's affine terms come from the same gather tables for every start
+  at once, and then each start solves its own slice and keeps its own stop;
 * everything is repeated from random restarts plus i.i.d. and period-2
   warm starts (screened row by row at eps = 0, by the LP distance above
   it), and the winner is certified feasible by an LP distance check.
@@ -50,6 +53,7 @@ from semicap.lattice_core import (
     SiteProductMeasure,
     SizeGuardError,
     ValidationError,
+    _checked_eps,
     _entropy_vec,
     _window_law,
     averaged_marginal,
@@ -156,11 +160,14 @@ class HindResult:
     eps: float
     feasible: bool                     # LP-certified within eps (+ tolerance)
     distance: float                    # LP distance of the averaged marginal
-    restarts: int
+    restarts: int                      # starts run (screened restarts plus warm starts)
 
 
 class _WindowModel:
-    """Accounting for the averaged window statistics of a 1-D product measure."""
+    """Accounting for the averaged window statistics of a 1-D product
+    measure: each constraint row is affine in one site's distribution, and
+    `site_gathers` and `terms` give that affine form on a stack of row sets,
+    the one copy of it both solvers read."""
 
     def __init__(self, gamma: ConstraintSet, side: int):
         if gamma.shape.dim != 1 or gamma.shape != Shape.segment(len(gamma.shape)):
@@ -171,110 +178,93 @@ class _WindowModel:
         self.side = side
         self.q = gamma.alphabet.size
         self.table = placements(gamma.shape, side)
-        self.patterns = [
-            pattern_from_index(i, self.q, self.k) for i in range(gamma.npatterns)
-        ]
-        # per site, every window in table order as (the site's slot in it,
-        # or -1 if it misses the site; the other (slot, site) pairs)
-        windows = self.table.tolist()
-        self.by_site = [[(w.index(v) if v in w else -1,
-                          [(j, s) for j, s in enumerate(w) if s != v])
-                         for w in windows] for v in range(side)]
-        self._charged = {}
         self._gathers = {}
 
-    def _charged_patterns(self, coeffs) -> list:
-        """Per pattern, the rows that charge it with their coefficients
-        (patterns no row charges are left out); built once per row set."""
-        coeffs = np.asarray(coeffs, dtype=np.float64)
-        key = (coeffs.shape, coeffs.tobytes())
-        charged = self._charged.get(key)
-        if charged is None:
-            coeff_rows = coeffs.tolist()
-            charged = []
-            for pi, a in enumerate(self.patterns):
-                terms = [(r, cf[pi]) for r, cf in enumerate(coeff_rows) if cf[pi]]
-                if terms:
-                    charged.append((a, terms))
-            self._charged[key] = charged
-        return charged
-
-    def site_coeffs(self, rows: np.ndarray, v: int, coeffs):
-        """Write each constraint functional c_r . averaged(mu) as
-        const_r + lin_r . p_v;  returns (lin, one row of symbol weights per
-        coefficient row, and const, one entry per coefficient row)."""
-        lin = [[0.0] * self.q for _ in coeffs]
-        const = [0.0] * len(coeffs)
-        charged = self._charged_patterns(coeffs)
-        site_rows = rows.tolist()
-        for slot, others in self.by_site[v]:
-            for a, terms in charged:
-                prod = 1.0
-                for j, site in others:
-                    prod *= site_rows[site][a[j]]
-                if slot < 0:
-                    for r, c in terms:
-                        const[r] += c * prod
-                else:
-                    s = a[slot]
-                    for r, c in terms:
-                        lin[r][s] += c * prod
-        return np.divide(lin, self.side), np.divide(const, self.side)
-
     def site_gathers(self, coeffs: np.ndarray) -> list:
-        """Per site v, one coefficient row's linear term at v as gathers,
-        built once per row: for every (window holding v, charged pattern)
-        pair, the flat indices site*q + symbol of the window's other cells,
-        and a weight row holding the pattern's coefficient at its symbol in
-        v's slot.  For a stack of rows flattened to (S, n*q), v's terms are
-        (flat[:, idx].prod(axis=2)[:, :, None] * weights).sum(axis=1) / n;
-        the sum runs over the pairs in `site_coeffs`'s order, so each stack
-        entry's terms equal that method's `lin` exactly."""
+        """Per site v, one coefficient row's affine form const + lin . p_v
+        at v as two gathers, built once per row.  Each gather lists, for
+        every (window, charged pattern) pair in window then pattern order,
+        the flat indices site*q + symbol of the window's cells other than v
+        and a weight row.  The linear gather takes the windows holding v,
+        its weights holding the pattern's coefficient at the symbol in v's
+        slot; the constant gather takes the windows missing v, its weights
+        the coefficient alone.  `terms` evaluates either on a stack."""
         key = np.asarray(coeffs, dtype=np.float64).tobytes()
         gathers = self._gathers.get(key)
         if gathers is None:
-            charged = self._charged_patterns([coeffs])
+            charged = [(pattern_from_index(i, self.q, self.k), c)
+                       for i, c in enumerate(np.asarray(coeffs).tolist()) if c]
             gathers = []
             for v in range(self.side):
-                idx, weights = [], []
-                for slot, others in self.by_site[v]:
-                    if slot < 0:
-                        continue
-                    for a, ((_, c),) in charged:
-                        idx.append([site * self.q + a[j] for j, site in others])
-                        weights.append([c if s == a[slot] else 0.0
-                                        for s in range(self.q)])
-                pairs = len(idx)
-                gathers.append((np.array(idx, dtype=np.intp).reshape(pairs, self.k - 1),
-                                np.array(weights).reshape(pairs, self.q)))
+                lin_idx, lin_w, const_idx, const_w = [], [], [], []
+                for w in self.table.tolist():
+                    others = [(j, site) for j, site in enumerate(w) if site != v]
+                    for a, c in charged:
+                        idx = [site * self.q + a[j] for j, site in others]
+                        if v in w:
+                            lin_idx.append(idx)
+                            lin_w.append([c if s == a[w.index(v)] else 0.0
+                                          for s in range(self.q)])
+                        else:
+                            const_idx.append(idx)
+                            const_w.append(c)
+                gathers.append(((np.array(lin_idx, dtype=np.intp).reshape(len(lin_idx), self.k - 1),
+                                 np.array(lin_w).reshape(len(lin_idx), self.q)),
+                                (np.array(const_idx, dtype=np.intp).reshape(len(const_idx), self.k),
+                                 np.array(const_w).reshape(len(const_idx), 1))))
             self._gathers[key] = gathers
         return gathers
+
+    def terms(self, flat: np.ndarray, gather) -> np.ndarray:
+        """One gather of `site_gathers` on a stack of row sets flattened to
+        (S, n*q): the linear terms (S, q) or the constant (S, 1).  The pairs
+        are added one after another, so each start's terms do not depend on
+        the stack around it (a plain sum may add a single column pairwise)."""
+        idx, weights = gather
+        if not len(idx):
+            return np.zeros((len(flat), weights.shape[1]))
+        pairs = flat[:, idx].prod(axis=2)[:, :, None] * weights
+        return np.add.accumulate(pairs, axis=1)[:, -1] / self.side
 
 
 def _sweep_hard(model: _WindowModel, rows: np.ndarray, bounds_eff: list[float],
                 coeff_list: list[np.ndarray]) -> np.ndarray:
-    """Cyclic per-site entropy maximisation within the feasible slice.
+    """Cyclic per-site entropy maximisation within the feasible slice, on a
+    stack of starts: `rows` (S, n, q) is updated in place and returned.
 
-    Each site's slice {p : lin_r . p <= bound_r} is the one-state case of
-    the pressure dual, warm-started at that site's previous multipliers.
+    Each site's slice {p : lin_r . p <= bound_r - const_r} is the one-state
+    case of the pressure dual, solved per start and warm-started at that
+    start's previous multipliers for the site; every row's terms come from
+    one gather over the live starts.  Each start leaves the stack after the
+    sweep in which its entropy rose by no more than `_SWEEP_STOP`.
     """
     n = model.side
-    lams = np.zeros((n, len(coeff_list)))
-    prev = -math.inf
+    gathers = [model.site_gathers(c) for c in coeff_list]
+    lams = np.zeros(rows.shape[:2] + (len(coeff_list),))
+    prev = np.full(len(rows), -math.inf)
+    live = np.arange(len(rows))
     for _ in range(_HARD_SWEEPS):
+        sub = rows[live]
+        flat = sub.reshape(len(live), -1)
         for v in range(n):
-            lins, consts = model.site_coeffs(rows, v, coeff_list)
-            try:
-                sol = pressure_dual(lins, np.subtract(bounds_eff, consts),
-                                    [False] * len(lins), model.q, 1, rows[v],
-                                    lams[v], max_iter=_SLICE_ITER, gap_tol=_SLICE_GAP)
-            except ValidationError:
-                continue
-            rows[v], lams[v] = sol.measure, sol.lam
-        val = sum(_entropy_vec(r) for r in rows)
-        if val <= prev + _SWEEP_STOP:
+            site = [g[v] for g in gathers]   # per row, (linear, constant)
+            lins = np.stack([model.terms(flat, lin) for lin, _ in site], axis=1)
+            consts = np.concatenate([model.terms(flat, const) for _, const in site], axis=1)
+            for i, s in enumerate(live):
+                try:
+                    sol = pressure_dual(lins[i], np.subtract(bounds_eff, consts[i]),
+                                        [False] * len(coeff_list), model.q, 1, sub[i, v],
+                                        lams[s, v], max_iter=_SLICE_ITER, gap_tol=_SLICE_GAP)
+                except ValidationError:
+                    continue
+                sub[i, v], lams[s, v] = sol.measure, sol.lam
+        rows[live] = sub
+        val = np.array([sum(_entropy_vec(r) for r in start) for start in sub])
+        done = val <= prev[live] + _SWEEP_STOP
+        prev[live] = val
+        live = live[~done]
+        if not live.size:
             break
-        prev = val
     return rows
 
 
@@ -284,7 +274,6 @@ def _lagrangian_fixed_point(model: _WindowModel, rows: np.ndarray,
     of starts: `rows` (S, n, q) is updated in place and returned, and
     `lam` holds one multiplier per start.  Each start leaves the stack
     after the sweep in which none of its sites moved by `_SWEEP_STOP`."""
-    n = model.side
     gathers = model.site_gathers(coeffs)
     live = np.arange(len(rows))
     for _ in range(_FIXED_POINT_SWEEPS):
@@ -292,8 +281,8 @@ def _lagrangian_fixed_point(model: _WindowModel, rows: np.ndarray,
         flat = sub.reshape(len(live), -1)
         scale = -lam[live, None]
         delta = np.zeros(len(live))
-        for v, (idx, weights) in enumerate(gathers):
-            lin = (flat[:, idx].prod(axis=2)[:, :, None] * weights).sum(axis=1) / n
+        for v, (lin_gather, _) in enumerate(gathers):
+            lin = model.terms(flat, lin_gather)
             w = np.exp2(scale * (lin - lin.min(axis=1, keepdims=True)))
             new = w / w.sum(axis=1, keepdims=True)
             np.maximum(delta, np.abs(new - sub[:, v]).max(axis=1), out=delta)
@@ -393,8 +382,7 @@ def hind_fixed_n(gamma: ConstraintSet, side: int, eps: float = 0.0, *,
     certificate (distance of the averaged marginal re-checked exactly);
     only a certified result is a valid lower bound.
     """
-    if not (eps >= 0 and math.isfinite(eps)):
-        raise ValidationError("eps must be finite and >= 0")
+    eps = _checked_eps(eps)
     model = _WindowModel(gamma, side)
     n, q = side, model.q
     rng = np.random.default_rng(seed)
@@ -452,18 +440,15 @@ def hind_fixed_n(gamma: ConstraintSet, side: int, eps: float = 0.0, *,
                 starts.append(rand)
 
     if not starts:
-        return HindResult(-math.inf, None, side, eps, False, math.inf, restarts)
+        return HindResult(-math.inf, None, side, eps, False, math.inf, 0)
 
-    single_cap_positive = cap is not None and (cap[1] + eps) > _FEAS_SLACK
-    if single_cap_positive:
-        ascended = _optimize_single_cap(model, np.array(starts), cap[0], cap[1] + eps)
-        polished = (_sweep_hard(model, rows, [cap[1] + eps], [cap[0]])
-                    for rows in ascended)
-    else:
-        polished = (_sweep_hard(model, start.copy(), bounds_eff, coeff_list)
-                    for start in starts)
+    stack = np.array(starts)
+    if cap is not None and (cap[1] + eps) > _FEAS_SLACK:
+        # single positive cap: the shared-multiplier ascent, then the polish
+        stack = _optimize_single_cap(model, stack, cap[0], cap[1] + eps)
+        bounds_eff, coeff_list = [cap[1] + eps], [cap[0]]
     best_rows, best_val = None, -math.inf
-    for rows in polished:
+    for rows in _sweep_hard(model, stack, bounds_eff, coeff_list):
         if not feasible_rows(rows):
             continue
         val = sum(_entropy_vec(r) for r in rows) / n
@@ -471,7 +456,7 @@ def hind_fixed_n(gamma: ConstraintSet, side: int, eps: float = 0.0, *,
             best_val, best_rows = val, rows
 
     if best_rows is None:
-        return HindResult(-math.inf, None, side, eps, False, math.inf, restarts)
+        return HindResult(-math.inf, None, side, eps, False, math.inf, len(starts))
 
     measure = SiteProductMeasure(gamma.alphabet, 1, side, best_rows)
     avg = averaged_marginal(measure, gamma.shape)

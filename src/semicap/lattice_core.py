@@ -71,6 +71,15 @@ class SizeGuardError(RuntimeError):
     """Raised when a requested enumeration would be infeasibly large."""
 
 
+def _checked_eps(eps) -> float:
+    """The slack eps as a float; raises ValidationError unless it is
+    finite and >= 0."""
+    eps = float(eps)
+    if not (eps >= 0 and math.isfinite(eps)):
+        raise ValidationError("eps must be finite and >= 0")
+    return eps
+
+
 # ---------------------------------------------------------------------------
 # Alphabets, shapes, words
 # ---------------------------------------------------------------------------

@@ -31,6 +31,7 @@ from semicap.lattice_core import (
     SizeGuardError,
     ValidationError,
     Word,
+    _checked_eps,
     empirical_counts,
     # unused here; kept importable because the benchmark tracer patches it
     empirical_distribution,
@@ -85,6 +86,8 @@ class LinearConstraint:
         coeffs = np.asarray(self.coeffs, dtype=np.float64)
         if self.sense not in ("<=", "=="):
             raise ValidationError(f"unknown constraint sense {self.sense!r}")
+        if not (np.isfinite(coeffs).all() and math.isfinite(self.bound)):
+            raise ValidationError("constraint coefficients and bound must be finite")
         object.__setattr__(self, "coeffs", coeffs)
 
     def evaluate(self, probs: np.ndarray) -> float:
@@ -358,8 +361,7 @@ def is_admissible(word: Word, system, eps: float = 0.0) -> bool:
     """Does the word's empirical distribution lie within TV distance eps of
     the system?  At eps = 0 the test is exact (integer counts, rational
     comparisons); for eps > 0 distances are computed to LP tolerance."""
-    if eps < 0:
-        raise ValidationError("eps must be >= 0")
+    eps = _checked_eps(eps)
     for shapes, gamma in _checks(system):
         counts = sum(empirical_counts(word, s) for s in shapes)
         if not _counts_admissible(counts, word.side ** word.dim * len(shapes), gamma, eps):
@@ -454,9 +456,7 @@ class _Transfer:
 
     def __init__(self, side: int, system, eps: float = 0.0, cyclic: bool = True,
                  convention: str = "tile"):
-        self.eps = float(eps)
-        if not (self.eps >= 0 and math.isfinite(self.eps)):
-            raise ValidationError("eps must be finite and >= 0")
+        self.eps = _checked_eps(eps)
         checks = _checks(system)
         self.alphabet, self.dim = checks[0][1].alphabet, checks[0][0][0].dim
         self.side, self.q = side, self.alphabet.size
@@ -645,8 +645,7 @@ def count_exhaustive(side: int, system, eps: float = 0.0) -> int:
     read off the placement tables, and `is_admissible`'s test runs once per
     distinct count vector of a check.
     """
-    if eps < 0:
-        raise ValidationError("eps must be >= 0")
+    eps = _checked_eps(eps)
     checks = _checks(system)
     q, dim = checks[0][1].alphabet.size, checks[0][0][0].dim
     ncells = side ** dim

@@ -27,6 +27,7 @@ from semicap.lattice_core import (
     SiteProductMeasure,
     ValidationError,
     Word,
+    _checked_eps,
     averaged_marginal,
     cell_dtype,
     empirical_distribution,
@@ -175,7 +176,7 @@ def concentration_check(mu, gamma: ConstraintSet,
     outside fraction near P(Z > eps sqrt(N) / sigma), and it is close to 1
     only once N is several times (sigma / eps)^2.
     """
-    eps_list = tuple(sorted(float(e) for e in eps_list))
+    eps_list = tuple(sorted(_checked_eps(e) for e in eps_list))
     sides = tuple(sorted(int(n) for n in sides))
     if not eps_list or not sides:
         raise ValidationError("concentration_check needs at least one eps and one side")

@@ -311,6 +311,19 @@ def test_exit_on_non_finite_eps_in_config(tmp_path, capsys, command, eps):
     assert "config error" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("command", ["count", "capacity", "indentropy"])
+@pytest.mark.parametrize("system", [
+    "constraint = rll\nk = 1\np = inf",
+    "constraint = rll\nk = 1\np = nan",
+    "constraint = linear\nwindow = 1\nlinear = 0 1 <= inf",
+])
+def test_exit_on_non_finite_constraint_data(tmp_path, capsys, command, system):
+    cfg = write(tmp_path, f"[system]\nalphabet = 2\n{system}\n")
+    extra = {"count": ["--n", "3"], "indentropy": ["--n", "2"]}.get(command, [])
+    assert main([command, "--config", cfg, *extra]) == 2
+    assert "config error" in capsys.readouterr().err
+
+
 def test_exit_capacity_needs_one_dimension(tmp_path, capsys):
     cfg = write(tmp_path, soft_with_dimension(2), "d2.ini")
     assert main(["capacity", "--config", cfg]) == 2

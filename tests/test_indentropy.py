@@ -294,22 +294,89 @@ def test_hind_benchmark_values():
         assert res.feasible and abs(res.value - value) <= 1e-15, (side, eps)
 
 
-def test_site_gathers_match_site_coeffs():
-    # the gathered linear terms of a stack are `site_coeffs`'s, bit for bit
+def test_site_gathers_affine_form():
+    # a row's functional c . averaged(rows) is affine in site v's row x:
+    # f(x) = const + lin . x, so the gathered terms of a stack must equal
+    # f(0) and f(e_s) - f(0), f read off the independent `_window_law`
     rng = np.random.default_rng(43)
     tri = Alphabet.of_size(3)
-    for alphabet, k, side in ((BIN, 1, 3), (BIN, 2, 5), (BIN, 4, 6), (tri, 3, 4)):
-        m = alphabet.size ** k
+    for alphabet, k, side in ((BIN, 1, 3), (BIN, 2, 5), (BIN, 3, 5), (BIN, 4, 6),
+                              (tri, 1, 2), (tri, 2, 4), (tri, 3, 4), (tri, 4, 5)):
+        q, m = alphabet.size, alphabet.size ** k
         coeffs = rng.random(m) * (rng.random(m) < 0.5)
         model = _WindowModel(ConstraintSet(alphabet, Shape.segment(k), (
             LinearConstraint(coeffs, 0.5),)), side)
-        stack = rng.dirichlet(np.ones(alphabet.size), size=(4, side))
+        stack = rng.dirichlet(np.ones(q), size=(4, side))
         flat = stack.reshape(4, -1)
-        for v, (idx, weights) in enumerate(model.site_gathers(coeffs)):
-            lin = (flat[:, idx].prod(axis=2)[:, :, None] * weights).sum(axis=1) / side
+        for v, (lin_gather, const_gather) in enumerate(model.site_gathers(coeffs)):
+            lin = model.terms(flat, lin_gather)
+            const = model.terms(flat, const_gather)
+            assert lin.shape == (4, q) and const.shape == (4, 1)
             for s, rows in enumerate(stack):
-                (ref,), _ = model.site_coeffs(rows, v, [coeffs])
-                assert np.array_equal(lin[s], ref), (k, side, v)
+                def f(x):
+                    at = rows.copy()
+                    at[v] = x
+                    return coeffs @ _window_law(at, model.table)
+                f0 = f(np.zeros(q))
+                assert abs(const[s, 0] - f0) <= 1e-15, (k, side, v)
+                for a in range(q):
+                    assert abs(lin[s, a] - (f(np.eye(q)[a]) - f0)) <= 1e-15, (k, side, v)
+
+
+def test_sweep_hard_stack_matches_single_starts(monkeypatch):
+    # the stacked polish runs every start as a stack of one would, exactly;
+    # a start run alone makes n `pressure_dual` calls per sweep, so the
+    # calls count its sweeps, and some starts stop after different numbers
+    calls = 0
+    dual = indentropy.pressure_dual
+
+    def counted(*args, **kwargs):
+        nonlocal calls
+        calls += 1
+        return dual(*args, **kwargs)
+
+    monkeypatch.setattr(indentropy, "pressure_dual", counted)
+    rng = np.random.default_rng(1)
+    cap = np.array([0.0, 0.0, 0.0, 1.0])
+    cases = (  # (window, side, coefficient rows, bounds): the benchmark's
+        # single cap and two-row systems, and a zero budget (no 11)
+        (2, 5, [cap], [0.1]),
+        (2, 5, [np.array([0.0, 0.5, 0.5, 1.0]), cap], [0.4, 0.15]),
+        (3, 4, [np.array([0.0, 0.0, 0.0, 0.5, 0.0, 0.5, 0.5, 1.0]),
+                np.eye(8)[7]], [0.3, 0.05]),
+        (2, 6, [cap], [0.0]),
+    )
+    uneven = []
+    for k, side, coeff_list, bounds in cases:
+        model = _WindowModel(ConstraintSet(BIN, Shape.segment(k), tuple(
+            LinearConstraint(c, b) for c, b in zip(coeff_list, bounds))), side)
+        ones = rng.uniform(0.0, 0.5, size=(8, side))
+        if bounds == [0.0]:
+            ones[:, 1::2] = 0.0
+        starts = np.stack([1.0 - ones, ones], axis=2)
+        if bounds == [0.1]:   # polish the ascent's rows, as `hind_fixed_n` does
+            starts = indentropy._optimize_single_cap(model, starts, cap, 0.1)
+        batch = indentropy._sweep_hard(model, starts.copy(), bounds, coeff_list)
+        sweeps = set()
+        for i in range(len(starts)):
+            calls = 0
+            alone = indentropy._sweep_hard(model, starts[i:i + 1].copy(), bounds,
+                                           coeff_list)
+            assert np.array_equal(batch[i], alone[0]), (k, side, bounds, i)
+            sweeps.add(calls // side)
+        uneven.append(len(sweeps) > 1)
+    assert any(uneven)
+
+
+def test_hind_reports_starts_run():
+    # `restarts` counts the starts run: the random restarts plus the warm
+    # starts that passed the screen, and none when no start is feasible
+    res = hind_fixed_n(rll_constraint(1, 0.1), 2, restarts=3, seed=0)
+    assert res.feasible and res.restarts == 5
+    empty = ConstraintSet(BIN, Shape.segment(1), (
+        LinearConstraint(np.array([1.0, 1.0]), 0.0, "=="),))
+    res = hind_fixed_n(empty, 2, restarts=3, seed=0)
+    assert not res.feasible and res.measure is None and res.restarts == 0
 
 
 def test_hind_single_cap_results_are_certified():
@@ -332,32 +399,6 @@ def test_hind_deterministic_given_seed():
     b = hind_fixed_n(gamma, 3, restarts=6, seed=7)
     assert a.value == b.value
     assert np.array_equal(a.measure.site_dists, b.measure.site_dists)
-
-
-def test_site_coeffs_affine_identity():
-    # each row's functional is affine in one site: const + lin . p_v must
-    # equal c . averaged(rows) at every site, for every row at once
-    rng = np.random.default_rng(41)
-    tri = Alphabet.of_size(3)
-    for alphabet, k, side in ((BIN, 2, 5), (tri, 3, 4)):
-        m = alphabet.size ** k
-        coeffs = rng.random((2, m))
-        coeffs[0, rng.random(m) < 0.3] = 0.0   # sparse rows skip patterns
-        gamma = ConstraintSet(alphabet, Shape.segment(k), tuple(
-            LinearConstraint(c, 0.5) for c in coeffs))
-        model = _WindowModel(gamma, side)
-        for _ in range(5):
-            rows = rng.dirichlet(np.ones(alphabet.size), size=side)
-            target = coeffs @ _window_law(rows, model.table)
-            for v in range(side):
-                lin, const = model.site_coeffs(rows, v, coeffs)
-                assert lin.shape == (2, alphabet.size) and const.shape == (2,)
-                np.testing.assert_allclose(const + lin @ rows[v], target,
-                                           rtol=0, atol=1e-15)
-                # one call for all rows gives each row's own values exactly
-                for r in range(2):
-                    (lin_r,), (const_r,) = model.site_coeffs(rows, v, coeffs[r:r + 1])
-                    assert np.array_equal(lin_r, lin[r]) and const_r == const[r]
 
 
 # ---------------------------------------------------------------------------

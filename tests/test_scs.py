@@ -51,6 +51,16 @@ def test_rll_constraint_structure():
     assert con.coeffs[7] == 1.0 and con.coeffs[:7].sum() == 0.0
 
 
+@pytest.mark.parametrize("value", [math.inf, -math.inf, math.nan])
+def test_non_finite_constraint_data_is_rejected(value):
+    with pytest.raises(ValidationError):
+        rll_constraint(1, value)
+    with pytest.raises(ValidationError):
+        LinearConstraint([0.0, 1.0], value)
+    with pytest.raises(ValidationError):
+        LinearConstraint([value, 1.0], 0.5)
+
+
 def test_uniform_membership_threshold():
     # the uniform pair/triple measure has all-ones frequency 2^-(k+1)
     u2 = PatternDistribution.uniform(BIN, Shape.segment(2))

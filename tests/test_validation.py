@@ -10,11 +10,13 @@ from semicap.lattice_core import (
     Shape,
     SiteProductMeasure,
     ValidationError,
+    Word,
 )
 from semicap.scs_model import (
     ConstraintSet,
     LinearConstraint,
     count_admissible,
+    count_exhaustive,
     is_admissible,
     rll_constraint,
 )
@@ -256,12 +258,21 @@ def test_hind_fixed_n_rejects_negative_eps():
         hind_fixed_n(rll_constraint(1, 0.1), 3, -0.01, restarts=2)
 
 
-@pytest.mark.parametrize("eps", [math.nan, math.inf])
+@pytest.mark.parametrize("eps", [math.nan, math.inf, -0.1])
 def test_non_finite_eps_is_rejected(eps):
+    # every entry point that takes eps checks it the same way
+    gamma = rll_constraint(1, 0.2)
     with pytest.raises(ValidationError):
-        hind_fixed_n(rll_constraint(1, 0.1), 3, eps, restarts=2)
+        hind_fixed_n(gamma, 3, eps, restarts=2)
     with pytest.raises(ValidationError):
-        count_admissible(4, rll_constraint(1, 0.1), eps)
+        count_admissible(4, gamma, eps)
+    with pytest.raises(ValidationError):
+        count_exhaustive(4, gamma, eps)
+    with pytest.raises(ValidationError):
+        is_admissible(Word(BIN, np.array([0, 1, 0, 0])), gamma, eps)
+    mu = PeriodicProductMeasure.iid(BIN, [0.6, 0.4])
+    with pytest.raises(ValidationError):
+        concentration_check(mu, rll_constraint(2, 0.05), [eps], [9], 5, 0)
 
 
 # ---------------------------------------------------------------------------
