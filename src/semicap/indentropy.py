@@ -194,10 +194,10 @@ class _WindowModel:
         if gathers is None:
             charged = [(pattern_from_index(i, self.q, self.k), c)
                        for i, c in enumerate(np.asarray(coeffs).tolist()) if c]
-            gathers = []
+            windows, gathers = self.table.tolist(), []
             for v in range(self.side):
                 lin_idx, lin_w, const_idx, const_w = [], [], [], []
-                for w in self.table.tolist():
+                for w in windows:
                     others = [(j, site) for j, site in enumerate(w) if site != v]
                     for a, c in charged:
                         idx = [site * self.q + a[j] for j, site in others]
@@ -208,10 +208,11 @@ class _WindowModel:
                         else:
                             const_idx.append(idx)
                             const_w.append(c)
-                gathers.append(((np.array(lin_idx, dtype=np.intp).reshape(len(lin_idx), self.k - 1),
-                                 np.array(lin_w).reshape(len(lin_idx), self.q)),
-                                (np.array(const_idx, dtype=np.intp).reshape(len(const_idx), self.k),
-                                 np.array(const_w).reshape(len(const_idx), 1))))
+                gathers.append((
+                    (np.array(lin_idx, dtype=np.intp).reshape(len(lin_idx), self.k - 1),
+                     np.array(lin_w).reshape(len(lin_idx), self.q)),
+                    (np.array(const_idx, dtype=np.intp).reshape(len(const_idx), self.k),
+                     np.array(const_w).reshape(len(const_idx), 1))))
             self._gathers[key] = gathers
         return gathers
 
