@@ -26,7 +26,7 @@ from semicap.indentropy import (
 )
 from semicap import indentropy
 from semicap.indentropy import _WindowModel
-from semicap.lattice_core import _window_law
+from semicap.lattice_core import _window_law, pattern_from_index
 
 BIN = Alphabet.binary()
 
@@ -292,6 +292,75 @@ def test_hind_benchmark_values():
             (two_rows, 4, 0.0, 0.9539600076279061)):
         res = hind_fixed_n(gamma, side, eps)
         assert res.feasible and abs(res.value - value) <= 1e-15, (side, eps)
+
+
+def _site_coeffs(model, rows, v, coeffs):
+    """Reference per-site affine form of one coefficient row, summed window
+    by window then pattern by pattern: c . averaged(rows) = const + lin . p_v."""
+    lin, const = np.zeros(model.q), 0.0
+    for w in model.table.tolist():
+        for i, c in enumerate(coeffs.tolist()):
+            if not c:
+                continue
+            a = pattern_from_index(i, model.q, model.k)
+            prod = 1.0
+            for j, site in enumerate(w):
+                if site != v:
+                    prod *= rows[site][a[j]]
+            if v in w:
+                lin[a[w.index(v)]] += c * prod
+            else:
+                const += c * prod
+    return lin / model.side, const / model.side
+
+
+def test_site_gathers_match_site_coeffs():
+    # the gathered terms of a stack are the reference loop's, bit for bit
+    rng = np.random.default_rng(43)
+    tri = Alphabet.of_size(3)
+    for alphabet, k, side in ((BIN, 1, 3), (BIN, 2, 5), (BIN, 4, 6), (tri, 3, 4)):
+        m = alphabet.size ** k
+        coeffs = rng.random(m) * (rng.random(m) < 0.5)
+        model = _WindowModel(ConstraintSet(alphabet, Shape.segment(k), (
+            LinearConstraint(coeffs, 0.5),)), side)
+        stack = rng.dirichlet(np.ones(alphabet.size), size=(4, side))
+        flat = stack.reshape(4, -1)
+        for v, (lin_gather, const_gather) in enumerate(model.site_gathers(coeffs)):
+            lin = model.terms(flat, lin_gather)
+            const = model.terms(flat, const_gather)
+            for s, rows in enumerate(stack):
+                ref_lin, ref_const = _site_coeffs(model, rows, v, coeffs)
+                assert np.array_equal(lin[s], ref_lin), (k, side, v)
+                assert const[s, 0] == ref_const, (k, side, v)
+
+
+def test_site_coeffs_affine_identity():
+    # each row's functional is affine in one site: const + lin . p_v must
+    # equal c . averaged(rows) at every site, for every row and start
+    rng = np.random.default_rng(41)
+    tri = Alphabet.of_size(3)
+    for alphabet, k, side in ((BIN, 2, 5), (tri, 3, 4)):
+        m = alphabet.size ** k
+        coeffs = rng.random((2, m))
+        coeffs[0, rng.random(m) < 0.3] = 0.0   # sparse rows skip patterns
+        gamma = ConstraintSet(alphabet, Shape.segment(k), tuple(
+            LinearConstraint(c, 0.5) for c in coeffs))
+        model = _WindowModel(gamma, side)
+        stack = rng.dirichlet(np.ones(alphabet.size), size=(5, side))
+        flat = stack.reshape(5, -1)
+        for r in range(2):
+            gathers = model.site_gathers(coeffs[r])
+            for v, (lin_gather, const_gather) in enumerate(gathers):
+                lin = model.terms(flat, lin_gather)
+                const = model.terms(flat, const_gather)
+                assert lin.shape == (5, alphabet.size) and const.shape == (5, 1)
+                for s, rows in enumerate(stack):
+                    target = coeffs[r] @ _window_law(rows, model.table)
+                    assert abs(const[s, 0] + lin[s] @ rows[v] - target) <= 1e-15
+                    # a start's terms do not depend on the stack around it
+                    one = flat[s:s + 1]
+                    assert np.array_equal(model.terms(one, lin_gather)[0], lin[s])
+                    assert model.terms(one, const_gather)[0, 0] == const[s, 0]
 
 
 def test_site_gathers_affine_form():
