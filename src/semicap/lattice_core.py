@@ -428,11 +428,17 @@ def empirical_counts(word: Word, shape: Shape) -> np.ndarray:
         raise ValidationError(
             f"shape dimension {shape.dim} != word dimension {word.dim}"
         )
-    q = word.alphabet.size
     m = pattern_space_size(word.alphabet, shape)
-    symbols = word.cells.reshape(-1)[placements(shape, word.side)]
-    idx = symbols @ q ** np.arange(len(shape) - 1, -1, -1)
-    return np.bincount(idx, minlength=m).astype(np.int64)
+    return _pattern_counts(word.cells.reshape(-1),
+                           placements(shape, word.side), word.alphabet.size, m)
+
+
+def _pattern_counts(flat_cells: np.ndarray, table: np.ndarray, q: int,
+                    m: int) -> np.ndarray:
+    """Counts of the m patterns that a placement table's rows read in the
+    flat cells (first point most significant), as an int64 vector."""
+    idx = flat_cells[table] @ q ** np.arange(table.shape[1] - 1, -1, -1)
+    return np.bincount(idx, minlength=m).astype(np.int64, copy=False)
 
 
 def empirical_distribution(word: Word, shape: Shape) -> PatternDistribution:

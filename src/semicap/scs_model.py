@@ -283,8 +283,13 @@ def tv_distance_to_set(mu: PatternDistribution, gamma: ConstraintSet) -> float:
     """
     if mu.shape != gamma.shape or mu.alphabet != gamma.alphabet:
         raise ValidationError("distribution and constraint set shapes differ")
-    probs = mu.float_probs()
-    cap = _single_set_cap(gamma)
+    return _probs_distance(mu.float_probs(), gamma, _single_set_cap(gamma))
+
+
+def _probs_distance(probs: np.ndarray, gamma: ConstraintSet, cap) -> float:
+    """`tv_distance_to_set` of the float pattern vector `probs`, where `cap`
+    is `_single_set_cap(gamma)`: the closed form max(0, ind @ probs - b)
+    for a single cap, else the LP."""
     if cap is not None:
         ind, b = cap
         return max(0.0, float(ind @ probs) - b)

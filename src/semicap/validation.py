@@ -28,9 +28,11 @@ from semicap.lattice_core import (
     ValidationError,
     Word,
     _checked_eps,
+    _pattern_counts,
     averaged_marginal,
     cell_dtype,
     empirical_distribution,
+    placements,
 )
 from semicap.capacity import (
     CountRow,
@@ -41,6 +43,8 @@ from semicap.capacity import (
 from semicap.indentropy import PeriodicProductMeasure, hind_bound_report
 from semicap.scs_model import (
     ConstraintSet,
+    _probs_distance,
+    _single_set_cap,
     axial_product,
     count_admissible,
     count_admissible_noncyclic,
@@ -125,13 +129,22 @@ def sample_word(mu, seed: int, side: int | None = None) -> Word:
         mu = mu.tile(side)
     if not isinstance(mu, SiteProductMeasure):
         raise ValidationError("expected a site-product or periodic measure")
-    u = SplitMix64(seed).floats(mu.side ** mu.dim)
-    # The symbol is the number of cumulative masses at or below the draw,
-    # clamped to q-1 against rounding in the last sum.  The cumulative row
-    # is nondecreasing, so leaving out its last entry is that clamp.
-    cums = np.cumsum(mu.site_dists, axis=1)[:, :-1]
-    cells = (cums <= u[:, None]).sum(axis=1, dtype=cell_dtype(mu.alphabet))
+    cells = _draw_cells(_cumulative_rows(mu), seed, cell_dtype(mu.alphabet))
     return Word(mu.alphabet, cells.reshape((mu.side,) * mu.dim))
+
+
+def _cumulative_rows(mu: SiteProductMeasure) -> np.ndarray:
+    """Each site row's cumulative masses without the last: the symbol is
+    the number of them at or below the draw, which clamps it to q-1
+    against rounding in the last sum (the row is nondecreasing)."""
+    return np.cumsum(mu.site_dists, axis=1)[:, :-1]
+
+
+def _draw_cells(cums: np.ndarray, seed: int, dtype) -> np.ndarray:
+    """The flat cells of `sample_word`: cell i is the inverse CDF of row i
+    of `cums` at the i-th float of a SplitMix64 stream seeded with seed."""
+    u = SplitMix64(seed).floats(len(cums))
+    return (cums <= u[:, None]).sum(axis=1, dtype=dtype)
 
 
 # ---------------------------------------------------------------------------
@@ -156,6 +169,17 @@ class ConcentrationReport:
         )
 
 
+def _whole(x, what: str) -> int:
+    """x as an int; raises ValidationError unless it is a whole number."""
+    try:
+        n = int(x)
+    except (TypeError, ValueError, OverflowError):
+        n = None
+    if n is None or n != x:
+        raise ValidationError(f"{what} must be a whole number, got {x!r}")
+    return n
+
+
 def concentration_check(mu, gamma: ConstraintSet,
                         eps_list: Sequence[float], sides: Sequence[int],
                         trials: int, seed: int) -> ConcentrationReport:
@@ -166,6 +190,17 @@ def concentration_check(mu, gamma: ConstraintSet,
     (one distance computation each), which makes the fraction nondecreasing
     in eps by construction.  A word counts as inside when its distance
     satisfies dist <= eps, inclusively, with a 1e-12 slack for rounding.
+    Sides must be distinct whole numbers, and trials a whole number.
+
+    Each side tiles the measure, takes its cumulative site rows and builds
+    its placement table once, so a trial only draws the word's cells (those
+    of `sample_word` at its seed) and counts its patterns as integers over
+    the table.  The counts divided by the side are the floats of
+    `empirical_distribution`'s exact fractions (both are below 2^53, so the
+    division rounds correctly).  Whether the system is a single cap is
+    decided once for all words, and each word's distance, the closed form
+    or the LP, equals `tv_distance_to_set` of its empirical distribution
+    bit for bit.
 
     The base measure's own averaged statistics should sit strictly inside
     the smallest ball; if not, the report is flagged rather than refused.
@@ -177,9 +212,12 @@ def concentration_check(mu, gamma: ConstraintSet,
     only once N is several times (sigma / eps)^2.
     """
     eps_list = tuple(sorted(_checked_eps(e) for e in eps_list))
-    sides = tuple(sorted(int(n) for n in sides))
+    sides = tuple(sorted(_whole(n, "side") for n in sides))
+    trials = _whole(trials, "trials")
     if not eps_list or not sides:
         raise ValidationError("concentration_check needs at least one eps and one side")
+    if len(set(sides)) < len(sides):
+        raise ValidationError("concentration_check sides must be distinct")
     if trials < 1:
         raise ValidationError("concentration_check needs at least one trial")
     if isinstance(mu, SiteProductMeasure):
@@ -197,14 +235,19 @@ def concentration_check(mu, gamma: ConstraintSet,
     base_distance = tv_distance_to_set(base, gamma)
     base_feasible = base_distance < min(eps_list)
 
+    cap = _single_set_cap(gamma)
+    dtype = cell_dtype(mu.alphabet)
     fractions = np.zeros((len(eps_list), len(sides)))
     for j, n in enumerate(sides):
+        cums = _cumulative_rows(tiled[j])
+        table = placements(gamma.shape, n)
         inside = np.zeros(len(eps_list))
         for t in range(trials):
-            w = sample_word(tiled[j], seed ^ (j * trials + t))
-            dist = tv_distance_to_set(
-                empirical_distribution(w, gamma.shape), gamma
-            )
+            # the cells of sample_word(tiled[j], seed ^ (j * trials + t))
+            cells = _draw_cells(cums, seed ^ (j * trials + t), dtype)
+            counts = _pattern_counts(cells, table, gamma.alphabet.size,
+                                     gamma.npatterns)
+            dist = _probs_distance(counts / n, gamma, cap)
             for i, eps in enumerate(eps_list):
                 if dist <= eps + 1e-12:
                     inside[i] += 1

@@ -11,14 +11,19 @@ from semicap.lattice_core import (
     SiteProductMeasure,
     ValidationError,
     Word,
+    averaged_marginal,
+    empirical_distribution,
 )
 from semicap.scs_model import (
     ConstraintSet,
     LinearConstraint,
+    _single_set_cap,
     count_admissible,
     count_exhaustive,
+    fully_constrained,
     is_admissible,
     rll_constraint,
+    tv_distance_to_set,
 )
 from semicap.indentropy import PeriodicProductMeasure, hind_fixed_n
 from semicap.validation import (
@@ -251,6 +256,75 @@ def test_concentration_rejects_empty_grids_and_no_trials():
     for eps, sides, trials in (([], [9], 20), ([0.05], [], 20), ([0.05], [9], 0)):
         with pytest.raises(ValidationError):
             concentration_check(mu, gamma, eps, sides, trials, seed=0)
+
+
+@pytest.mark.parametrize("sides, trials", [([30.9, 60], 5), ([30], 2.5), ([30, 30], 5)],
+                         ids=["non-integral side", "non-integral trials", "duplicate sides"])
+def test_concentration_rejects_malformed_sides_and_trials(sides, trials):
+    mu = PeriodicProductMeasure.iid(BIN, [0.6, 0.4])
+    with pytest.raises(ValidationError):
+        concentration_check(mu, rll_constraint(2, 0.05), [0.05], sides, trials, seed=0)
+
+
+def _concentration_reference(mu, gamma, eps_list, sides, trials, seed):
+    """concentration_check's fractions, base distance and monotone flags,
+    word by word: sample_word -> empirical_distribution ->
+    tv_distance_to_set."""
+    eps_list, sides = sorted(eps_list), sorted(sides)
+    fractions = np.zeros((len(eps_list), len(sides)))
+    for j, n in enumerate(sides):
+        for t in range(trials):
+            w = sample_word(mu, seed ^ (j * trials + t), n)
+            dist = tv_distance_to_set(empirical_distribution(w, gamma.shape), gamma)
+            fractions[:, j] += [dist <= eps + 1e-12 for eps in eps_list]
+    fractions /= trials
+    base = averaged_marginal(mu.tile(sides[0]), gamma.shape)
+    monotone = tuple(bool(np.all(np.diff(row) >= -1e-12)) for row in fractions)
+    return fractions, tv_distance_to_set(base, gamma), monotone
+
+
+_TERNARY = Alphabet.of_size(3)
+_CONCENTRATION_CASES = {
+    "rll(2, .05)": (PeriodicProductMeasure.iid(BIN, [0.63, 0.37]),
+                    rll_constraint(2, 0.05), [0.01, 0.03], [30, 90]),
+    "rll(1, 0)": (PeriodicProductMeasure.iid(BIN, [0.8, 0.2]),
+                  rll_constraint(1, 0.0), [0.0, 0.05], [12, 40]),
+    "forbidden 11": (PeriodicProductMeasure.iid(BIN, [0.8, 0.2]),
+                     fully_constrained(BIN, Shape.segment(2), [(1, 1)]),
+                     [0.0, 0.05], [12, 40]),
+    "two rows": (PeriodicProductMeasure(BIN, 2, np.array([[0.7, 0.3], [0.5, 0.5]])),
+                 ConstraintSet(BIN, Shape.segment(2), (
+                     LinearConstraint(np.array([0.0, 0.0, 0.0, 1.0]), 0.1),
+                     LinearConstraint(np.array([0.0, 1.0, 1.0, 0.0]), 0.5))),
+                 [0.01, 0.05], [10, 40]),
+    "ternary cap": (PeriodicProductMeasure.iid(_TERNARY, [0.5, 0.3, 0.2]),
+                    ConstraintSet(_TERNARY, Shape.segment(2), (LinearConstraint(
+                        np.array([0.0, 0, 1, 0, 0, 1, 1, 0, 1]), 0.2),)),
+                    [0.01, 0.04], [20, 60]),
+}
+
+
+@pytest.mark.parametrize("seed", [0, 7, 2 ** 63 + 5])
+@pytest.mark.parametrize("case", sorted(_CONCENTRATION_CASES))
+def test_concentration_matches_per_word_reference(case, seed):
+    mu, gamma, eps_list, sides = _CONCENTRATION_CASES[case]
+    trials = 25
+    rep = concentration_check(mu, gamma, eps_list, sides, trials, seed)
+    fractions, base_distance, monotone = _concentration_reference(
+        mu, gamma, eps_list, sides, trials, seed)
+    assert rep.fractions.tobytes() == fractions.tobytes()
+    assert rep.base_distance == base_distance
+    assert rep.monotone_in_side == monotone
+    # every case counts some words inside and some outside
+    assert 0.0 < rep.fractions.mean() < 1.0
+
+
+def test_concentration_cases_cover_distance_paths():
+    cap = {k: _single_set_cap(g) for k, (_, g, _, _) in _CONCENTRATION_CASES.items()}
+    assert cap["two rows"] is None                      # the LP
+    assert cap["rll(1, 0)"][1] == cap["forbidden 11"][1] == 0.0
+    assert cap["forbidden 11"][0].tolist() == [0.0, 0.0, 0.0, 1.0]
+    assert all(c.sense == "==" for c in _CONCENTRATION_CASES["forbidden 11"][1].constraints)
 
 
 def test_hind_fixed_n_rejects_negative_eps():
