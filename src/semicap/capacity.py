@@ -40,7 +40,7 @@ from semicap.lattice_core import (
     _entropy_vec,
 )
 from semicap.linprog import solve_lp
-from semicap.scs_model import ConstraintSet, EmptySystemError
+from semicap.scs_model import ConstraintSet, EmptySystemError, _checks, count_admissible
 
 __all__ = [
     "ShiftInvariancePolytope",
@@ -358,11 +358,11 @@ class CapacityResult:
     converged: bool
 
 
-def _require_window(gamma: ConstraintSet) -> int:
-    shape = gamma.shape
-    if shape.dim != 1 or shape != Shape.segment(len(shape)):
-        raise ValidationError("capacity_1d needs a 1-D system over a full window")
-    return len(shape)
+def _require_window(gamma: ConstraintSet, caller: str) -> int:
+    """The window length k of a 1-D system over the full window 0..k-1."""
+    if gamma.shape != Shape.segment(len(gamma.shape)):
+        raise ValidationError(f"{caller} needs a 1-D system over a full window")
+    return len(gamma.shape)
 
 
 def _feasible_start(gamma: ConstraintSet, k: int) -> np.ndarray:
@@ -372,16 +372,14 @@ def _feasible_start(gamma: ConstraintSet, k: int) -> np.ndarray:
     can: the dual's Perron measure can then be mixed toward it without
     leaving Γ when the dual stops short of its certificate.
     """
-    m = gamma.npatterns
-    ub = [c for c in gamma.constraints if c.sense == "<="]
-    eq = [c for c in gamma.constraints if c.sense == "=="]
+    eq = gamma.equal
     shift = shift_invariant_equations(k, gamma.alphabet)
     res = solve_lp(
-        np.sum([c.coeffs for c in ub], axis=0) if ub else np.zeros(m),
-        a_ub=np.array([c.coeffs for c in ub]) if ub else None,
-        b_ub=np.array([c.bound for c in ub]) if ub else None,
-        a_eq=np.array([np.ones(m), *shift, *(c.coeffs for c in eq)]),
-        b_eq=np.array([1.0] + [0.0] * len(shift) + [c.bound for c in eq]),
+        gamma.coeffs[~eq].sum(axis=0),
+        a_ub=gamma.coeffs[~eq],
+        b_ub=gamma.bounds[~eq],
+        a_eq=np.vstack([np.ones(gamma.npatterns), *shift, gamma.coeffs[eq]]),
+        b_eq=np.concatenate([[1.0], np.zeros(len(shift)), gamma.bounds[eq]]),
     )
     if not res.ok:
         raise EmptySystemError("no shift-invariant measure satisfies the constraints")
@@ -401,12 +399,9 @@ def capacity_1d(gamma: ConstraintSet, *, max_iter: int = 50000,
     is its conditional entropy, and `duality_gap` is the dual bound minus
     `value`; `iterations` counts dual iterations.
     """
-    k, q, cons = _require_window(gamma), gamma.alphabet.size, gamma.constraints
-    sol = pressure_dual(
-        [c.coeffs for c in cons], [c.bound for c in cons],
-        [c.sense == "==" for c in cons], q, k, _feasible_start(gamma, k),
-        max_iter=max_iter, gap_tol=gap_tol,
-    )
+    k, q = _require_window(gamma, "capacity_1d"), gamma.alphabet.size
+    sol = pressure_dual(gamma.coeffs, gamma.bounds, gamma.equal, q, k,
+                        _feasible_start(gamma, k), max_iter=max_iter, gap_tol=gap_tol)
     opt = PatternDistribution(gamma.alphabet, gamma.shape, sol.measure)
     value = min(max(sol.value, 0.0), math.log2(q))
     gap = max(sol.bound - value, 0.0)
@@ -494,8 +489,6 @@ class CountRow:
 def internal_capacity_sequence(system, sides: Iterable[int],
                                eps: float = 0.0) -> list[CountRow]:
     """Admissible-word counts and normalised log-counts over a range of sides."""
-    from semicap.scs_model import _checks, count_admissible
-
     d = _checks(system)[0][0][0].dim
     rows = []
     for n in sides:

@@ -49,21 +49,22 @@ import numpy as np
 from semicap.lattice_core import (
     Alphabet,
     PatternDistribution,
-    Shape,
     SiteProductMeasure,
     SizeGuardError,
     ValidationError,
     _checked_eps,
     _entropy_vec,
+    _whole,
     _window_law,
     averaged_marginal,
     pattern_from_index,
     placements,
     product_entropy,
 )
-from semicap.capacity import pressure_dual
+from semicap.capacity import _require_window, pressure_dual
 from semicap.scs_model import (
     ConstraintSet,
+    _ball_reach,
     _forbids_patterns,
     _single_set_cap,
     find_admissible_word,
@@ -130,7 +131,9 @@ class PeriodicProductMeasure:
         rows = np.asarray(self.site_dists, dtype=np.float64)
         if rows.shape != (self.period, self.alphabet.size):
             raise ValidationError("site_dists must be (period, alphabet size)")
-        object.__setattr__(self, "site_dists", rows)
+        # one period as a site-product measure checks the rows as distributions
+        site = SiteProductMeasure(self.alphabet, 1, self.period, rows)
+        object.__setattr__(self, "site_dists", site.site_dists)
 
     @classmethod
     def iid(cls, alphabet: Alphabet, dist: Sequence[float]) -> "PeriodicProductMeasure":
@@ -170,9 +173,8 @@ class _WindowModel:
     the one copy of it both solvers read."""
 
     def __init__(self, gamma: ConstraintSet, side: int):
-        if gamma.shape.dim != 1 or gamma.shape != Shape.segment(len(gamma.shape)):
-            raise ValidationError("hind_fixed_n needs a 1-D full-window system")
-        self.k = len(gamma.shape)
+        self.k = _require_window(gamma, "hind_fixed_n")
+        side = _whole(side, "side")
         if side < self.k:
             raise ValidationError("side must be at least the window length")
         self.side = side
@@ -229,7 +231,7 @@ class _WindowModel:
 
 
 def _sweep_hard(model: _WindowModel, rows: np.ndarray, bounds_eff: list[float],
-                coeff_list: list[np.ndarray]) -> np.ndarray:
+                coeff_list: Sequence[np.ndarray]) -> np.ndarray:
     """Cyclic per-site entropy maximisation within the feasible slice, on a
     stack of starts: `rows` (S, n, q) is updated in place and returned.
 
@@ -379,29 +381,25 @@ def hind_fixed_n(gamma: ConstraintSet, side: int, eps: float = 0.0, *,
     averaged window distribution lies within TV distance eps of Γ.
 
     Returns the best local optimum over `restarts` random starts plus the
-    i.i.d. and period-2 warm starts.  The result's `feasible` flag is an LP
-    certificate (distance of the averaged marginal re-checked exactly);
-    only a certified result is a valid lower bound.
+    i.i.d. and period-2 warm starts.  The optimisers relax each row
+    c . mu <= b to c . mu <= b + eps * reach, reach being max c - min c on a
+    `<=` row and max c on a zero `==` row (`_ball_reach`): the most c . mu
+    can rise within TV distance eps of the row.  Every point of the eps-ball
+    around Γ meets these rows; points that meet them but lie outside the
+    ball are dropped by the distance check.  The result's `feasible` flag
+    is an LP certificate (distance of the averaged marginal re-checked
+    exactly); only a certified result is a valid lower bound.
     """
     eps = _checked_eps(eps)
     model = _WindowModel(gamma, side)
     n, q = side, model.q
     rng = np.random.default_rng(seed)
     cap = _single_set_cap(gamma)
-    coeff_list = [c.coeffs for c in gamma.constraints]
-    bounds_eff = []
-    for c in gamma.constraints:
-        b = c.bound
-        if c.sense == "<=":
-            bounds_eff.append(b + eps)
-        else:
-            # equality row: inside the eps-ball only the zero-bound case is
-            # supported by the sweep (treated as a relaxed cap)
-            if b != 0.0:
-                raise ValidationError(
-                    "hind_fixed_n supports <= and zero-equality constraints"
-                )
-            bounds_eff.append(eps)
+    if (gamma.bounds[gamma.equal] != 0.0).any():
+        raise ValidationError("hind_fixed_n supports <= and zero-equality constraints")
+    coeff_list = gamma.coeffs
+    bounds_eff = [b + eps * _ball_reach(c, e)
+                  for c, b, e in zip(gamma.coeffs, gamma.bounds, gamma.equal)]
 
     def feasible_rows(rows) -> bool:
         avg = _window_law(rows, model.table)

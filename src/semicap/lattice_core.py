@@ -80,6 +80,17 @@ def _checked_eps(eps) -> float:
     return eps
 
 
+def _whole(x, what: str) -> int:
+    """x as an int; raises ValidationError unless it is a whole number."""
+    try:
+        n = int(x)
+    except (TypeError, ValueError, OverflowError):
+        n = None
+    if n is None or n != x:
+        raise ValidationError(f"{what} must be a whole number, got {x!r}")
+    return n
+
+
 # ---------------------------------------------------------------------------
 # Alphabets, shapes, words
 # ---------------------------------------------------------------------------

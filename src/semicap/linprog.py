@@ -20,6 +20,8 @@ import numpy as np
 __all__ = ["LPResult", "solve_lp", "FEASIBILITY_TOL"]
 
 FEASIBILITY_TOL = 1e-9
+# Pivots each simplex phase may take before it reports "iteration_limit".
+_MAX_PIVOTS = 20000
 
 
 @dataclass(frozen=True)
@@ -42,11 +44,11 @@ def _pivot(tableau: np.ndarray, basis: np.ndarray, row: int, col: int) -> None:
     basis[row] = col
 
 
-def _simplex(tableau: np.ndarray, basis: np.ndarray, ncols: int,
-             tol: float, maxiter: int) -> str:
+def _simplex(tableau: np.ndarray, basis: np.ndarray, ncols: int) -> str:
     """Run Bland-rule simplex on a tableau whose last row is the objective."""
+    tol = FEASIBILITY_TOL   # a local name: the pivot loops read it per entry
     nrows = tableau.shape[0] - 1
-    for _ in range(maxiter):
+    for _ in range(_MAX_PIVOTS):
         obj = tableau[-1, :ncols]
         # Bland: entering column is the smallest index with negative reduced cost.
         col = -1
@@ -75,8 +77,7 @@ def _simplex(tableau: np.ndarray, basis: np.ndarray, ncols: int,
     return "iteration_limit"
 
 
-def solve_lp(c, a_ub=None, b_ub=None, a_eq=None, b_eq=None, *,
-             tol: float = FEASIBILITY_TOL, maxiter: int = 20000) -> LPResult:
+def solve_lp(c, a_ub=None, b_ub=None, a_eq=None, b_eq=None) -> LPResult:
     """Minimise c.x subject to A_ub x <= b_ub, A_eq x = b_eq, x >= 0."""
     c = np.asarray(c, dtype=np.float64)
     n = len(c)
@@ -98,7 +99,7 @@ def solve_lp(c, a_ub=None, b_ub=None, a_eq=None, b_eq=None, *,
     m = len(rows)
     if m == 0:
         # Unconstrained over the nonnegative orthant.
-        if (c < -tol).any():
+        if (c < -FEASIBILITY_TOL).any():
             return LPResult("unbounded", None, None)
         x = np.zeros(n)
         return LPResult("optimal", x, 0.0)
@@ -129,10 +130,10 @@ def solve_lp(c, a_ub=None, b_ub=None, a_eq=None, b_eq=None, *,
     tableau[-1, ncols : ncols + m] = 1.0
     for i in range(m):
         tableau[-1] -= tableau[i]
-    status = _simplex(tableau, basis, ncols + m, tol, maxiter)
+    status = _simplex(tableau, basis, ncols + m)
     if status != "optimal":
         return LPResult(status, None, None)
-    if tableau[-1, -1] < -tol:  # phase-1 objective is -(sum of artificials)
+    if tableau[-1, -1] < -FEASIBILITY_TOL:  # phase-1 objective is -(sum of artificials)
         return LPResult("infeasible", None, None)
 
     # Drive leftover artificials out of the basis where possible.
@@ -141,7 +142,7 @@ def solve_lp(c, a_ub=None, b_ub=None, a_eq=None, b_eq=None, *,
         if basis[r] >= ncols:
             piv_col = -1
             for j in range(ncols):
-                if abs(tableau[r, j]) > tol:
+                if abs(tableau[r, j]) > FEASIBILITY_TOL:
                     piv_col = j
                     break
             if piv_col >= 0:
@@ -161,7 +162,7 @@ def solve_lp(c, a_ub=None, b_ub=None, a_eq=None, b_eq=None, *,
     for r in range(m):
         if basis[r] < ncols:
             tableau[-1] -= tableau[-1, basis[r]] * tableau[r]
-    status = _simplex(tableau, basis, ncols, tol, maxiter)
+    status = _simplex(tableau, basis, ncols)
     if status != "optimal":
         return LPResult(status, None, None)
 

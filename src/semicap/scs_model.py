@@ -18,7 +18,7 @@ word.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Iterable, Sequence
 
@@ -32,6 +32,7 @@ from semicap.lattice_core import (
     ValidationError,
     Word,
     _checked_eps,
+    _whole,
     empirical_counts,
     # unused here; kept importable because the benchmark tracer patches it
     empirical_distribution,
@@ -103,11 +104,18 @@ class LinearConstraint:
 @dataclass(frozen=True, eq=False)
 class ConstraintSet:
     """A polytope of pattern distributions over one shape (intersected with
-    the probability simplex, which is implicit)."""
+    the probability simplex, which is implicit).
+
+    The rows are also held as read-only arrays, built once: `coeffs`
+    (rows x patterns), `bounds`, and `equal` (True on `==` rows), in the
+    order of `constraints`.  The float engines read these."""
 
     alphabet: Alphabet
     shape: Shape
     constraints: tuple[LinearConstraint, ...]
+    coeffs: np.ndarray = field(init=False, repr=False)
+    bounds: np.ndarray = field(init=False, repr=False)
+    equal: np.ndarray = field(init=False, repr=False)
 
     def __post_init__(self) -> None:
         m = pattern_space_size(self.alphabet, self.shape)
@@ -116,6 +124,14 @@ class ConstraintSet:
             if len(c.coeffs) != m:
                 raise ValidationError("constraint coefficient length mismatch")
         object.__setattr__(self, "constraints", cs)
+        arrays = {
+            "coeffs": np.array([c.coeffs for c in cs], dtype=np.float64).reshape(len(cs), m),
+            "bounds": np.array([c.bound for c in cs], dtype=np.float64),
+            "equal": np.array([c.sense == "==" for c in cs], dtype=bool),
+        }
+        for name, arr in arrays.items():
+            arr.flags.writeable = False
+            object.__setattr__(self, name, arr)
 
     @property
     def npatterns(self) -> int:
@@ -127,21 +143,13 @@ class ConstraintSet:
 
     def feasible_point(self) -> PatternDistribution:
         """Some distribution in the polytope (raises EmptySystemError if none)."""
-        m = self.npatterns
-        a_ub, b_ub, a_eq, b_eq = [], [], [np.ones(m)], [1.0]
-        for c in self.constraints:
-            if c.sense == "<=":
-                a_ub.append(c.coeffs)
-                b_ub.append(c.bound)
-            else:
-                a_eq.append(c.coeffs)
-                b_eq.append(c.bound)
+        m, eq = self.npatterns, self.equal
         res = solve_lp(
             np.zeros(m),
-            a_ub=np.array(a_ub) if a_ub else None,
-            b_ub=np.array(b_ub) if a_ub else None,
-            a_eq=np.array(a_eq),
-            b_eq=np.array(b_eq),
+            a_ub=self.coeffs[~eq],
+            b_ub=self.bounds[~eq],
+            a_eq=np.vstack([np.ones(m), self.coeffs[eq]]),
+            b_eq=np.concatenate([[1.0], self.bounds[eq]]),
         )
         if not res.ok:
             raise EmptySystemError("constraint set contains no distribution")
@@ -174,22 +182,11 @@ class AxialSystem:
                 raise ValidationError("axial factors must be one-dimensional")
         if self.mode == "weak":
             first = fs[0]
-            for f in fs[1:]:
-                same = (
-                    f is first
-                    or (f.shape == first.shape
-                        and f.alphabet == first.alphabet
-                        and len(f.constraints) == len(first.constraints)
-                        and all(
-                            a.sense == b.sense and a.bound == b.bound
-                            and np.array_equal(a.coeffs, b.coeffs)
-                            for a, b in zip(f.constraints, first.constraints)
-                        ))
-                )
-                if not same:
-                    raise ValidationError(
-                        "weak mode requires a single common factor set"
-                    )
+            if not all(f.shape == first.shape and f.alphabet == first.alphabet
+                       and all(np.array_equal(getattr(f, a), getattr(first, a))
+                               for a in ("coeffs", "bounds", "equal"))
+                       for f in fs[1:]):
+                raise ValidationError("weak mode requires a single common factor set")
         object.__setattr__(self, "factors", fs)
 
     @property
@@ -254,6 +251,15 @@ def _forbids_patterns(con: LinearConstraint) -> bool:
     return con.bound == 0.0 and bool(np.all((con.coeffs == 0.0) | (con.coeffs == 1.0)))
 
 
+def _ball_reach(coeffs, equal: bool):
+    """How far c . mu can rise per unit of TV distance from the row's
+    polytope: within TV distance eps, c . mu <= b + eps * reach.  On a `<=`
+    row, moving mass from the cheapest pattern to the dearest raises c . mu
+    by max c - min c.  A zero `==` row with c >= 0 holds only where c = 0,
+    so there the reach is max c."""
+    return max(coeffs) if equal else max(coeffs) - min(coeffs)
+
+
 def _single_set_cap(gamma: ConstraintSet):
     """If Γ is 'mass of a pattern set A at most b' (an all-equality-zero
     system is the b = 0 case), return (indicator of A, b); else None."""
@@ -282,7 +288,7 @@ def tv_distance_to_set(mu: PatternDistribution, gamma: ConstraintSet) -> float:
     is used as a short cut when it applies.
     """
     if mu.shape != gamma.shape or mu.alphabet != gamma.alphabet:
-        raise ValidationError("distribution and constraint set shapes differ")
+        raise ValidationError("distribution and constraint set differ in shape or alphabet")
     return _probs_distance(mu.float_probs(), gamma, _single_set_cap(gamma))
 
 
@@ -294,28 +300,17 @@ def _probs_distance(probs: np.ndarray, gamma: ConstraintSet, cap) -> float:
         ind, b = cap
         return max(0.0, float(ind @ probs) - b)
 
-    m = gamma.npatterns
+    m, eq = gamma.npatterns, gamma.equal
     # variables z = (nu, t);  minimise (1/2) sum t
     c = np.concatenate([np.zeros(m), 0.5 * np.ones(m)])
     eye = np.eye(m)
-    a_ub = [np.hstack([eye, -eye]), np.hstack([-eye, -eye])]
-    b_ub = [probs, -probs]
-    a_eq = [np.concatenate([np.ones(m), np.zeros(m)])]
-    b_eq = [1.0]
-    for con in gamma.constraints:
-        row = np.concatenate([con.coeffs, np.zeros(m)])
-        if con.sense == "<=":
-            a_ub.append(row[None, :])
-            b_ub.append(np.array([con.bound]))
-        else:
-            a_eq.append(row)
-            b_eq.append(con.bound)
+    rows = np.hstack([gamma.coeffs, np.zeros(gamma.coeffs.shape)])
     res = solve_lp(
         c,
-        a_ub=np.vstack([np.atleast_2d(r) for r in a_ub]),
-        b_ub=np.concatenate([np.atleast_1d(b) for b in b_ub]),
-        a_eq=np.vstack(a_eq),
-        b_eq=np.array(b_eq, dtype=np.float64),
+        a_ub=np.vstack([np.hstack([eye, -eye]), np.hstack([-eye, -eye]), rows[~eq]]),
+        b_ub=np.concatenate([probs, -probs, gamma.bounds[~eq]]),
+        a_eq=np.vstack([np.concatenate([np.ones(m), np.zeros(m)]), rows[eq]]),
+        b_eq=np.concatenate([[1.0], gamma.bounds[eq]]),
     )
     if not res.ok:
         raise EmptySystemError("constraint set contains no distribution")
@@ -418,30 +413,20 @@ def _scale_row(coeffs: np.ndarray, bound: Fraction, scale: int, sense: str,
     `scale` is the factor relating counts to probabilities (placements per
     word, times the number of averaged shapes), so the exact test of
     c.mu (<=) b becomes  sum(weights.counts) <= b * scale * common  with
-    integer weights = c * common.  For eps > 0 the budget is relaxed by the
-    worst-case constraint movement within a TV ball of radius eps.
+    integer weights = c * common.  For eps > 0 the budget of a prunable row
+    is relaxed by eps times the row's `_ball_reach`.
     """
     fracs = [_decimal(c) for c in coeffs]
     common = math.lcm(*(f.denominator for f in fracs))
     weights = [int(f * common) for f in fracs]
-    nonneg = all(w >= 0 for w in weights)
-    wmax, wmin = max(weights), min(weights)
-    # the leaf test accepts distance <= eps + FEASIBILITY_TOL, so the prune
-    # budget must be relaxed by at least that much to stay conservative
-    eps_frac = Fraction(float(eps)) + Fraction(FEASIBILITY_TOL)
-
-    if sense == "<=":
-        prunable = nonneg
-        budget = bound * scale * common
-        if eps:
-            budget += eps_frac * (wmax - wmin) * scale
-    else:  # "=="
-        budget = bound * scale * common
-        prunable = nonneg and bound == 0
-        if eps and prunable:
-            # Inside the eps-ball;  c.mu <= eps * cmax  is a valid relaxation
-            # of the distance condition for an equality-to-zero row.
-            budget = eps_frac * wmax * scale
+    equal = sense == "=="
+    prunable = all(w >= 0 for w in weights) and (not equal or bound == 0)
+    budget = bound * scale * common
+    if eps and prunable:
+        # the leaf test accepts distance <= eps + FEASIBILITY_TOL, so the prune
+        # budget must be relaxed by at least that much to stay conservative
+        eps_frac = Fraction(float(eps)) + Fraction(FEASIBILITY_TOL)
+        budget += eps_frac * _ball_reach(weights, equal) * scale
     return _Row(weights, budget, prunable, sense)
 
 
@@ -462,6 +447,9 @@ class _Transfer:
     def __init__(self, side: int, system, eps: float = 0.0, cyclic: bool = True,
                  convention: str = "tile"):
         self.eps = _checked_eps(eps)
+        side = _whole(side, "side")
+        if side < 1:
+            raise ValidationError("side must be >= 1")
         checks = _checks(system)
         self.alphabet, self.dim = checks[0][1].alphabet, checks[0][0][0].dim
         self.side, self.q = side, self.alphabet.size
@@ -616,8 +604,6 @@ def count_admissible(side: int, system, eps: float = 0.0, *,
     The parameter stays only because the benchmark worker passes
     `threads=1`; it goes with the next change to the benchmark.
     """
-    if side < 1:
-        raise ValidationError("side must be >= 1")
     return _Transfer(side, system, eps).count()
 
 
@@ -650,7 +636,7 @@ def count_exhaustive(side: int, system, eps: float = 0.0) -> int:
     read off the placement tables, and `is_admissible`'s test runs once per
     distinct count vector of a check.
     """
-    eps = _checked_eps(eps)
+    eps, side = _checked_eps(eps), _whole(side, "side")
     checks = _checks(system)
     q, dim = checks[0][1].alphabet.size, checks[0][0][0].dim
     ncells = side ** dim

@@ -29,6 +29,7 @@ from semicap.lattice_core import (
     Word,
     _checked_eps,
     _pattern_counts,
+    _whole,
     averaged_marginal,
     cell_dtype,
     empirical_distribution,
@@ -116,8 +117,9 @@ class SplitMix64:
 def sample_word(mu, seed: int, side: int | None = None) -> Word:
     """Draw one word from a product measure.
 
-    `mu` is a SiteProductMeasure (side fixed by the measure) or a
-    PeriodicProductMeasure together with `side` (a multiple of the period).
+    `mu` is a SiteProductMeasure (side fixed by the measure; `side`, if
+    given, must equal it) or a PeriodicProductMeasure together with `side`
+    (a multiple of the period).
     The cells, in row-major order, take one block of a SplitMix64 stream
     seeded with `seed` (cell i the i-th `next_float`), and each cell's
     symbol is the inverse CDF of its site row at its draw — equal seeds
@@ -129,6 +131,8 @@ def sample_word(mu, seed: int, side: int | None = None) -> Word:
         mu = mu.tile(side)
     if not isinstance(mu, SiteProductMeasure):
         raise ValidationError("expected a site-product or periodic measure")
+    if side is not None and side != mu.side:
+        raise ValidationError(f"side {side!r} differs from the measure's side {mu.side}")
     cells = _draw_cells(_cumulative_rows(mu), seed, cell_dtype(mu.alphabet))
     return Word(mu.alphabet, cells.reshape((mu.side,) * mu.dim))
 
@@ -167,17 +171,6 @@ class ConcentrationReport:
         return float(
             self.fractions[self.eps_list.index(eps), self.sides.index(side)]
         )
-
-
-def _whole(x, what: str) -> int:
-    """x as an int; raises ValidationError unless it is a whole number."""
-    try:
-        n = int(x)
-    except (TypeError, ValueError, OverflowError):
-        n = None
-    if n is None or n != x:
-        raise ValidationError(f"{what} must be a whole number, got {x!r}")
-    return n
 
 
 def concentration_check(mu, gamma: ConstraintSet,
@@ -226,6 +219,11 @@ def concentration_check(mu, gamma: ConstraintSet,
         mu = PeriodicProductMeasure(mu.alphabet, mu.side, mu.site_dists)
     if not isinstance(mu, PeriodicProductMeasure):
         raise ValidationError("expected a site-product or periodic measure")
+    if not isinstance(gamma, ConstraintSet):
+        raise ValidationError("concentration_check needs a ConstraintSet, "
+                              f"not {type(gamma).__name__}")
+    if mu.alphabet != gamma.alphabet:
+        raise ValidationError("the measure and the constraint set have different alphabets")
     for n in sides:
         if n % mu.period or n < len(gamma.shape):
             raise ValidationError(f"side {n} incompatible with the measure")

@@ -127,8 +127,10 @@ def test_periodic_measure_iid():
 
 
 def test_periodic_measure_validation():
-    with pytest.raises(ValidationError):
-        PeriodicProductMeasure(BIN, 2, np.array([[0.5, 0.5]]))
+    # too few rows, a negative entry, a row not summing to 1
+    for rows in ([[0.5, 0.5]], [[1.5, -0.5], [0.3, 0.3]], [[0.5, 0.5], [0.3, 0.3]]):
+        with pytest.raises(ValidationError):
+            PeriodicProductMeasure(BIN, 2, np.array(rows))
 
 
 # ---------------------------------------------------------------------------
@@ -200,6 +202,24 @@ def test_hind_respects_capacity_bound():
 def test_hind_rejects_short_side():
     with pytest.raises(ValidationError):
         hind_fixed_n(rll_constraint(2, 0.05), 2)
+
+
+def test_hind_relaxation_ignores_how_rows_are_written():
+    # four ways to write mu(11) <= 0.1: each row's eps-ball relaxation
+    # scales with its reach, so the relaxed problems coincide
+    def system(*rows):
+        return ConstraintSet(BIN, Shape.segment(2), tuple(
+            LinearConstraint(np.array(c, dtype=float), b) for c, b in rows))
+
+    forms = [system(([0, 0, 0, 0.5], 0.05)),
+             system(([0, 0, 0, 2], 0.2)),
+             system(([1, 1, 1, 2], 1.1)),
+             system(([0, 0, 0, 1], 0.1), ([1, 0, 0, 0], 1.0))]
+    for n in range(2, 6):
+        results = [hind_fixed_n(g, n, 0.01, restarts=4, seed=1) for g in forms]
+        assert all(r.feasible for r in results), n
+        values = [r.value for r in results]
+        assert max(values) - min(values) <= 1e-12, (n, values)
 
 
 def test_hind_window2_matches_curve_to_nine_digits():

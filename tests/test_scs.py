@@ -30,6 +30,7 @@ from semicap.scs_model import (
     rll_constraint,
     tv_distance_to_set,
 )
+from semicap.indentropy import hind_fixed_n
 
 BIN = Alphabet.binary()
 
@@ -49,6 +50,17 @@ def test_rll_constraint_structure():
     assert con.sense == "<="
     assert con.bound == 0.05
     assert con.coeffs[7] == 1.0 and con.coeffs[:7].sum() == 0.0
+    # the row arrays, in row order, read-only
+    mixed = ConstraintSet(BIN, Shape.segment(2), (
+        LinearConstraint([0.0, 1.0, 1.0, 0.0], 0.5),
+        LinearConstraint([0.0, 0.0, 0.0, 1.0], 0.0, "==")))
+    assert mixed.coeffs.tolist() == [[0, 1, 1, 0], [0, 0, 0, 1]]
+    assert mixed.bounds.tolist() == [0.5, 0.0]
+    assert mixed.equal.tolist() == [False, True]
+    assert g.coeffs.shape == (1, 8) and g.bounds.tolist() == [0.05]
+    for arr in (g.coeffs, g.bounds, g.equal):
+        with pytest.raises(ValueError):
+            arr[0] = 0
 
 
 @pytest.mark.parametrize("value", [math.inf, -math.inf, math.nan])
@@ -222,6 +234,14 @@ def test_count_monotone_in_eps():
     # the worst word (all ones) sits at distance 1 - 0.05 from the cap, so
     # the last radius admits every word
     assert counts[-1] == 2 ** 6
+    # rows whose eps-ball reach is not 1 prune by their own reach: at n = 9
+    # one 11 pair (rate 1/9) lies within 0.02 of the cap 0.1
+    for row, bound in (([0, 0, 0, 2], 0.2), ([0, 0, 0, 0.5], 0.05), ([1, 1, 1, 2], 1.1)):
+        scaled = ConstraintSet(BIN, Shape.segment(2), (
+            LinearConstraint(np.array(row, dtype=float), bound),))
+        for n, eps in ((9, 0.02), (10, 0.05)):
+            assert count_admissible(n, scaled, eps) == \
+                count_admissible(n, rll_constraint(1, 0.1), eps), (row, n, eps)
 
 
 def test_strict_subset_of_weak():
@@ -324,6 +344,19 @@ def test_axial_system_validation():
     sys_ = axial_product(factor, 2, "strict")
     assert sys_.axis_shape(0).points == ((0, 0), (1, 0))
     assert sys_.axis_shape(1).points == ((0, 0), (0, 1))
+
+
+@pytest.mark.parametrize("call", [
+    lambda g: count_admissible(4.5, g),
+    lambda g: count_admissible_noncyclic(4.5, fully_constrained(BIN, Shape.segment(2), [(1, 1)])),
+    lambda g: count_exhaustive(4.5, g),
+    lambda g: find_admissible_word(4.5, g),
+    lambda g: hind_fixed_n(g, 3.5),
+], ids=["count_admissible", "count_admissible_noncyclic", "count_exhaustive",
+        "find_admissible_word", "hind_fixed_n"])
+def test_non_integral_side_is_rejected(call):
+    with pytest.raises(ValidationError, match="whole number"):
+        call(rll_constraint(1, 0.1))
 
 
 def test_counting_size_guard():

@@ -18,6 +18,7 @@ from semicap.scs_model import (
     ConstraintSet,
     LinearConstraint,
     _single_set_cap,
+    axial_product,
     count_admissible,
     count_exhaustive,
     fully_constrained,
@@ -173,6 +174,13 @@ def test_sample_word_clamps_short_rows():
         assert _scalar_word(mu, top).tolist() == [q - 1]
 
 
+def test_sample_word_rejects_side_of_site_measure():
+    mu = SiteProductMeasure.uniform(BIN, 1, 3)
+    assert sample_word(mu, 0, side=3).side == 3
+    with pytest.raises(ValidationError, match="side"):
+        sample_word(mu, 0, side=12)
+
+
 def test_sample_word_requires_side_for_periodic():
     mu = PeriodicProductMeasure.iid(BIN, [0.5, 0.5])
     with pytest.raises(ValidationError):
@@ -264,6 +272,18 @@ def test_concentration_rejects_malformed_sides_and_trials(sides, trials):
     mu = PeriodicProductMeasure.iid(BIN, [0.6, 0.4])
     with pytest.raises(ValidationError):
         concentration_check(mu, rll_constraint(2, 0.05), [0.05], sides, trials, seed=0)
+
+
+def test_concentration_rejects_axial_system():
+    mu = PeriodicProductMeasure.iid(BIN, [0.6, 0.4])
+    with pytest.raises(ValidationError, match="ConstraintSet"):
+        concentration_check(mu, axial_product(rll_constraint(1, 0.1), 2), [0.05], [10], 5, 0)
+
+
+def test_concentration_rejects_other_alphabet():
+    mu = PeriodicProductMeasure.iid(Alphabet.of_size(3), [0.5, 0.3, 0.2])
+    with pytest.raises(ValidationError, match="alphabet"):
+        concentration_check(mu, rll_constraint(1, 0.1), [0.05], [10], 5, 0)
 
 
 def _concentration_reference(mu, gamma, eps_list, sides, trials, seed):
