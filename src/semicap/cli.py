@@ -322,10 +322,8 @@ def _cmd_report(args) -> tuple[_Table, int]:
 
 def _cmd_cyclic_vs_noncyclic(args) -> tuple[_Table, int]:
     cfg = SystemConfig.load(args.config)
-    if cfg.kind != "forbidden":
-        raise ConfigError(
-            "cyclic-vs-noncyclic applies to forbidden-pattern systems"
-        )
+    if cfg.factor().forbidden is None:
+        raise ConfigError("cyclic-vs-noncyclic applies to forbidden-pattern systems")
     seed = _seed(args, cfg.solver.seed)
     dim = _dim(args, cfg.dimension)
     sides = _parse_sides(args)

@@ -11,13 +11,14 @@ bounds on axial capacities.  The problem is nonconvex (the constraint is
 multilinear in the sites), but each site enters affinely, which the
 optimiser exploits:
 
-* for a single mass-cap system the constraint carries one KKT multiplier
-  shared by all sites; sites are updated in closed form (a Gibbs/softmax
-  step) at fixed multiplier, and the multiplier is the root of the cap's
-  excess, bracketed by doubling and found by safeguarded (Illinois)
-  regula falsi — per-site hard-constraint sweeps would instead stall on a
-  continuum of non-stationary fixed points (any split of the budget across
-  sites is axis-wise optimal), which is why the multiplier is global.
+* for a single mass-cap system (`ConstraintSet.cap`, however written) the
+  constraint carries one KKT multiplier shared by all sites; sites are
+  updated in closed form (a Gibbs/softmax step) at fixed multiplier, and
+  the multiplier is the root of the cap's excess, bracketed by doubling
+  and found by safeguarded (Illinois) regula falsi — per-site
+  hard-constraint sweeps would instead stall on a continuum of
+  non-stationary fixed points (any split of the budget across sites is
+  axis-wise optimal), which is why the multiplier is global.
   The starts run as one batch: each site update and each root-search step
   acts on every start still searching at once, from gather tables built
   once per model, while each start keeps its own multiplier, bracket,
@@ -65,8 +66,6 @@ from semicap.capacity import _require_window, pressure_dual
 from semicap.scs_model import (
     ConstraintSet,
     _ball_reach,
-    _forbids_patterns,
-    _single_set_cap,
     find_admissible_word,
     tv_distance_to_set,
 )
@@ -306,7 +305,8 @@ def _optimize_single_cap(model: _WindowModel, starts: np.ndarray,
     - bound, rows_lam being the fixed point at lam.  Doubling brackets it,
     then Illinois regula falsi (Dowell & Jarratt, BIT 11, 1971) narrows the
     bracket, bisecting whenever the secant point leaves it; the rows on the
-    feasible side of the bracket are returned.  Every start keeps its own
+    feasible side of the bracket are returned, or the (feasible) start
+    itself when doubling finds no feasible side.  Every start keeps its own
     bracket, stopping tests and result; the starts only share the loop, each
     fixed-point solve taking the starts still searching.
     """
@@ -331,9 +331,11 @@ def _optimize_single_cap(model: _WindowModel, starts: np.ndarray,
         lo[up], g_lo[up], hi[up] = hi[up], g_hi[up], hi[up] * 2.0
         rows_hi[up] = solve(rows_hi[up], hi[up])
         g_hi[up] = value_at(rows_hi[up]) - bound_eff
-    # the feasible side's rows and their distance below the cap (negative
-    # if doubling found no feasible side); g_lo and g_hi get Illinois-scaled
+    # the feasible side's rows and their distance below the cap; a start
+    # whose doubling found no feasible side keeps its rows and, its residual
+    # being negative, stops.  g_lo and g_hi get Illinois-scaled
     best_feasible, residual = rows_hi, -g_hi
+    best_feasible[g_hi > 0] = starts[live[g_hi > 0]]
     moved = np.zeros(len(live), dtype=np.int8)  # +1 after hi moved, -1 after lo
     searching = np.ones(len(live), dtype=bool)
     for _ in range(_ROOT_ITER):
@@ -394,18 +396,20 @@ def hind_fixed_n(gamma: ConstraintSet, side: int, eps: float = 0.0, *,
     model = _WindowModel(gamma, side)
     n, q = side, model.q
     rng = np.random.default_rng(seed)
-    cap = _single_set_cap(gamma)
-    if (gamma.bounds[gamma.equal] != 0.0).any():
+    cap = gamma.cap
+    if cap is not None:
+        coeff_list, bounds_eff = [cap[0]], [cap[1] + eps]
+    elif (gamma.bounds[gamma.equal] != 0.0).any():
         raise ValidationError("hind_fixed_n supports <= and zero-equality constraints")
-    coeff_list = gamma.coeffs
-    bounds_eff = [b + eps * _ball_reach(c, e)
-                  for c, b, e in zip(gamma.coeffs, gamma.bounds, gamma.equal)]
+    else:
+        coeff_list = gamma.coeffs
+        bounds_eff = [b + eps * _ball_reach(c, e)
+                      for c, b, e in zip(gamma.coeffs, gamma.bounds, gamma.equal)]
 
     def feasible_rows(rows) -> bool:
         avg = _window_law(rows, model.table)
         if cap is not None:
-            ind, b = cap
-            return float(ind @ avg) <= b + eps + _FEAS_SLACK
+            return float(cap[0] @ avg) <= bounds_eff[0] + _FEAS_SLACK
         if eps == 0.0:
             # distance zero means every row holds: no LP needed
             return all(c.satisfied(avg, _FEAS_SLACK) for c in gamma.constraints)
@@ -442,12 +446,13 @@ def hind_fixed_n(gamma: ConstraintSet, side: int, eps: float = 0.0, *,
         return HindResult(-math.inf, None, side, eps, False, math.inf, 0)
 
     stack = np.array(starts)
-    if cap is not None and (cap[1] + eps) > _FEAS_SLACK:
+    if cap is not None and bounds_eff[0] > _FEAS_SLACK:
         # single positive cap: the shared-multiplier ascent, then the polish
-        stack = _optimize_single_cap(model, stack, cap[0], cap[1] + eps)
-        bounds_eff, coeff_list = [cap[1] + eps], [cap[0]]
+        stack = _optimize_single_cap(model, stack, cap[0], bounds_eff[0])
+    if cap is None or cap[1] < math.inf:   # no polish when no row binds
+        stack = _sweep_hard(model, stack, bounds_eff, coeff_list)
     best_rows, best_val = None, -math.inf
-    for rows in _sweep_hard(model, stack, bounds_eff, coeff_list):
+    for rows in stack:
         if not feasible_rows(rows):
             continue
         val = sum(_entropy_vec(r) for r in rows) / n
@@ -592,17 +597,6 @@ class HindComResult:
     side: int
 
 
-def _forbidden_of(gamma: ConstraintSet) -> list[tuple[int, ...]]:
-    pats = []
-    for c in gamma.constraints:
-        if not _forbids_patterns(c):
-            raise ValidationError("need a fully-constrained system")
-        for idx in np.nonzero(c.coeffs)[0]:
-            pats.append(pattern_from_index(int(idx), gamma.alphabet.size,
-                                           len(gamma.shape)))
-    return pats
-
-
 def hind_com_fixed_n(gamma: ConstraintSet, side: int) -> HindComResult:
     """Best multi-choice word of the given cyclic side: maximise the number
     of fillings subject to every filling avoiding every forbidden pattern at
@@ -613,10 +607,13 @@ def hind_com_fixed_n(gamma: ConstraintSet, side: int) -> HindComResult:
     bound over cells in row-major order (subsets in bitmask order), keeping
     the first witness attaining the maximum.
     """
-    forbidden = _forbidden_of(gamma)
+    if gamma.forbidden is None:
+        raise ValidationError("need a fully-constrained system")
     shape = gamma.shape
     d = shape.dim
     q = gamma.alphabet.size
+    forbidden = [pattern_from_index(int(i), q, len(shape))
+                 for i in np.flatnonzero(gamma.forbidden)]
     ncells = side ** d
     nmasks = (1 << q) - 1
     if ncells * math.log2(nmasks) > 30:
@@ -702,11 +699,9 @@ def hind_bound_report(gamma: ConstraintSet, dim: int,
     lift = axial_lift(best.measure, dim)
     lift_rate = product_entropy(lift) / (best.side ** dim)
     curve_ref = None
-    cap = _single_set_cap(gamma)
-    if cap is not None and len(gamma.shape) == 2 and gamma.alphabet.size == 2:
-        ind, b = cap
-        if ind[3] == 1.0 and ind[:3].sum() == 0.0:
-            curve_ref = curve_optimum_01p(b).value
+    cap = gamma.cap
+    if cap is not None and gamma.alphabet.size == 2 and cap[0].tolist() == [0, 0, 0, 1]:
+        curve_ref = curve_optimum_01p(cap[1]).value
     return IndependenceReport(
         dim, eps_list, sides, tuple(rows), best, lift, lift_rate,
         abs(lift_rate - best.value), curve_ref, best.value,

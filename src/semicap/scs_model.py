@@ -108,7 +108,11 @@ class ConstraintSet:
 
     The rows are also held as read-only arrays, built once: `coeffs`
     (rows x patterns), `bounds`, and `equal` (True on `==` rows), in the
-    order of `constraints`.  The float engines read these."""
+    order of `constraints`.  The float engines read these, and two fields
+    that say once what the rows mean, however they are written
+    (`_classify`): `forbidden`, the 0/1 indicator of the patterns Γ forbids
+    when forbidding is all its rows do, else None; and `cap`, (indicator
+    of A, b) when Γ is "mass of A at most b", else None."""
 
     alphabet: Alphabet
     shape: Shape
@@ -116,6 +120,8 @@ class ConstraintSet:
     coeffs: np.ndarray = field(init=False, repr=False)
     bounds: np.ndarray = field(init=False, repr=False)
     equal: np.ndarray = field(init=False, repr=False)
+    forbidden: np.ndarray | None = field(init=False, repr=False)
+    cap: tuple[np.ndarray, float] | None = field(init=False, repr=False)
 
     def __post_init__(self) -> None:
         m = pattern_space_size(self.alphabet, self.shape)
@@ -132,6 +138,9 @@ class ConstraintSet:
         for name, arr in arrays.items():
             arr.flags.writeable = False
             object.__setattr__(self, name, arr)
+        forbidden, cap = _classify(self.coeffs, self.bounds, self.equal)
+        object.__setattr__(self, "forbidden", forbidden)
+        object.__setattr__(self, "cap", cap)
 
     @property
     def npatterns(self) -> int:
@@ -245,10 +254,29 @@ def axial_product(gamma: ConstraintSet, dim: int, mode: str = "strict") -> Axial
 # Distance to the polytope
 # ---------------------------------------------------------------------------
 
-def _forbids_patterns(con: LinearConstraint) -> bool:
-    """Is this a zero-bound row with 0/1 coefficients?  Such a row forbids
-    each pattern it charges outright, whichever sense it is written with."""
-    return con.bound == 0.0 and bool(np.all((con.coeffs == 0.0) | (con.coeffs == 1.0)))
+def _classify(coeffs: np.ndarray, bounds: np.ndarray, equal: np.ndarray):
+    """`ConstraintSet.forbidden` and `.cap` of the rows coeffs . mu (<=|==)
+    bounds.  Each row is shifted to a zero minimum and scaled to a unit
+    maximum, exact up to rounding since the mass is 1, and rows that no
+    distribution breaks are dropped.  A row left with bound 0 forbids the
+    patterns it charges, whatever its sense and weights.  With no row left
+    nothing is forbidden and the cap is (zeros, inf); forbidding every
+    pattern leaves no distribution, which no cap describes."""
+    low, high = coeffs.min(axis=1), coeffs.max(axis=1)
+    kept = ~((bounds >= high) & (~equal | (bounds == low)))
+    low, span = low[kept], (high - low)[kept]
+    span[span == 0.0] = 1.0   # a constant row kept here fails everywhere
+    rows = (coeffs[kept] - low[:, None]) / span[:, None]
+    b = (bounds[kept] - low) / span
+    rows.flags.writeable = False
+    if not (b == 0.0).all():
+        if (len(b) == 1 and not equal[kept][0] and b[0] > 0.0
+                and ((rows[0] == 0.0) | (rows[0] == 1.0)).all()):
+            return None, (rows[0], float(b[0]))
+        return None, None
+    forbidden = (rows > 0.0).any(axis=0).astype(np.float64)
+    forbidden.flags.writeable = False
+    return forbidden, (None if forbidden.all() else (forbidden, 0.0 if len(b) else math.inf))
 
 
 def _ball_reach(coeffs, equal: bool):
@@ -260,44 +288,23 @@ def _ball_reach(coeffs, equal: bool):
     return max(coeffs) if equal else max(coeffs) - min(coeffs)
 
 
-def _single_set_cap(gamma: ConstraintSet):
-    """If Γ is 'mass of a pattern set A at most b' (an all-equality-zero
-    system is the b = 0 case), return (indicator of A, b); else None."""
-    cs = gamma.constraints
-    if not cs:
-        return np.zeros(gamma.npatterns), np.inf
-    if len(cs) == 1 and cs[0].sense == "<=":
-        c = cs[0].coeffs
-        if np.all((c == 0.0) | (c == 1.0)) and (c == 0.0).any():
-            return c, float(cs[0].bound)
-        return None
-    if all(c.sense == "==" and _forbids_patterns(c) for c in cs):
-        ind = np.zeros(gamma.npatterns)
-        for c in cs:
-            ind = np.maximum(ind, c.coeffs)
-        if (ind == 0.0).any():
-            return ind, 0.0
-    return None
-
-
 def tv_distance_to_set(mu: PatternDistribution, gamma: ConstraintSet) -> float:
     """Total-variation distance from mu to the polytope Γ.
 
     Solved as a linear program (L1 distance linearised with one auxiliary
-    variable per pattern); the closed form for a single mass-cap constraint
-    is used as a short cut when it applies.
+    variable per pattern), or, when Γ is a single cap (`ConstraintSet.cap`,
+    however its rows are written), by the closed form max(0, mass of A - b).
     """
     if mu.shape != gamma.shape or mu.alphabet != gamma.alphabet:
         raise ValidationError("distribution and constraint set differ in shape or alphabet")
-    return _probs_distance(mu.float_probs(), gamma, _single_set_cap(gamma))
+    return _probs_distance(mu.float_probs(), gamma)
 
 
-def _probs_distance(probs: np.ndarray, gamma: ConstraintSet, cap) -> float:
-    """`tv_distance_to_set` of the float pattern vector `probs`, where `cap`
-    is `_single_set_cap(gamma)`: the closed form max(0, ind @ probs - b)
-    for a single cap, else the LP."""
-    if cap is not None:
-        ind, b = cap
+def _probs_distance(probs: np.ndarray, gamma: ConstraintSet) -> float:
+    """`tv_distance_to_set` of the float pattern vector `probs`: the closed
+    form max(0, ind @ probs - b) when Γ is the cap (ind, b), else the LP."""
+    if gamma.cap is not None:
+        ind, b = gamma.cap
         return max(0.0, float(ind @ probs) - b)
 
     m, eq = gamma.npatterns, gamma.equal
@@ -614,17 +621,17 @@ def count_admissible_noncyclic(side: int, system, *,
     placement.
 
     The system (a `ConstraintSet`, or an `AxialSystem` whose factors all
-    qualify) must be fully constrained: every constraint forbids single
-    patterns outright.  Two placement-index conventions are in use for a
-    window of extent k-1 per axis: "tile" slides over all n-k+1 offsets per
-    axis, so windows cover the whole cube, while "halfopen" stops one
-    offset short (n-k per axis), leaving the trailing window unchecked.
+    qualify) must be fully constrained (`ConstraintSet.forbidden`).  Two
+    placement-index conventions are in use for a window of extent k-1 per
+    axis: "tile" slides over all n-k+1 offsets per axis, so windows cover
+    the whole cube, while "halfopen" stops one offset short (n-k per axis),
+    leaving the trailing window unchecked.
     `threads` is ignored and stays only for the benchmark worker, as in
     `count_admissible`.
     """
     if convention not in ("tile", "halfopen"):
         raise ValidationError(f"unknown convention {convention!r}")
-    if not all(_forbids_patterns(c) for _, f in _checks(system) for c in f.constraints):
+    if any(f.forbidden is None for _, f in _checks(system)):
         raise ValidationError("non-cyclic counting needs a fully-constrained system")
     return _Transfer(side, system, 0.0, cyclic=False, convention=convention).count()
 
@@ -637,6 +644,8 @@ def count_exhaustive(side: int, system, eps: float = 0.0) -> int:
     distinct count vector of a check.
     """
     eps, side = _checked_eps(eps), _whole(side, "side")
+    if side < 1:
+        raise ValidationError("side must be >= 1")
     checks = _checks(system)
     q, dim = checks[0][1].alphabet.size, checks[0][0][0].dim
     ncells = side ** dim

@@ -45,7 +45,6 @@ from semicap.indentropy import PeriodicProductMeasure, hind_bound_report
 from semicap.scs_model import (
     ConstraintSet,
     _probs_distance,
-    _single_set_cap,
     axial_product,
     count_admissible,
     count_admissible_noncyclic,
@@ -190,10 +189,9 @@ def concentration_check(mu, gamma: ConstraintSet,
     of `sample_word` at its seed) and counts its patterns as integers over
     the table.  The counts divided by the side are the floats of
     `empirical_distribution`'s exact fractions (both are below 2^53, so the
-    division rounds correctly).  Whether the system is a single cap is
-    decided once for all words, and each word's distance, the closed form
-    or the LP, equals `tv_distance_to_set` of its empirical distribution
-    bit for bit.
+    division rounds correctly).  Each word's distance, the closed form when
+    the system is a single cap (`ConstraintSet.cap`) or else the LP, equals
+    `tv_distance_to_set` of its empirical distribution bit for bit.
 
     The base measure's own averaged statistics should sit strictly inside
     the smallest ball; if not, the report is flagged rather than refused.
@@ -233,7 +231,6 @@ def concentration_check(mu, gamma: ConstraintSet,
     base_distance = tv_distance_to_set(base, gamma)
     base_feasible = base_distance < min(eps_list)
 
-    cap = _single_set_cap(gamma)
     dtype = cell_dtype(mu.alphabet)
     fractions = np.zeros((len(eps_list), len(sides)))
     for j, n in enumerate(sides):
@@ -245,7 +242,7 @@ def concentration_check(mu, gamma: ConstraintSet,
             cells = _draw_cells(cums, seed ^ (j * trials + t), dtype)
             counts = _pattern_counts(cells, table, gamma.alphabet.size,
                                      gamma.npatterns)
-            dist = _probs_distance(counts / n, gamma, cap)
+            dist = _probs_distance(counts / n, gamma)
             for i, eps in enumerate(eps_list):
                 if dist <= eps + 1e-12:
                     inside[i] += 1

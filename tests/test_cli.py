@@ -189,6 +189,20 @@ def test_cyclic_vs_noncyclic_conventions(tmp_path):
     assert [int(s.split(",")[3]) for s in lines[2:-1]] == [10, 16, 26, 42]
 
 
+@pytest.mark.parametrize("system", [
+    RLL_FREE,
+    "[system]\nconstraint = linear\nwindow = 2\nlinear = 0 0 0 1 <= 0\n",
+], ids=["rll p=0", "linear zero-bound row"])
+def test_cyclic_vs_noncyclic_reads_what_rows_mean(tmp_path, system):
+    # any spelling that only forbids 11 counts as the forbidden-kind config
+    rc, text = run(["cyclic-vs-noncyclic", "--config", write(tmp_path, system),
+                    "--n-range", "4:7"], tmp_path)
+    assert rc == 0
+    _, ref = run(["cyclic-vs-noncyclic", "--config", write(tmp_path, FORBIDDEN, "f.ini"),
+                  "--n-range", "4:7"], tmp_path, "f.txt")
+    assert text.splitlines()[1:] == ref.splitlines()[1:]
+
+
 def test_linear_kind_matches_rll(tmp_path):
     linear = """\
 [system]

@@ -13,7 +13,12 @@ from semicap.lattice_core import (
     product_entropy,
 )
 from semicap.capacity import capacity_1d, transfer_matrix_capacity
-from semicap.scs_model import ConstraintSet, LinearConstraint, rll_constraint
+from semicap.scs_model import (
+    ConstraintSet,
+    LinearConstraint,
+    fully_constrained,
+    rll_constraint,
+)
 from semicap.indentropy import (
     MultiChoiceWord,
     PeriodicProductMeasure,
@@ -204,22 +209,57 @@ def test_hind_rejects_short_side():
         hind_fixed_n(rll_constraint(2, 0.05), 2)
 
 
-def test_hind_relaxation_ignores_how_rows_are_written():
-    # four ways to write mu(11) <= 0.1: each row's eps-ball relaxation
-    # scales with its reach, so the relaxed problems coincide
-    def system(*rows):
-        return ConstraintSet(BIN, Shape.segment(2), tuple(
-            LinearConstraint(np.array(c, dtype=float), b) for c, b in rows))
+def _system(*rows, sense="<="):
+    return ConstraintSet(BIN, Shape.segment(2), tuple(
+        LinearConstraint(np.array(c, dtype=float), b, sense) for c, b in rows))
 
-    forms = [system(([0, 0, 0, 0.5], 0.05)),
-             system(([0, 0, 0, 2], 0.2)),
-             system(([1, 1, 1, 2], 1.1)),
-             system(([0, 0, 0, 1], 0.1), ([1, 0, 0, 0], 1.0))]
-    for n in range(2, 6):
-        results = [hind_fixed_n(g, n, 0.01, restarts=4, seed=1) for g in forms]
-        assert all(r.feasible for r in results), n
-        values = [r.value for r in results]
-        assert max(values) - min(values) <= 1e-12, (n, values)
+
+def test_hind_relaxation_ignores_how_rows_are_written():
+    # five ways to write mu(11) <= 0.1: all are the one cap, and each row's
+    # eps-ball relaxation scales with its reach, so the problems coincide
+    forms = [_system(([0, 0, 0, 0.5], 0.05)),
+             _system(([0, 0, 0, 2], 0.2)),
+             _system(([1, 1, 1, 2], 1.1)),
+             _system(([0, 0, 0, 1], 0.1), ([1, 0, 0, 0], 1.0)),
+             rll_constraint(1, 0.1)]
+    for eps in (0.0, 0.01):
+        for n in range(2, 6):
+            results = [hind_fixed_n(g, n, eps, restarts=4, seed=1) for g in forms]
+            assert all(r.feasible for r in results), (eps, n)
+            values = [r.value for r in results]
+            assert max(values) - min(values) <= 1e-12, (eps, n, values)
+
+
+def test_hind_forbidding_rows_ignore_how_they_are_written():
+    # mu(11) = 0 written with a weight, a shift or an equality sense
+    forms = [_system(([0, 0, 0, 2], 0.0)),
+             _system(([1, 1, 1, 2], 1.0), sense="=="),
+             _system(([3, 3, 3, 5], 3.0))]
+    for eps in (0.0, 0.01):
+        for n in (2, 3, 4):
+            ref = hind_fixed_n(rll_constraint(1, 0.0), n, eps, restarts=4, seed=1)
+            for g in forms:
+                res = hind_fixed_n(g, n, eps, restarts=4, seed=1)
+                assert res.feasible and res.value == ref.value, (eps, n)
+
+
+def test_hind_empty_system_is_one_bit():
+    # no row binds: the unconstrained optimum, with no polish to run
+    res = hind_fixed_n(ConstraintSet(BIN, Shape.segment(2), ()), 3, restarts=2)
+    assert res.feasible and res.value == 1.0
+
+
+@pytest.mark.parametrize("eps", [0.001, 0.01, 0.05])
+def test_hind_ascent_keeps_feasible_starts(eps):
+    # forbidding 00 and 11 leaves the alternating words; the symmetric fixed
+    # point never meets the relaxed cap, so the screened start must survive
+    # the multiplier search.  Two `<=` zero rows are the same system.
+    equal = fully_constrained(BIN, Shape.segment(2), [(1, 1), (0, 0)])
+    below = _system(([0, 0, 0, 1], 0.0), ([1, 0, 0, 0], 0.0))
+    for n in (4, 6):
+        results = [hind_fixed_n(g, n, eps, restarts=6, seed=1) for g in (equal, below)]
+        assert all(r.feasible and r.value > 0.0 for r in results), n
+        assert results[0].value == results[1].value
 
 
 def test_hind_window2_matches_curve_to_nine_digits():
@@ -530,17 +570,18 @@ def test_multichoice_word_basics():
 
 
 def test_hind_com_no_adjacent_ones():
-    gamma = rll_constraint(1, 0.0)
-    by_side = {n: hind_com_fixed_n(gamma, n) for n in (4, 5, 6, 8)}
-    assert by_side[4].value == pytest.approx(0.5)
-    assert by_side[4].fillings == 4
-    assert by_side[4].witness.sets() in (
-        [(0,), (0, 1), (0,), (0, 1)], [(0, 1), (0,), (0, 1), (0,)])
-    # odd cycles cannot alternate: strictly below half a bit
-    assert by_side[5].value == pytest.approx(math.log2(4) / 5)
-    assert by_side[6].value == pytest.approx(0.5)
-    assert by_side[6].fillings == 8
-    assert by_side[8].fillings == 16
+    # 2 mu(11) <= 0 forbids 11 as the 0/1 row does
+    for gamma in (rll_constraint(1, 0.0), _system(([0, 0, 0, 2], 0.0))):
+        by_side = {n: hind_com_fixed_n(gamma, n) for n in (4, 5, 6, 8)}
+        assert by_side[4].value == pytest.approx(0.5)
+        assert by_side[4].fillings == 4
+        assert by_side[4].witness.sets() in (
+            [(0,), (0, 1), (0,), (0, 1)], [(0, 1), (0,), (0, 1), (0,)])
+        # odd cycles cannot alternate: strictly below half a bit
+        assert by_side[5].value == pytest.approx(math.log2(4) / 5)
+        assert by_side[6].value == pytest.approx(0.5)
+        assert by_side[6].fillings == 8
+        assert by_side[8].fillings == 16
 
 
 def test_hind_com_witness_is_admissible():
@@ -595,6 +636,10 @@ def test_bound_report_curve_reference():
     rep3 = hind_bound_report(rll_constraint(2, 0.05), 1, eps_list=(0.0,),
                              sides=(3,), restarts=6, seed=0)
     assert rep3.curve_reference is None
+    # nor does a cap of 1.5 on mu(11), which binds nothing
+    rep_free = hind_bound_report(rll_constraint(1, 1.5), 1, eps_list=(0.0,),
+                                 sides=(2, 3), restarts=2, seed=0)
+    assert rep_free.curve_reference is None and rep_free.lower_bound == 1.0
 
 
 def test_bound_report_filters_short_sides():

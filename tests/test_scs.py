@@ -101,6 +101,62 @@ def test_distance_closed_form_matches_lp():
     assert d == pytest.approx(0.3, abs=1e-8)
 
 
+def _rows(*rows, sense="<=", window=2):
+    return ConstraintSet(BIN, Shape.segment(window), tuple(
+        LinearConstraint(np.array(c, dtype=float), b, sense) for c, b in rows))
+
+
+def test_rows_are_classified_by_what_they_mean():
+    c11 = [0.0, 0.0, 0.0, 1.0]
+    for g in (rll_constraint(1, 0.1), _rows(([0, 0, 0, 2], 0.2)),
+              _rows(([0, 0, 0, 0.5], 0.05)),
+              _rows(([0, 0, 0, 1], 0.1), ([1, 0, 0, 0], 1.0))):
+        assert g.forbidden is None
+        assert g.cap[0].tolist() == c11 and g.cap[1] == 0.1
+    shifted = _rows(([1, 1, 1, 2], 1.1)).cap
+    assert shifted[0].tolist() == c11 and abs(shifted[1] - 0.1) <= 1e-15
+    # a zero-bound row forbids what it charges, whatever its weights or sense
+    for g in (rll_constraint(1, 0.0), _rows(([0, 0, 0, 2], 0.0)),
+              _rows(([1, 1, 1, 2], 1.0), sense="=="),
+              fully_constrained(BIN, Shape.segment(2), [(1, 1)])):
+        assert g.forbidden.tolist() == c11
+        assert g.cap[0].tolist() == c11 and g.cap[1] == 0.0
+    both = fully_constrained(BIN, Shape.segment(2), [(1, 1), (0, 0)])
+    assert both.forbidden.tolist() == both.cap[0].tolist() == [1.0, 0.0, 0.0, 1.0]
+    # no row left: nothing forbidden and an infinite cap
+    for g in (_rows(), _rows(([0, 0, 0, 1], 1.0)), _rows(([2, 2, 2, 2], 2.0), sense="==")):
+        assert g.forbidden.tolist() == [0.0] * 4
+        assert g.cap[0].tolist() == [0.0] * 4 and g.cap[1] == math.inf
+    # every pattern forbidden is still fully constrained, but no cap
+    everything = _rows(([1, 0], 0.0), ([0, 1], 0.0), window=1)
+    assert everything.forbidden.tolist() == [1.0, 1.0] and everything.cap is None
+    # general weights, two binding rows, and rows no distribution meets
+    for g in (_rows(([0, 0.5, 0.5, 1], 0.4)),
+              _rows(([0, 0, 0, 1], 0.1), ([1, 0, 0, 0], 0.1)),
+              _rows(([0, 0, 0, 1], 0.1), sense="=="),
+              _rows(([0, 0, 0, 1], -0.1)), _rows(([1, 1, 1, 1], 0.5))):
+        assert g.forbidden is None and g.cap is None
+    with pytest.raises(ValueError):
+        rll_constraint(1, 0.1).cap[0][0] = 1.0
+
+
+def test_distance_closed_form_ignores_how_rows_are_written(monkeypatch):
+    # each spelling of mu(11) <= 0.1 is the one cap, so no LP runs
+    def no_lp(*args, **kwargs):
+        raise AssertionError("the single-cap distance solved an LP")
+
+    monkeypatch.setattr(scs_model, "solve_lp", no_lp)
+    rng = np.random.default_rng(11)
+    shape = Shape.segment(2)
+    for _ in range(20):
+        mu = PatternDistribution.from_floats(BIN, shape, rng.dirichlet(np.ones(4)))
+        ref = tv_distance_to_set(mu, rll_constraint(1, 0.1))
+        for g in (_rows(([0, 0, 0, 2], 0.2)), _rows(([0, 0, 0, 0.5], 0.05)),
+                  _rows(([0, 0, 0, 1], 0.1), ([1, 0, 0, 0], 1.0))):
+            assert tv_distance_to_set(mu, g) == ref
+        assert abs(tv_distance_to_set(mu, _rows(([1, 1, 1, 2], 1.1))) - ref) <= 1e-15
+
+
 def _grid_distance(mu_probs, cons, denom=60):
     """Oracle: minimum TV distance to the constraint set over the grid of
     distributions with the given denominator."""
@@ -177,9 +233,10 @@ def test_cyclic_counts_no_adjacent_ones():
 
 
 def test_noncyclic_counts_no_adjacent_ones():
-    g = rll_constraint(1, 0.0)
-    for n, expect in FIBONACCI_N_PLUS_2.items():
-        assert count_admissible_noncyclic(n, g) == expect
+    # 2 mu(11) <= 0 forbids 11 as the 0/1 row does
+    for g in (rll_constraint(1, 0.0), _rows(([0, 0, 0, 2], 0.0))):
+        for n, expect in FIBONACCI_N_PLUS_2.items():
+            assert count_admissible_noncyclic(n, g) == expect
 
 
 def test_noncyclic_trailing_window_convention():
@@ -357,6 +414,13 @@ def test_axial_system_validation():
 def test_non_integral_side_is_rejected(call):
     with pytest.raises(ValidationError, match="whole number"):
         call(rll_constraint(1, 0.1))
+
+
+@pytest.mark.parametrize("count", [count_admissible, count_exhaustive])
+def test_side_below_one_is_rejected(count):
+    # the oracle and the counter agree that a word needs a cell
+    with pytest.raises(ValidationError, match="side must be >= 1"):
+        count(0, rll_constraint(1, 0.1))
 
 
 def test_counting_size_guard():

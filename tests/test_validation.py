@@ -17,7 +17,6 @@ from semicap.lattice_core import (
 from semicap.scs_model import (
     ConstraintSet,
     LinearConstraint,
-    _single_set_cap,
     axial_product,
     count_admissible,
     count_exhaustive,
@@ -340,7 +339,7 @@ def test_concentration_matches_per_word_reference(case, seed):
 
 
 def test_concentration_cases_cover_distance_paths():
-    cap = {k: _single_set_cap(g) for k, (_, g, _, _) in _CONCENTRATION_CASES.items()}
+    cap = {k: g.cap for k, (_, g, _, _) in _CONCENTRATION_CASES.items()}
     assert cap["two rows"] is None                      # the LP
     assert cap["rll(1, 0)"][1] == cap["forbidden 11"][1] == 0.0
     assert cap["forbidden 11"][0].tolist() == [0.0, 0.0, 0.0, 1.0]
