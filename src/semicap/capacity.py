@@ -307,6 +307,173 @@ def pressure_dual(coeffs, bounds, equal, q: int, k: int, start: np.ndarray,
     return GibbsDual(mu, value, bound, lam_all, it, bound - value <= gap_tol)
 
 
+def _slice_duals(lins: np.ndarray, rhs: np.ndarray, starts: np.ndarray,
+                 lam: np.ndarray, *, max_iter: int, gap_tol: float):
+    """`pressure_dual`'s one-state case with `<=` rows, on a stack of S
+    slices: slice i maximises H(p) over distributions p with
+    lins[i] . p <= rhs[i] (lins (S, R, q)), from the feasible start
+    starts[i] and the multipliers lam[i].  Returns the measures (S, q) and
+    the multipliers (S, R), each bit for bit what its own call returns; a
+    slice whose own call would raise (a row that cannot be met, or hard
+    rows that leave no symbol) keeps its start and its multipliers.
+
+    The slices share the loop, not the arithmetic: every product runs per
+    slice with the single call's operand shapes, so the slices are grouped
+    by their set of soft rows (hard rows drop out) and each Newton step by
+    its set of free rows, and each slice keeps its own line search, stop
+    and fall-back.
+    """
+    low = lins.min(axis=2)
+    c = lins - low[:, :, None]
+    b = rhs - low
+    soft = b > _HARD_TOL
+    allowed = ~((c > _HARD_TOL) & ~soft[:, :, None]).any(axis=1)
+    ok = ~(b < -_HARD_TOL).any(axis=1) & allowed.any(axis=1)
+    floored = np.maximum(lam, 0.0)
+    if ok.all() and soft.all():   # the common case: one group, all rows soft
+        return _soft_slice_duals(c, b, allowed, starts, floored, max_iter, gap_tol)
+    mu, lam_out = starts.copy(), lam.copy()
+    keys = soft @ (1 << np.arange(soft.shape[1]))
+    for key in set(keys[ok].tolist()):
+        at = np.flatnonzero(ok & (keys == key))
+        pick = at[:, None], np.flatnonzero(soft[at[0]])   # C-ordered like c[soft]
+        mu[at], lam_rows = _soft_slice_duals(c[pick], b[pick], allowed[at], starts[at],
+                                             floored[pick], max_iter, gap_tol)
+        lam_out[at] = 0.0
+        lam_out[pick] = lam_rows
+    return mu, lam_out
+
+
+def _dots(x: np.ndarray, y: np.ndarray) -> np.ndarray:
+    """x[i] . y[i] for stacks of vectors, each as one `x @ y` call."""
+    return (x[:, None, :] @ y[:, :, None])[:, 0, 0]
+
+
+def _soft_slice_duals(c, b, allowed, start, lam, max_iter, gap_tol):
+    """`_slice_duals` on slices that share one set of rows, all soft: c
+    (S, R, q) shifted to a zero minimum, lam (S, R) >= 0.  Each pass
+    computes every slice and keeps the results of those still running,
+    which costs less than gathering them."""
+    excess = (c @ start[:, :, None])[:, :, 0] - b
+    slack = np.maximum(_MIX_TOL, excess)
+    mask = None if allowed.all() else allowed
+
+    def dual(lam):
+        e = (lam[:, None, :] @ c)[:, 0]
+        if mask is None:
+            top = e.min(axis=1)
+            w = np.exp2(top[:, None] - e)
+        else:
+            top = e.min(axis=1, where=mask, initial=np.inf)
+            w = np.exp2(top[:, None] - e) * mask
+        z = w.sum(axis=1)
+        bound = np.fromiter(map(math.log2, z), float, len(z)) - top + _dots(lam, b)
+        eta = w / z[:, None]
+        return lam, bound, eta, b - (c @ eta[:, :, None])[:, :, 0]   # g = grad D
+
+    def kkt(lam, g):   # size of the projected gradient
+        x = np.where((lam > 0.0) | (g < 0.0), g, 0.0)
+        return np.sqrt(_dots(x, x))
+
+    def keep(where, new, old):
+        return [np.where(where.reshape((-1,) + (1,) * (n.ndim - 1)), n, o)
+                for n, o in zip(new, old)]
+
+    state = dual(lam)
+    live = np.ones(len(c), dtype=bool)
+    for _ in range(max_iter - 1):
+        lam, bound, eta, g = state
+        live &= ~((-g <= slack).all(axis=1) & (_dots(lam, g) <= gap_tol))
+        if not live.any():
+            break
+        d = _newton_dirs(c, eta, g, lam, live)
+        step, todo, accepted = np.ones(len(c)), live.copy(), None
+        for _ in range(60):
+            trial = dual(np.maximum(lam + step[:, None] * d, 0.0))
+            rise = trial[1] - bound
+            # Armijo on D; near the minimiser D is flat to rounding, so there
+            # a smaller projected gradient (computed exactly) also passes
+            good = rise <= 1e-4 * _dots(g, trial[0] - lam)
+            level = todo & ~good
+            if level.any():
+                level &= rise <= 16 * np.spacing(np.maximum(1.0, np.abs(bound)))
+                good |= level & (kkt(trial[0], trial[3]) < kkt(lam, g))
+            # only the slices that pass are read from `accepted`
+            accepted = trial if accepted is None else keep(todo & good, trial, accepted)
+            todo &= ~good
+            if not todo.any():
+                break
+            step[todo] *= 0.5
+        # a slice with no progress left at working precision stops
+        live &= ~todo & ~(accepted[0] == lam).all(axis=1)
+        state = keep(live, accepted, state)
+
+    lam, bound, mu, g = state
+    out = ~(-g <= slack).all(axis=1)
+    if out.any():
+        # largest t in [0, 1] with t*eta + (1-t)*start within slack of every row
+        a = -g[out] - excess[out]
+        ratio = np.full(a.shape, np.inf)
+        np.divide(slack[out] - np.sign(a) * excess[out], np.abs(a), out=ratio, where=a > 0.0)
+        t = np.minimum(ratio.min(axis=1), 1.0)
+        t = np.where(t > 0.0, t, 0.0)[:, None]
+        mu[out] = t * mu[out] + (1.0 - t) * start[out]
+    back = np.flatnonzero(bound - _entropy_vec(mu) > gap_tol)
+    if back.size:
+        keep_start = _entropy_vec(mu[back]) < _entropy_vec(start[back])
+        mu[back[keep_start]] = start[back[keep_start]]
+    return mu, lam
+
+
+def _newton_dirs(c, eta, g, lam, live):
+    """`pressure_dual`'s one-state Newton direction for each `live` slice
+    (0 for the others): `_newton_step` on the slice's free rows (lam > 0 or
+    g < 0), the slices grouped by that set so that each step sees its single
+    call's operand shapes."""
+    if lam.shape[1] == 1:   # the one row of a live slice is free
+        f = c - c @ eta[:, :, None]
+        return _newton_steps(LOG2 * ((f * eta[:, None, :]) @ f.transpose(0, 2, 1)),
+                             g, lam, live)
+    free = (lam > 0.0) | (g < 0.0)
+    keys = free @ (1 << np.arange(lam.shape[1]))
+    d = np.zeros_like(lam)
+    for key in set(keys[live].tolist()):
+        at = np.flatnonzero(live & (keys == key))
+        pick = at[:, None], np.flatnonzero(free[at[0]])   # C-ordered like c[free]
+        cf, e = c[pick], eta[at]
+        f = cf - cf @ e[:, :, None]
+        d[pick] = _newton_steps(LOG2 * ((f * e[:, None, :]) @ f.transpose(0, 2, 1)),
+                                g[pick], lam[pick], np.ones(len(at), dtype=bool))
+    return d
+
+
+def _newton_steps(hess, g, lam, live):
+    """`_newton_step` for each `live` system of a stack of one size (0 for
+    the others), every multiplier bounded below by 0: a division for one row
+    of positive curvature, else the stacked eigendecomposition."""
+    step = np.zeros_like(g)
+    if g.shape[1] == 1:
+        h = hess[:, 0]
+        div = live[:, None] & (h > 0.0)
+        step = -g / np.where(div, h, np.inf)
+        live = live & ~div[:, 0]
+    rest = np.flatnonzero(live)
+    if rest.size:
+        curv, vecs = np.linalg.eigh(hess[rest])
+        gv = (vecs.transpose(0, 2, 1) @ g[rest][:, :, None])[:, :, 0]
+        flat = curv <= 1e-9 * curv[:, -1:]
+        s = (-vecs @ np.where(flat, 0.0, gv / np.where(flat, 1.0, curv))[:, :, None])[:, :, 0]
+        slope = (vecs @ np.where(flat, gv, 0.0)[:, :, None])[:, :, 0]
+        hits = slope > 0.0
+        ratio = np.full(slope.shape, np.inf)
+        np.divide(lam[rest] + s, slope, out=ratio, where=hits)
+        back = ratio.min(axis=1)
+        hit = hits.any(axis=1)
+        s[hit] -= np.where(0.0 > back[hit], 0.0, back[hit])[:, None] * slope[hit]
+        step[rest] = s
+    return step
+
+
 # ---------------------------------------------------------------------------
 # Shift invariance
 # ---------------------------------------------------------------------------

@@ -101,7 +101,6 @@ class SystemConfig:
 
     dimension: int
     mode: str
-    kind: str                      # rll | forbidden | linear
     eps_list: tuple[float, ...]
     solver: SolverOptions
     sha256: str
@@ -250,7 +249,7 @@ class SystemConfig:
                 raise ConfigError("linear constraint list is empty")
             factor = ConstraintSet(alphabet, Shape.segment(window), rows)
         digest = hashlib.sha256(text.encode("utf-8")).hexdigest()
-        return cls(dim, mode, kind, eps_list, solver, digest, factor)
+        return cls(dim, mode, eps_list, solver, digest, factor)
 
     # -- built objects -----------------------------------------------------
 

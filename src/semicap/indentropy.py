@@ -29,7 +29,9 @@ optimiser exploits:
   warm-started from the site's previous solve), which also polishes the
   ascent's result.  These sweeps run on the same stack of starts: each
   site's affine terms come from the same gather tables for every start
-  at once, and then each start solves its own slice and keeps its own stop;
+  at once, one stacked call of that dual (`capacity._slice_duals`) solves
+  every start's slice, bit for bit as the start's own call would, and
+  each start keeps its own stop;
 * everything is repeated from random restarts plus i.i.d. and period-2
   warm starts (screened row by row at eps = 0, by the LP distance above
   it), and the winner is certified feasible by an LP distance check.
@@ -62,7 +64,7 @@ from semicap.lattice_core import (
     placements,
     product_entropy,
 )
-from semicap.capacity import _require_window, pressure_dual
+from semicap.capacity import _require_window, _slice_duals
 from semicap.scs_model import (
     ConstraintSet,
     _ball_reach,
@@ -229,16 +231,24 @@ class _WindowModel:
         return np.add.accumulate(pairs, axis=1)[:, -1] / self.side
 
 
+def _entropy_sums(stack: np.ndarray) -> np.ndarray:
+    """Total site entropy of each row set of a stack (S, n, q), added site
+    by site from 0 (so an all-zero total is +0.0)."""
+    return np.add.accumulate(_entropy_vec(stack), axis=1)[:, -1] + 0.0
+
+
 def _sweep_hard(model: _WindowModel, rows: np.ndarray, bounds_eff: list[float],
                 coeff_list: Sequence[np.ndarray]) -> np.ndarray:
     """Cyclic per-site entropy maximisation within the feasible slice, on a
     stack of starts: `rows` (S, n, q) is updated in place and returned.
 
     Each site's slice {p : lin_r . p <= bound_r - const_r} is the one-state
-    case of the pressure dual, solved per start and warm-started at that
-    start's previous multipliers for the site; every row's terms come from
-    one gather over the live starts.  Each start leaves the stack after the
-    sweep in which its entropy rose by no more than `_SWEEP_STOP`.
+    case of the pressure dual, warm-started at each start's previous
+    multipliers for the site; every row's terms come from one gather over
+    the live starts, and one `_slice_duals` call solves every live start's
+    slice, bit for bit as its own `pressure_dual` call would.  Each start
+    leaves the stack after the sweep in which its entropy, summed over the
+    sites in order, rose by no more than `_SWEEP_STOP`.
     """
     n = model.side
     gathers = [model.site_gathers(c) for c in coeff_list]
@@ -252,16 +262,11 @@ def _sweep_hard(model: _WindowModel, rows: np.ndarray, bounds_eff: list[float],
             site = [g[v] for g in gathers]   # per row, (linear, constant)
             lins = np.stack([model.terms(flat, lin) for lin, _ in site], axis=1)
             consts = np.concatenate([model.terms(flat, const) for _, const in site], axis=1)
-            for i, s in enumerate(live):
-                try:
-                    sol = pressure_dual(lins[i], np.subtract(bounds_eff, consts[i]),
-                                        [False] * len(coeff_list), model.q, 1, sub[i, v],
-                                        lams[s, v], max_iter=_SLICE_ITER, gap_tol=_SLICE_GAP)
-                except ValidationError:
-                    continue
-                sub[i, v], lams[s, v] = sol.measure, sol.lam
+            sub[:, v], lams[live, v] = _slice_duals(
+                lins, np.subtract(bounds_eff, consts), sub[:, v], lams[live, v],
+                max_iter=_SLICE_ITER, gap_tol=_SLICE_GAP)
         rows[live] = sub
-        val = np.array([sum(_entropy_vec(r) for r in start) for start in sub])
+        val = _entropy_sums(sub)
         done = val <= prev[live] + _SWEEP_STOP
         prev[live] = val
         live = live[~done]
@@ -310,8 +315,8 @@ def _optimize_single_cap(model: _WindowModel, starts: np.ndarray,
     bracket, stopping tests and result; the starts only share the loop, each
     fixed-point solve taking the starts still searching.
     """
-    value_at = lambda stack: np.array(
-        [float(coeffs @ _window_law(r, model.table)) for r in stack])
+    # per start, the dot product `coeffs @ law` that a start alone would take
+    value_at = lambda stack: (coeffs @ _window_law(stack, model.table)[:, :, None])[:, 0]
     solve = lambda stack, lam: _lagrangian_fixed_point(model, stack, coeffs, lam)
     result = solve(starts.copy(), np.zeros(len(starts)))
     v0 = value_at(result)
@@ -406,8 +411,7 @@ def hind_fixed_n(gamma: ConstraintSet, side: int, eps: float = 0.0, *,
         bounds_eff = [b + eps * _ball_reach(c, e)
                       for c, b, e in zip(gamma.coeffs, gamma.bounds, gamma.equal)]
 
-    def feasible_rows(rows) -> bool:
-        avg = _window_law(rows, model.table)
+    def feasible_law(avg) -> bool:
         if cap is not None:
             return float(cap[0] @ avg) <= bounds_eff[0] + _FEAS_SLACK
         if eps == 0.0:
@@ -415,6 +419,8 @@ def hind_fixed_n(gamma: ConstraintSet, side: int, eps: float = 0.0, *,
             return all(c.satisfied(avg, _FEAS_SLACK) for c in gamma.constraints)
         mu = PatternDistribution(gamma.alphabet, gamma.shape, avg)
         return tv_distance_to_set(mu, gamma) <= eps + _FEAS_SLACK
+
+    feasible_rows = lambda rows: feasible_law(_window_law(rows, model.table))
 
     # deterministic anchor: point mass on an admissible word
     w0 = find_admissible_word(side, gamma, eps)
@@ -452,12 +458,10 @@ def hind_fixed_n(gamma: ConstraintSet, side: int, eps: float = 0.0, *,
     if cap is None or cap[1] < math.inf:   # no polish when no row binds
         stack = _sweep_hard(model, stack, bounds_eff, coeff_list)
     best_rows, best_val = None, -math.inf
-    for rows in stack:
-        if not feasible_rows(rows):
-            continue
-        val = sum(_entropy_vec(r) for r in rows) / n
-        if val > best_val:
-            best_val, best_rows = val, rows
+    vals = _entropy_sums(stack) / n
+    for rows, avg, val in zip(stack, _window_law(stack, model.table), vals):
+        if val > best_val and feasible_law(avg):
+            best_val, best_rows = float(val), rows
 
     if best_rows is None:
         return HindResult(-math.inf, None, side, eps, False, math.inf, len(starts))

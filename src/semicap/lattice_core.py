@@ -528,21 +528,25 @@ def averaged_marginal(mu: SiteProductMeasure, shape: Shape) -> PatternDistributi
 def _window_law(rows: np.ndarray, table: np.ndarray) -> np.ndarray:
     """Mean over the placements of `table` of the pattern law that the
     per-cell distributions `rows` induce: the outer product of the cells'
-    rows, first point most significant.  Blocks of placements keep every
+    rows, first point most significant.  `rows` is one measure's (n, q),
+    giving the law (m,), or a stack (S, n, q) of them, giving (S, m) with
+    each law exactly as if alone.  Blocks of placements keep every
     temporary within `_BLOCK_FLOATS` floats, and each block's sum starts
     from the running total, so the sum is sequential whatever the block."""
+    stack = rows[None] if rows.ndim == 2 else rows
     nplace, k = table.shape
-    m = rows.shape[1] ** k
-    block = max(1, _BLOCK_FLOATS // m)
-    total = np.zeros(m)
+    s, m = len(stack), stack.shape[2] ** k
+    block = max(1, _BLOCK_FLOATS // (s * m))
+    total = np.zeros((s, m))
     for start in range(0, nplace, block):
         cols = table[start:start + block].T
-        law = rows[cols[0]]
+        law = stack[:, cols[0]]
         for col in cols[1:]:
-            law = (law[:, :, None] * rows[col][:, None, :]).reshape(len(col), -1)
-        law[0] += total
-        total = law.sum(axis=0)
-    return total / nplace
+            law = (law[:, :, :, None] * stack[:, col][:, :, None, :]).reshape(s, len(col), -1)
+        law[:, 0] += total
+        total = law.sum(axis=1)
+    total /= nplace
+    return total[0] if rows.ndim == 2 else total
 
 
 # ---------------------------------------------------------------------------
@@ -560,7 +564,17 @@ def tv_distance(p: PatternDistribution, q: PatternDistribution) -> float:
     return 0.5 * float(np.abs(a - b).sum())
 
 
-def _entropy_vec(probs: np.ndarray) -> float:
+def _entropy_vec(probs: np.ndarray):
+    """Shannon entropy in bits of a distribution, or of each row (last axis)
+    of a stack of them, each exactly as if alone.  Rows of fewer than 8
+    terms are summed as one stack, zero terms included: numpy adds fewer
+    than 8 terms in order, so a zero term changes nothing."""
+    if probs.ndim > 1:
+        if probs.shape[-1] < 8:
+            terms = probs * np.log(np.where(probs > 0.0, probs, 1.0))
+            return -terms.sum(axis=-1) / LOG2
+        flat = probs.reshape(-1, probs.shape[-1])
+        return np.array([_entropy_vec(r) for r in flat]).reshape(probs.shape[:-1])
     pos = probs[probs > 0]
     if len(pos) == 0:
         return 0.0

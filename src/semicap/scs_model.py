@@ -258,8 +258,9 @@ def _classify(coeffs: np.ndarray, bounds: np.ndarray, equal: np.ndarray):
     """`ConstraintSet.forbidden` and `.cap` of the rows coeffs . mu (<=|==)
     bounds.  Each row is shifted to a zero minimum and scaled to a unit
     maximum, exact up to rounding since the mass is 1, and rows that no
-    distribution breaks are dropped.  A row left with bound 0 forbids the
-    patterns it charges, whatever its sense and weights.  With no row left
+    distribution breaks are dropped.  An `==` row left with bound 1 is the
+    row 1 - c with bound 0.  A row left with bound 0 forbids the patterns
+    it charges, whatever its sense and weights.  With no row left
     nothing is forbidden and the cap is (zeros, inf); forbidding every
     pattern leaves no distribution, which no cap describes."""
     low, high = coeffs.min(axis=1), coeffs.max(axis=1)
@@ -268,6 +269,8 @@ def _classify(coeffs: np.ndarray, bounds: np.ndarray, equal: np.ndarray):
     span[span == 0.0] = 1.0   # a constant row kept here fails everywhere
     rows = (coeffs[kept] - low[:, None]) / span[:, None]
     b = (bounds[kept] - low) / span
+    at_max = equal[kept] & (b == 1.0)
+    rows, b = np.where(at_max[:, None], 1.0 - rows, rows), np.where(at_max, 0.0, b)
     rows.flags.writeable = False
     if not (b == 0.0).all():
         if (len(b) == 1 and not equal[kept][0] and b[0] > 0.0

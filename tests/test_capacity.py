@@ -6,6 +6,7 @@ import pytest
 
 from semicap.lattice_core import Alphabet, Shape, ValidationError
 from semicap.capacity import (
+    _slice_duals,
     ShiftInvariancePolytope,
     capacity_1d,
     elimeysch_lower_bound,
@@ -185,6 +186,43 @@ def test_site_slice_dual_on_random_slices():
         assert np.all(rows @ sol.measure <= bounds + 1e-12)
         assert sol.value == pytest.approx(_entropy(sol.measure), abs=1e-12)
         assert sol.value >= _entropy(start) - 1e-12
+
+
+def test_slice_duals_match_pressure_dual_per_start():
+    """The stacked one-state dual returns, for every slice of the stack, the
+    measure and multipliers of that slice's own `pressure_dual` call, bit
+    for bit; a slice whose call raises keeps its start and multipliers."""
+    rng = np.random.default_rng(23)
+    raised = stopped_short = fell_back = hard = 0
+    for trial in range(120):
+        q, r = int(rng.integers(2, 5)), int(rng.integers(1, 5))
+        s, max_iter = int(rng.integers(1, 10)), (2, 100)[trial % 2]
+        lins = rng.random((s, r, q)) * (rng.random((s, r, q)) < 0.8)
+        starts = rng.dirichlet(np.ones(q), size=s)
+        rhs = (lins @ starts[:, :, None])[:, :, 0]
+        rhs += rng.random((s, r)) * 0.05 * (rng.random((s, r)) < 0.6)
+        # hard rows (bound at the row's minimum) and rows no point meets
+        low = lins.min(axis=2)
+        rhs = np.where(rng.random((s, r)) < 0.15, low, rhs)
+        rhs = np.where(rng.random((s, r)) < 0.05, low - 0.1, rhs)
+        lam = 3.0 * rng.random((s, r)) * (rng.random((s, r)) < 0.5)
+        mu, lam_out = _slice_duals(lins, rhs, starts, lam, max_iter=max_iter,
+                                   gap_tol=1e-12)
+        for i in range(s):
+            try:
+                sol = pressure_dual(lins[i], rhs[i], np.zeros(r, dtype=bool), q, 1,
+                                    starts[i], lam[i], max_iter=max_iter, gap_tol=1e-12)
+            except ValidationError:
+                raised += 1
+                want = starts[i], lam[i]
+            else:
+                stopped_short += not sol.converged
+                fell_back += np.array_equal(sol.measure, starts[i])
+                hard += bool((rhs[i] - low[i] <= 1e-15).any())
+                want = sol.measure, sol.lam
+            assert np.array_equal(mu[i], want[0]), (trial, i)
+            assert np.array_equal(lam_out[i], want[1]), (trial, i)
+    assert raised and stopped_short and fell_back and hard
 
 
 def test_capacity_soft_cap_value():

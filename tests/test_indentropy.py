@@ -12,7 +12,7 @@ from semicap.lattice_core import (
     ValidationError,
     product_entropy,
 )
-from semicap.capacity import capacity_1d, transfer_matrix_capacity
+from semicap.capacity import capacity_1d, pressure_dual, transfer_matrix_capacity
 from semicap.scs_model import (
     ConstraintSet,
     LinearConstraint,
@@ -31,7 +31,7 @@ from semicap.indentropy import (
 )
 from semicap import indentropy
 from semicap.indentropy import _WindowModel
-from semicap.lattice_core import _window_law, pattern_from_index
+from semicap.lattice_core import _entropy_vec, _window_law, pattern_from_index
 
 BIN = Alphabet.binary()
 
@@ -454,17 +454,17 @@ def test_site_gathers_affine_form():
 
 def test_sweep_hard_stack_matches_single_starts(monkeypatch):
     # the stacked polish runs every start as a stack of one would, exactly;
-    # a start run alone makes n `pressure_dual` calls per sweep, so the
+    # a start run alone makes n `_slice_duals` calls per sweep, so the
     # calls count its sweeps, and some starts stop after different numbers
     calls = 0
-    dual = indentropy.pressure_dual
+    duals = indentropy._slice_duals
 
     def counted(*args, **kwargs):
         nonlocal calls
         calls += 1
-        return dual(*args, **kwargs)
+        return duals(*args, **kwargs)
 
-    monkeypatch.setattr(indentropy, "pressure_dual", counted)
+    monkeypatch.setattr(indentropy, "_slice_duals", counted)
     rng = np.random.default_rng(1)
     cap = np.array([0.0, 0.0, 0.0, 1.0])
     cases = (  # (window, side, coefficient rows, bounds): the benchmark's
@@ -495,6 +495,68 @@ def test_sweep_hard_stack_matches_single_starts(monkeypatch):
             sweeps.add(calls // side)
         uneven.append(len(sweeps) > 1)
     assert any(uneven)
+
+
+def _sweep_hard_per_start(model, rows, bounds_eff, coeff_list):
+    """Reference polish: `_sweep_hard` with one `pressure_dual` call per
+    start per site, and each start's entropy summed site by site."""
+    gathers = [model.site_gathers(c) for c in coeff_list]
+    lams = np.zeros(rows.shape[:2] + (len(coeff_list),))
+    prev = np.full(len(rows), -math.inf)
+    live = np.arange(len(rows))
+    for _ in range(indentropy._HARD_SWEEPS):
+        sub = rows[live]
+        flat = sub.reshape(len(live), -1)
+        for v in range(model.side):
+            site = [g[v] for g in gathers]
+            lins = np.stack([model.terms(flat, lin) for lin, _ in site], axis=1)
+            consts = np.concatenate([model.terms(flat, const) for _, const in site], axis=1)
+            for i, s in enumerate(live):
+                try:
+                    sol = pressure_dual(lins[i], np.subtract(bounds_eff, consts[i]),
+                                        [False] * len(coeff_list), model.q, 1, sub[i, v],
+                                        lams[s, v], max_iter=indentropy._SLICE_ITER,
+                                        gap_tol=indentropy._SLICE_GAP)
+                except ValidationError:
+                    continue
+                sub[i, v], lams[s, v] = sol.measure, sol.lam
+        rows[live] = sub
+        val = np.zeros(len(live))
+        for i, start in enumerate(sub):
+            for r in start:
+                val[i] += _entropy_vec(r)
+        done = val <= prev[live] + indentropy._SWEEP_STOP
+        prev[live] = val
+        live = live[~done]
+        if not live.size:
+            break
+    return rows
+
+
+def test_sweep_hard_matches_per_start_polish():
+    # the benchmark's single caps and two-row systems: the stacked polish
+    # gives every start the rows of its own per-site `pressure_dual` calls
+    rng = np.random.default_rng(3)
+    w2 = [np.array([0.0, 0.5, 0.5, 1.0]), np.eye(4)[3]]
+    w3 = [np.array([0.0, 0.0, 0.0, 0.5, 0.0, 0.5, 0.5, 1.0]), np.eye(8)[7]]
+    cases = (  # (window, side, coefficient rows, relaxed bounds)
+        (3, 3, [np.eye(8)[7]], [0.05]),
+        (2, 2, [np.eye(4)[3]], [0.1]),
+        (2, 4, [np.eye(4)[3]], [0.11]),
+        (2, 4, w2, [0.4, 0.15]),
+        (3, 4, w3, [0.3, 0.05]),
+        (3, 5, w3, [0.31, 0.06]),   # eps = 0.01
+    )
+    for k, side, coeff_list, bounds in cases:
+        model = _WindowModel(ConstraintSet(BIN, Shape.segment(k), tuple(
+            LinearConstraint(c, b) for c, b in zip(coeff_list, bounds))), side)
+        ones = rng.uniform(0.0, 0.6, size=(12, side))
+        starts = np.stack([1.0 - ones, ones], axis=2)
+        if len(coeff_list) == 1:   # polish the ascent's rows, as `hind_fixed_n` does
+            starts = indentropy._optimize_single_cap(model, starts, coeff_list[0], bounds[0])
+        got = indentropy._sweep_hard(model, starts.copy(), bounds, coeff_list)
+        want = _sweep_hard_per_start(model, starts.copy(), bounds, coeff_list)
+        assert np.array_equal(got, want), (k, side, bounds)
 
 
 def test_hind_reports_starts_run():

@@ -6,6 +6,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
+from semicap import lattice_core
 from semicap.lattice_core import (
     Alphabet,
     PatternDistribution,
@@ -300,6 +301,29 @@ def test_averaged_marginal_large_window_stays_small():
         tracemalloc.stop()
     assert peak < 64 * 2 ** 20
     assert np.array_equal(got, _averaged_loop(mu, shape))
+
+
+def test_window_law_stack_matches_single_measures(monkeypatch):
+    # a stack of measures gives each measure's own law, bit for bit, also
+    # when the placements are summed over several blocks
+    rng = np.random.default_rng(41)
+    tri = Alphabet.of_size(3)
+    for alphabet, dim, side, shape, blocks in (
+            (BIN, 1, 5, Shape.segment(3), False),
+            (tri, 1, 7, Shape.segment(2), True),
+            (BIN, 2, 4, Shape.box(2, 2), True)):
+        q, cells = alphabet.size, side ** dim
+        table = placements(shape, side)
+        stack = rng.dirichlet(np.ones(q), size=(6, cells))
+        alone = [lattice_core._window_law(rows, table) for rows in stack]
+        if blocks:   # a few placements per block, for the stack and for one
+            monkeypatch.setattr(lattice_core, "_BLOCK_FLOATS", 3 * q ** len(shape))
+        got = lattice_core._window_law(stack, table)
+        assert got.shape == (6, q ** len(shape))
+        for i, rows in enumerate(stack):
+            assert np.array_equal(got[i], alone[i]), (dim, side, i)
+            assert np.array_equal(lattice_core._window_law(rows, table), alone[i])
+        monkeypatch.undo()
 
 
 def test_averaged_marginal_translation_invariant():

@@ -140,6 +140,20 @@ def test_rows_are_classified_by_what_they_mean():
         rll_constraint(1, 0.1).cap[0][0] = 1.0
 
 
+def test_equality_row_at_its_maximum_forbids():
+    # mu(11) == 1 forbids 00, 01 and 10, as mu(00) + mu(01) + mu(10) == 0 does
+    at_max = _rows(([0, 0, 0, 1], 1.0), sense="==")
+    at_min = _rows(([1, 1, 1, 0], 0.0), sense="==")
+    assert at_max.forbidden.tolist() == at_min.forbidden.tolist() == [1.0, 1.0, 1.0, 0.0]
+    assert at_max.cap[0].tolist() == at_min.cap[0].tolist() and at_max.cap[1] == 0.0
+    for n in range(2, 7):
+        assert count_admissible_noncyclic(n, at_max) == count_admissible_noncyclic(n, at_min)
+    for side, eps in ((2, 0.0), (3, 0.01)):
+        a = hind_fixed_n(at_max, side, eps, restarts=2, seed=1)
+        b = hind_fixed_n(at_min, side, eps, restarts=2, seed=1)
+        assert a.feasible and b.feasible and a.value == b.value, (side, eps)
+
+
 def test_distance_closed_form_ignores_how_rows_are_written(monkeypatch):
     # each spelling of mu(11) <= 0.1 is the one cap, so no LP runs
     def no_lp(*args, **kwargs):
