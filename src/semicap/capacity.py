@@ -356,16 +356,11 @@ def _soft_slice_duals(c, b, allowed, start, lam, max_iter, gap_tol):
     which costs less than gathering them."""
     excess = (c @ start[:, :, None])[:, :, 0] - b
     slack = np.maximum(_MIX_TOL, excess)
-    mask = None if allowed.all() else allowed
 
     def dual(lam):
         e = (lam[:, None, :] @ c)[:, 0]
-        if mask is None:
-            top = e.min(axis=1)
-            w = np.exp2(top[:, None] - e)
-        else:
-            top = e.min(axis=1, where=mask, initial=np.inf)
-            w = np.exp2(top[:, None] - e) * mask
+        top = e.min(axis=1, where=allowed, initial=np.inf)
+        w = np.exp2(top[:, None] - e) * allowed
         z = w.sum(axis=1)
         bound = np.fromiter(map(math.log2, z), float, len(z)) - top + _dots(lam, b)
         eta = w / z[:, None]

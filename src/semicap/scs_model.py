@@ -270,7 +270,8 @@ def _classify(coeffs: np.ndarray, bounds: np.ndarray, equal: np.ndarray):
     rows = (coeffs[kept] - low[:, None]) / span[:, None]
     b = (bounds[kept] - low) / span
     at_max = equal[kept] & (b == 1.0)
-    rows, b = np.where(at_max[:, None], 1.0 - rows, rows), np.where(at_max, 0.0, b)
+    if at_max.any():
+        rows[at_max], b[at_max] = 1.0 - rows[at_max], 0.0
     rows.flags.writeable = False
     if not (b == 0.0).all():
         if (len(b) == 1 and not equal[kept][0] and b[0] > 0.0
