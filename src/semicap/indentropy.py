@@ -400,7 +400,8 @@ def hind_fixed_n(gamma: ConstraintSet, side: int, eps: float = 0.0, *,
     eps = _checked_eps(eps)
     model = _WindowModel(gamma, side)
     n, q = side, model.q
-    rng = np.random.default_rng(seed)
+    # only drawing a start needs the generator, and with it numpy.random
+    rng = np.random.default_rng(seed) if restarts > 0 else None
     cap = gamma.cap
     if cap is not None:
         coeff_list, bounds_eff = [cap[0]], [cap[1] + eps]

@@ -2,9 +2,10 @@
 
 Two-phase primal simplex on a dense tableau, with Bland's anti-cycling
 pivoting rule throughout.  Written for the tiny, dense, sometimes degenerate
-programs this package generates (distance-to-polytope programs and
-linear-maximisation oracles, a few dozen variables); determinism matters
-more than speed here, and Bland's rule guarantees termination.
+programs this package generates (the distance-to-polytope LP of
+`scs_model`, and the feasibility programs of `ConstraintSet.feasible_point`
+and `capacity._feasible_start`, a few dozen variables); determinism
+matters more than speed here, and Bland's rule guarantees termination.
 
 The entry point solves
 

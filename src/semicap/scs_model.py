@@ -405,6 +405,9 @@ def _counts_admissible(counts: np.ndarray, total: int, gamma: ConstraintSet,
 # and a budget are checked after every cell, which drops every word their
 # partial totals already rule out; the precise admissibility condition is
 # tested once per final state, where the statistics are the full counts.
+# At eps > 0 a type is first tested against Γ's own rows, unrelaxed, in
+# exact integers: a type inside Γ is at distance 0, and only the types
+# outside Γ get the distance LP.
 # In 1-D this is the de Bruijn transfer matrix with the head kept for the
 # wrap, in 2-D the row-profile transfer.
 
@@ -441,6 +444,11 @@ def _scale_row(coeffs: np.ndarray, bound: Fraction, scale: int, sense: str,
     return _Row(weights, budget, prunable, sense)
 
 
+def _row_holds(row: _Row, lhs: int) -> bool:
+    """Does the integer total `lhs` meet the row's unrelaxed test?"""
+    return lhs <= row.budget if row.sense == "<=" else lhs == row.budget
+
+
 def _advance(stats: tuple, delta: tuple) -> tuple | None:
     """Statistics after the increments, or None once a capped slot exceeds
     its cap."""
@@ -469,9 +477,11 @@ class _Transfer:
 
         # Statistic slots, per check: its rows (only the prunable ones at
         # eps > 0), then at eps > 0 its type.  `charge[pattern]` lists the
-        # (slot, increment) pairs one placement of the check adds.
+        # (slot, increment) pairs one placement of the check adds.  Each
+        # type keeps its check's rows at eps = 0, the exact test of Γ itself.
         self.rows: list[tuple[int, _Row]] = []
-        self.types: list[tuple[int, int, ConstraintSet]] = []  # (first slot, placements, factor)
+        # (first slot, placements, factor, exact rows)
+        self.types: list[tuple[int, int, ConstraintSet, list[_Row]]] = []
         self.caps: list = []                                   # per slot: prune cap
         last = np.full(ncells, -1, dtype=np.int64)             # last step reading each cell
         done: list[list] = [[] for _ in range(ncells)]         # per step: (charge, cells) completed
@@ -490,7 +500,9 @@ class _Transfer:
                         charge[i].append((len(self.caps), w))
                 self.caps.append(math.floor(row.budget) if row.prunable else math.inf)
             if self.eps:
-                self.types.append((len(self.caps), nplace, gamma))
+                exact = [_scale_row(con.coeffs, _decimal(con.bound), nplace, con.sense, 0.0)
+                         for con in gamma.constraints]
+                self.types.append((len(self.caps), nplace, gamma, exact))
                 for i in range(gamma.npatterns):
                     charge[i].append((len(self.caps) + i, 1))
                 self.caps += [math.inf] * gamma.npatterns
@@ -567,18 +579,19 @@ class _Transfer:
         return layer
 
     def _accepts(self, stats: tuple, seen: dict) -> bool:
-        """The exact admissibility test on one final state's statistics."""
+        """The exact admissibility test on one final state's statistics.  At
+        eps > 0 a type inside Γ (every exact row holds) is at distance 0;
+        only the others go on to the distance LP."""
         if not self.eps:
-            for slot, row in self.rows:
-                lhs = stats[slot]
-                if (lhs > row.budget) if row.sense == "<=" else (lhs != row.budget):
-                    return False
-            return True
-        for first, nplace, gamma in self.types:
+            return all(_row_holds(row, stats[slot]) for slot, row in self.rows)
+        for first, nplace, gamma, exact in self.types:
             counts = stats[first:first + gamma.npatterns]
             ok = seen.get((first, counts))
             if ok is None:
-                ok = seen[first, counts] = _counts_admissible(
+                ok = seen[first, counts] = all(
+                    _row_holds(row, sum(w * c for w, c in zip(row.weights, counts)))
+                    for row in exact
+                ) or _counts_admissible(
                     np.array(counts, dtype=np.int64), nplace, gamma, self.eps)
             if not ok:
                 return False

@@ -1,6 +1,9 @@
 """Independence-entropy lower bounds: product measures, the window-2 cap
 curve, the fixed-n optimiser, axial lifts, and multi-choice counting."""
 import math
+import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -590,6 +593,41 @@ def test_hind_deterministic_given_seed():
     b = hind_fixed_n(gamma, 3, restarts=6, seed=7)
     assert a.value == b.value
     assert np.array_equal(a.measure.site_dists, b.measure.site_dists)
+
+
+def test_hind_random_starts_are_pinned():
+    # on the two-row system the best start depends on the seed's draws, so
+    # these values pin the random starts themselves
+    two_rows = ConstraintSet(BIN, Shape.segment(2), (
+        LinearConstraint(np.array([0.0, 0.5, 0.5, 1.0]), 0.4),
+        LinearConstraint(np.array([0.0, 0.0, 0.0, 1.0]), 0.15)))
+    for restarts, seed, value in ((2, 0, 0.9579755596844003), (2, 2, 0.9417094424652749),
+                                  (0, 0, 0.9364084392275019)):
+        res = hind_fixed_n(two_rows, 3, 0.01, restarts=restarts, seed=seed)
+        assert res.feasible and res.restarts == restarts + 2
+        assert abs(res.value - value) <= 1e-12, (restarts, seed)
+
+
+def test_hind_without_restarts_leaves_numpy_random_unimported():
+    # a fresh interpreter: with no random start to draw, hind_fixed_n never
+    # touches numpy.random (numpy 1.x imports it with numpy itself)
+    script = (
+        "import sys, numpy\n"
+        "if 'numpy.random' in sys.modules:\n"
+        "    print('preloaded'); raise SystemExit\n"
+        "from semicap.indentropy import hind_fixed_n\n"
+        "from semicap.scs_model import rll_constraint\n"
+        "hind_fixed_n(rll_constraint(1, 0.1), 3, restarts=0)\n"
+        "print('numpy.random' in sys.modules)\n"
+    )
+    src = os.path.join(os.path.dirname(__file__), os.pardir, "src")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        p for p in (src, os.environ.get("PYTHONPATH")) if p))
+    out = subprocess.run([sys.executable, "-c", script], env=env, check=True,
+                         capture_output=True, text=True).stdout.strip()
+    if out == "preloaded":
+        pytest.skip("import numpy already loads numpy.random")
+    assert out == "False"
 
 
 # ---------------------------------------------------------------------------

@@ -315,6 +315,49 @@ def test_count_monotone_in_eps():
                 count_admissible(n, rll_constraint(1, 0.1), eps), (row, n, eps)
 
 
+# The two-row polytopes of the benchmark's count-relaxed workload
+# (bench/specs.py GAMMA_W2, GAMMA_W3).
+GAMMA_W2 = _rows(([0, 0.5, 0.5, 1], 0.4), ([0, 0, 0, 1], 0.15))
+GAMMA_W3 = _rows(([0, 0, 0, 0.5, 0, 0.5, 0.5, 1], 0.3), ([0, 0, 0, 0, 0, 0, 0, 1], 0.05),
+                 window=3)
+
+
+def test_relaxed_screen_matches_exhaustive():
+    # at eps > 0 a final type is first tested against Γ's exact rows, which
+    # include the rows the prune leaves out of the state: an == row with a
+    # nonzero bound and a row with a negative coefficient
+    cap11 = LinearConstraint(np.array([0.0, 0.0, 0.0, 1.0]), 0.15)
+    equal = ConstraintSet(BIN, Shape.segment(2), (
+        LinearConstraint(np.array([0.0, 0.5, 0.5, 1.0]), 0.25, "=="), cap11))
+    signed = ConstraintSet(BIN, Shape.segment(2), (
+        LinearConstraint(np.array([-1.0, 0.0, 0.0, 1.0]), -0.3), cap11))
+    cases = [(equal, (8, 12)), (signed, (8, 12)),
+             (GAMMA_W2, (7, 10, 12)), (GAMMA_W3, (7, 10, 12)),
+             (axial_product(GAMMA_W2, 2, "weak"), (3, 4))]
+    for system, sides in cases:
+        for eps in (0.02, 0.05):
+            for n in sides:
+                assert count_admissible(n, system, eps) == count_exhaustive(n, system, eps), \
+                    (system, n, eps)
+
+
+def test_relaxed_count_solves_lp_only_outside_gamma(monkeypatch):
+    # types inside Γ settle in exact integers; only the few outside it
+    # reach the distance LP
+    calls = [0]
+    solve = scs_model.solve_lp
+
+    def counted(*args, **kwargs):
+        calls[0] += 1
+        return solve(*args, **kwargs)
+
+    monkeypatch.setattr(scs_model, "solve_lp", counted)
+    assert count_admissible(12, GAMMA_W3, 0.02) == 1412
+    assert calls[0] == 0
+    assert count_admissible(12, GAMMA_W2, 0.02) == 1382
+    assert 0 < calls[0] <= 5
+
+
 def test_strict_subset_of_weak():
     rng = np.random.default_rng(55)
     for _ in range(4):
