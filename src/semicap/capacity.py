@@ -16,8 +16,10 @@ window x weighs 2^(-lam . c(x)) (Marcus & Roth 1992; Khayrallah & Neuhoff
 minimiser lies in Γ and its entropy meets the bound, so `pressure_dual`
 returns a witness and a duality gap together (a maximiser that must mix
 components of the graph sits at a kink of D, where the dual may stop
-short, and says so).  One feasibility LP decides emptiness first.  The
-site slices of `indentropy` are the one-state case (k = 1).
+short, and says so).  One feasibility LP decides emptiness first.  One
+engine solves the dual for capacity and for the site slices of
+`indentropy`: damped projected Newton on a stack of slices, of which
+`pressure_dual` is a stack of one and `_slice_duals` the one-state case.
 
 `transfer_matrix_capacity` provides the independent cross-check for fully
 constrained systems: the log spectral radius of the forbidden-word de
@@ -79,12 +81,13 @@ class GibbsDual:
     converged: bool      # bound - value <= gap_tol
 
 
-def _conditional_entropy(mu: np.ndarray, q: int) -> float:
-    """H(window) - H(window prefix): the entropy of the last symbol given
-    the others (for one-symbol windows, the plain entropy)."""
-    if len(mu) == q:
+def _conditional_entropy(mu: np.ndarray, q: int) -> np.ndarray:
+    """H(window) - H(window prefix) of each measure of a stack (S, q^k): the
+    entropy of the last symbol given the others (for one-symbol windows, the
+    plain entropy)."""
+    if mu.shape[1] == q:
         return _entropy_vec(mu)
-    return _entropy_vec(mu) - _entropy_vec(mu.reshape(-1, q).sum(axis=1))
+    return _entropy_vec(mu) - _entropy_vec(mu.reshape(len(mu), -1, q).sum(axis=2))
 
 
 def _cycle_components(allowed: np.ndarray, q: int, k: int):
@@ -101,19 +104,18 @@ def _cycle_components(allowed: np.ndarray, q: int, k: int):
     return allowed & reach[x % s, x // q], [np.array(st) for st in comps]
 
 
-def _tilted(c: np.ndarray, allowed: np.ndarray, comps, outside,
-            lam: np.ndarray, q: int, k: int):
-    """log2 of the spectral radius of the tilted de Bruijn matrix A_lam, block
-    diagonal over `comps`, and the Perron Markov window measure of a largest
-    root's component (of tied roots, the least far `outside` the rows), with
-    the transition data behind it."""
+def _tilted(c: np.ndarray, b: np.ndarray, slack: np.ndarray, below: np.ndarray,
+            allowed: np.ndarray, comps, lam: np.ndarray, q: int, k: int):
+    """log2 of the spectral radius of the tilted de Bruijn matrix A_lam
+    (k >= 2), block diagonal over `comps`, and the Perron Markov window
+    measure of a largest root's component (of tied roots, the least far
+    outside -slack <= b - c . eta <= below), with the transition data
+    behind it."""
     e = lam @ c
-    # A_lam scaled by 2^top, so the largest weight is 1 whatever the sign of lam
+    # A_lam scaled by 2^top, so the largest weight is 1 whatever the sign of
+    # lam; off `allowed`, 2^(top - e) may overflow and is never formed
     top = float(e.min(where=allowed, initial=np.inf))
-    w = np.exp2(top - e) * allowed
-    if k == 1:   # one state: the spectral radius is the total weight
-        z = float(w.sum())
-        return math.log2(z) - top, w / z, None
+    w = np.exp2(top - e, out=np.zeros(len(e)), where=allowed)
     s = q ** (k - 1)
     x = np.arange(q ** k)
     a = np.zeros((s, s))
@@ -128,7 +130,8 @@ def _tilted(c: np.ndarray, allowed: np.ndarray, comps, outside,
         r[st], l[st] = rs, ls
         eta = l[x // q] * w * r[x % s]
         eta /= eta.sum()
-        far = outside(eta)
+        g = b - c @ eta
+        far = float(np.max(np.maximum(-g - slack, g - below), initial=0.0))
         if best is None or root > best[0] * (1 + 1e-12) or (
                 root >= best[0] * (1 - 1e-12) and far < best[1]):
             best = (root, far, eta, r)
@@ -164,11 +167,9 @@ def _perron(a: np.ndarray):
 
 
 def _hessian(c: np.ndarray, eta: np.ndarray, trans, q: int, k: int) -> np.ndarray:
-    """Hessian of log2 rho(A_lam): ln 2 times the asymptotic covariance of
-    the rows along the Perron chain (the plain covariance when k = 1)."""
+    """Hessian of log2 rho(A_lam) (k >= 2): ln 2 times the asymptotic
+    covariance of the rows along the Perron chain."""
     f = c - (c @ eta)[:, None]
-    if k == 1:
-        return LOG2 * ((f * eta) @ f.T)
     w, r, rho = trans
     s = q ** (k - 1)
     x = np.nonzero(eta > 0.0)[0]
@@ -180,24 +181,6 @@ def _hessian(c: np.ndarray, eta: np.ndarray, trans, q: int, k: int) -> np.ndarra
     y = np.linalg.solve(np.eye(len(x)) - p + pi[None, :], f.T)
     cross = (f * pi) @ y
     return LOG2 * (cross + cross.T - (f * pi) @ f.T)
-
-
-def _newton_step(hess: np.ndarray, g: np.ndarray, lam: np.ndarray,
-                 bounded: np.ndarray) -> np.ndarray:
-    """Newton step for D on the free multipliers.  Along flat directions of
-    the Hessian (parallel rows) D is linear, so the step follows its slope
-    down to the nearest bound lam_i = 0 of a `bounded` multiplier."""
-    if len(g) == 1 and hess[0, 0] > 0.0:
-        return -g / hess[0, 0]
-    curv, vecs = np.linalg.eigh(hess)
-    gv = vecs.T @ g
-    flat = curv <= 1e-9 * curv[-1]
-    step = -vecs @ np.where(flat, 0.0, gv / np.where(flat, 1.0, curv))
-    slope = vecs @ np.where(flat, gv, 0.0)
-    hits = bounded & (slope > 0.0)
-    if hits.any():
-        step -= max(np.min((lam + step)[hits] / slope[hits]), 0.0) * slope
-    return step
 
 
 def pressure_dual(coeffs, bounds, equal, q: int, k: int, start: np.ndarray,
@@ -222,89 +205,20 @@ def pressure_dual(coeffs, bounds, equal, q: int, k: int, start: np.ndarray,
     above.  If the budget runs out first, the Perron measure is mixed with
     the feasible `start` just enough to meet the rows, and `start` itself is
     returned when it is better.  Raises EmptySystemError when a row alone
-    cannot be met.
+    cannot be met, or the hard rows leave no shift-invariant pattern.
+
+    This runs the engine behind `_slice_duals` on a stack of one slice:
+    capacity and the site slices of `indentropy` share one solver.
     """
-    c = np.array(coeffs, dtype=np.float64).reshape(-1, q ** k)
-    low = c.min(axis=1)
-    c -= low[:, None]
-    b = np.asarray(bounds, dtype=np.float64) - low
-    if (b < -_HARD_TOL).any():
-        raise EmptySystemError("a constraint row cannot be met")
-    soft = b > _HARD_TOL
-    equal = np.asarray(equal, dtype=bool)
-    allowed = np.ones(c.shape[1], dtype=bool)
-    if not soft.all():
-        allowed = ~(c[~soft] > _HARD_TOL).any(axis=0)
-        c, b, equal = c[soft], b[soft], equal[soft]
-    allowed, comps = _cycle_components(allowed, q, k) if k > 1 else (allowed, None)
-    if not allowed.any():
-        raise EmptySystemError("the hard rows leave no shift-invariant pattern")
-    floor = np.where(equal, -np.inf, 0.0)   # lam >= 0 on `<=` rows only
-    lam_all = np.zeros(len(soft)) if lam is None else np.array(lam, dtype=np.float64)
-    lam = np.maximum(lam_all[soft], floor)
-    start = np.asarray(start, dtype=np.float64)
-    excess = c @ start - b
-    # a returned measure may exceed a row by _MIX_TOL, or by what start does
-    slack = np.maximum(_MIX_TOL, np.where(equal, np.abs(excess), excess))
-    below = np.where(equal, slack, np.inf)   # == rows must not fall short either
-
-    def outside(eta):
-        g = b - c @ eta
-        return float(np.max(np.maximum(-g - slack, g - below), initial=0.0))
-
-    def dual(lam):
-        log_rho, eta, trans = _tilted(c, allowed, comps, outside, lam, q, k)
-        return log_rho + float(lam @ b), eta, trans, b - c @ eta   # g = grad D
-
-    def kkt(lam, g):   # size of the projected gradient
-        return np.linalg.norm(np.where((lam > floor) | (g < 0.0), g, 0.0))
-
-    bound, eta, trans, g = dual(lam)
-    it = 0
-    while True:
-        it += 1
-        inside = bool(((-g <= slack) & (g <= below)).all())
-        if (inside and float(lam @ g) <= gap_tol) or it >= max_iter:
-            break
-        free = (lam > floor) | (g < 0.0)
-        d = np.zeros_like(lam)
-        d[free] = _newton_step(_hessian(c[free], eta, trans, q, k), g[free],
-                               lam[free], ~equal[free])
-        step = 1.0
-        for _ in range(60):
-            new = np.maximum(lam + step * d, floor)
-            trial = dual(new)
-            rise = trial[0] - bound
-            # Armijo on D; near the minimiser D is flat to rounding, so there
-            # a smaller projected gradient (computed exactly) also passes
-            if rise <= 1e-4 * float(g @ (new - lam)) or (
-                    rise <= 16 * np.spacing(max(1.0, abs(bound)))
-                    and kkt(new, trial[3]) < kkt(lam, g)):
-                break
-            step *= 0.5
-        else:
-            break   # no progress left at working precision
-        if (new == lam).all():
-            break
-        lam = new
-        bound, eta, trans, g = trial
-
-    mu = eta
-    if not inside:
-        # largest t in [0, 1] with t*eta + (1-t)*start within slack of every row
-        a = -g - excess
-        bind = (a > 0.0) | (equal & (a < 0.0))
-        t = max(0.0, float(np.min((slack[bind] - np.sign(a[bind]) * excess[bind])
-                                  / np.abs(a[bind]), initial=1.0)))
-        mu = t * eta + (1.0 - t) * start
-    value = _conditional_entropy(mu, q)
-    if bound - value > gap_tol:
-        h_start = _conditional_entropy(start, q)
-        if value < h_start:
-            mu, value = start, h_start
-    lam_all = np.zeros(len(soft))
-    lam_all[soft] = lam
-    return GibbsDual(mu, value, bound, lam_all, it, bound - value <= gap_tol)
+    c = np.array(coeffs, dtype=np.float64).reshape(1, -1, q ** k)
+    lam = np.zeros(c.shape[:2]) if lam is None else np.array(lam, dtype=np.float64)
+    mu, lam, value, bound, its, ok = _duals(
+        c, np.asarray(bounds, dtype=np.float64).reshape(1, -1), np.asarray(equal, dtype=bool),
+        np.asarray(start, dtype=np.float64)[None], lam.reshape(1, -1), q, k, max_iter, gap_tol)
+    if not ok[0]:
+        raise EmptySystemError("the rows leave no shift-invariant measure")
+    return GibbsDual(mu[0], float(value[0]), float(bound[0]), lam[0], int(its[0]),
+                     bool(bound[0] - value[0] <= gap_tol))
 
 
 def _slice_duals(lins: np.ndarray, rhs: np.ndarray, starts: np.ndarray,
@@ -315,33 +229,50 @@ def _slice_duals(lins: np.ndarray, rhs: np.ndarray, starts: np.ndarray,
     starts[i] and the multipliers lam[i].  Returns the measures (S, q) and
     the multipliers (S, R), each bit for bit what its own call returns; a
     slice whose own call would raise (a row that cannot be met, or hard
-    rows that leave no symbol) keeps its start and its multipliers.
+    rows that leave no symbol) keeps its start and its multipliers."""
+    mu, lam, *_ = _duals(lins, rhs, np.zeros(lins.shape[1], dtype=bool), starts, lam,
+                         lins.shape[2], 1, max_iter, gap_tol)
+    return mu, lam
 
-    The slices share the loop, not the arithmetic: every product runs per
-    slice with the single call's operand shapes, so the slices are grouped
-    by their set of soft rows (hard rows drop out) and each Newton step by
-    its set of free rows, and each slice keeps its own line search, stop
-    and fall-back.
-    """
+
+def _duals(lins, rhs, equal, starts, lam, q, k, max_iter, gap_tol):
+    """The pressure dual on a stack of S slices, each with its own rows
+    lins[i] . mu <= rhs[i] (== where `equal`), feasible start and warm
+    multipliers.  Returns per slice the measure, the multipliers (0 on hard
+    rows), the value, the bound, the iteration count and whether the rows
+    leave a measure; a slice whose rows leave none keeps its start and
+    multipliers.  The slices share the loop, not the arithmetic: each
+    product runs with a single slice's operand shapes, so the slices are
+    grouped by their soft rows and each Newton step by its free rows, and
+    each slice keeps its own line search, stop and fall-back.  Windows
+    k >= 2 run one slice at a time through `_tilted` and `_hessian`."""
     low = lins.min(axis=2)
     c = lins - low[:, :, None]
     b = rhs - low
     soft = b > _HARD_TOL
     allowed = ~((c > _HARD_TOL) & ~soft[:, :, None]).any(axis=1)
+    comps = [None] * len(c)
+    if k > 1:
+        for i in range(len(c)):
+            allowed[i], comps[i] = _cycle_components(allowed[i], q, k)
     ok = ~(b < -_HARD_TOL).any(axis=1) & allowed.any(axis=1)
-    floored = np.maximum(lam, 0.0)
+    floored = np.maximum(lam, np.where(equal, -np.inf, 0.0))   # lam >= 0 on `<=` rows
     if ok.all() and soft.all():   # the common case: one group, all rows soft
-        return _soft_slice_duals(c, b, allowed, starts, floored, max_iter, gap_tol)
+        return *_soft_duals(c, b, equal, allowed, comps, starts, floored, q, k,
+                            max_iter, gap_tol), ok
     mu, lam_out = starts.copy(), lam.copy()
+    value, bound, its = np.zeros(len(c)), np.zeros(len(c)), np.zeros(len(c), dtype=int)
     keys = soft @ (1 << np.arange(soft.shape[1]))
     for key in set(keys[ok].tolist()):
         at = np.flatnonzero(ok & (keys == key))
-        pick = at[:, None], np.flatnonzero(soft[at[0]])   # C-ordered like c[soft]
-        mu[at], lam_rows = _soft_slice_duals(c[pick], b[pick], allowed[at], starts[at],
-                                             floored[pick], max_iter, gap_tol)
+        rows = np.flatnonzero(soft[at[0]])
+        pick = at[:, None], rows   # C-ordered like c[soft]
+        mu[at], lam_rows, value[at], bound[at], its[at] = _soft_duals(
+            c[pick], b[pick], equal[rows], allowed[at], [comps[i] for i in at], starts[at],
+            floored[pick], q, k, max_iter, gap_tol)
         lam_out[at] = 0.0
         lam_out[pick] = lam_rows
-    return mu, lam_out
+    return mu, lam_out, value, bound, its, ok
 
 
 def _dots(x: np.ndarray, y: np.ndarray) -> np.ndarray:
@@ -349,42 +280,60 @@ def _dots(x: np.ndarray, y: np.ndarray) -> np.ndarray:
     return (x[:, None, :] @ y[:, :, None])[:, 0, 0]
 
 
-def _soft_slice_duals(c, b, allowed, start, lam, max_iter, gap_tol):
-    """`_slice_duals` on slices that share one set of rows, all soft: c
-    (S, R, q) shifted to a zero minimum, lam (S, R) >= 0.  Each pass
-    computes every slice and keeps the results of those still running,
-    which costs less than gathering them."""
+def _soft_duals(c, b, equal, allowed, comps, start, lam, q, k, max_iter, gap_tol):
+    """`_duals` on slices that share one set of rows, all soft: c
+    (S, R, q^k) shifted to a zero minimum, lam (S, R) >= 0 on `<=` rows.
+    Each pass computes every slice and keeps the results of those still
+    running, which costs less than gathering them."""
+    floor = np.where(equal, -np.inf, 0.0)   # lam >= 0 on `<=` rows only
     excess = (c @ start[:, :, None])[:, :, 0] - b
-    slack = np.maximum(_MIX_TOL, excess)
+    # a returned measure may exceed a row by _MIX_TOL, or by what start does
+    slack = np.maximum(_MIX_TOL, np.where(equal, np.abs(excess), excess))
+    below = np.where(equal, slack, np.inf)   # == rows must not fall short either
+
+    def inside(g):
+        return ((-g <= slack) & (g <= below)).all(axis=1)
 
     def dual(lam):
-        e = (lam[:, None, :] @ c)[:, 0]
-        top = e.min(axis=1, where=allowed, initial=np.inf)
-        w = np.exp2(top[:, None] - e) * allowed
-        z = w.sum(axis=1)
-        bound = np.fromiter(map(math.log2, z), float, len(z)) - top + _dots(lam, b)
-        eta = w / z[:, None]
-        return lam, bound, eta, b - (c @ eta[:, :, None])[:, :, 0]   # g = grad D
+        trans = np.empty(len(c), dtype=object)
+        if k == 1:   # one state: the spectral radius is the total weight
+            e = (lam[:, None, :] @ c)[:, 0]
+            top = e.min(axis=1, where=allowed, initial=np.inf)
+            w = np.exp2(top[:, None] - e, out=np.zeros(e.shape), where=allowed)   # as `_tilted`
+            z = w.sum(axis=1)
+            log_rho = np.fromiter(map(math.log2, z), float, len(z)) - top
+            eta = w / z[:, None]
+        else:
+            log_rho, eta = np.zeros(len(c)), np.zeros(start.shape)
+            for i in range(len(c)):
+                log_rho[i], eta[i], trans[i] = _tilted(c[i], b[i], slack[i], below[i],
+                                                       allowed[i], comps[i], lam[i], q, k)
+        bound = log_rho + _dots(lam, b)
+        return lam, bound, eta, b - (c @ eta[:, :, None])[:, :, 0], trans   # g = grad D
 
     def kkt(lam, g):   # size of the projected gradient
-        x = np.where((lam > 0.0) | (g < 0.0), g, 0.0)
+        x = np.where((lam > floor) | (g < 0.0), g, 0.0)
         return np.sqrt(_dots(x, x))
 
     def keep(where, new, old):
+        if where.all():
+            return new
         return [np.where(where.reshape((-1,) + (1,) * (n.ndim - 1)), n, o)
                 for n, o in zip(new, old)]
 
     state = dual(lam)
     live = np.ones(len(c), dtype=bool)
-    for _ in range(max_iter - 1):
-        lam, bound, eta, g = state
-        live &= ~((-g <= slack).all(axis=1) & (_dots(lam, g) <= gap_tol))
+    its = np.zeros(len(c), dtype=int)
+    while True:
+        lam, bound, eta, g, trans = state
+        its += live
+        live &= ~(inside(g) & (_dots(lam, g) <= gap_tol)) & (its < max_iter)
         if not live.any():
             break
-        d = _newton_dirs(c, eta, g, lam, live)
+        d = _newton_dirs(c, eta, trans, g, lam, floor, live, q, k)
         step, todo, accepted = np.ones(len(c)), live.copy(), None
         for _ in range(60):
-            trial = dual(np.maximum(lam + step[:, None] * d, 0.0))
+            trial = dual(np.maximum(lam + step[:, None] * d, floor))
             rise = trial[1] - bound
             # Armijo on D; near the minimiser D is flat to rounding, so there
             # a smaller projected gradient (computed exactly) also passes
@@ -403,63 +352,74 @@ def _soft_slice_duals(c, b, allowed, start, lam, max_iter, gap_tol):
         live &= ~todo & ~(accepted[0] == lam).all(axis=1)
         state = keep(live, accepted, state)
 
-    lam, bound, mu, g = state
-    out = ~(-g <= slack).all(axis=1)
+    lam, bound, mu, g, _ = state
+    out = ~inside(g)
     if out.any():
         # largest t in [0, 1] with t*eta + (1-t)*start within slack of every row
         a = -g[out] - excess[out]
         ratio = np.full(a.shape, np.inf)
-        np.divide(slack[out] - np.sign(a) * excess[out], np.abs(a), out=ratio, where=a > 0.0)
+        np.divide(slack[out] - np.sign(a) * excess[out], np.abs(a), out=ratio,
+                  where=(a > 0.0) | (equal & (a < 0.0)))
         t = np.minimum(ratio.min(axis=1), 1.0)
         t = np.where(t > 0.0, t, 0.0)[:, None]
         mu[out] = t * mu[out] + (1.0 - t) * start[out]
-    back = np.flatnonzero(bound - _entropy_vec(mu) > gap_tol)
+    value = _conditional_entropy(mu, q)
+    back = np.flatnonzero(bound - value > gap_tol)
     if back.size:
-        keep_start = _entropy_vec(mu[back]) < _entropy_vec(start[back])
-        mu[back[keep_start]] = start[back[keep_start]]
-    return mu, lam
+        h_start = _conditional_entropy(start[back], q)
+        better = value[back] < h_start
+        mu[back[better]], value[back[better]] = start[back[better]], h_start[better]
+    return mu, lam, value, bound, its
 
 
-def _newton_dirs(c, eta, g, lam, live):
-    """`pressure_dual`'s one-state Newton direction for each `live` slice
-    (0 for the others): `_newton_step` on the slice's free rows (lam > 0 or
-    g < 0), the slices grouped by that set so that each step sees its single
-    call's operand shapes."""
-    if lam.shape[1] == 1:   # the one row of a live slice is free
-        f = c - c @ eta[:, :, None]
-        return _newton_steps(LOG2 * ((f * eta[:, None, :]) @ f.transpose(0, 2, 1)),
-                             g, lam, live)
-    free = (lam > 0.0) | (g < 0.0)
+def _newton_dirs(c, eta, trans, g, lam, floor, live, q, k):
+    """The Newton direction of D for each `live` slice (0 for the others),
+    on the slice's free rows (lam above its floor, or g < 0): the slices
+    grouped by that set so that each step sees a single slice's operand
+    shapes."""
+    free = (lam > floor) | (g < 0.0)
+    if live.all() and free.all():   # one group: every slice, every row
+        return _newton_steps(_hessians(c, eta, trans, q, k), g, lam, floor == 0.0)
     keys = free @ (1 << np.arange(lam.shape[1]))
     d = np.zeros_like(lam)
     for key in set(keys[live].tolist()):
         at = np.flatnonzero(live & (keys == key))
-        pick = at[:, None], np.flatnonzero(free[at[0]])   # C-ordered like c[free]
-        cf, e = c[pick], eta[at]
-        f = cf - cf @ e[:, :, None]
-        d[pick] = _newton_steps(LOG2 * ((f * e[:, None, :]) @ f.transpose(0, 2, 1)),
-                                g[pick], lam[pick], np.ones(len(at), dtype=bool))
+        rows = np.flatnonzero(free[at[0]])
+        pick = at[:, None], rows   # C-ordered like c[free]
+        d[pick] = _newton_steps(_hessians(c[pick], eta[at], trans[at], q, k), g[pick],
+                                lam[pick], floor[rows] == 0.0)
     return d
 
 
-def _newton_steps(hess, g, lam, live):
-    """`_newton_step` for each `live` system of a stack of one size (0 for
-    the others), every multiplier bounded below by 0: a division for one row
-    of positive curvature, else the stacked eigendecomposition."""
-    step = np.zeros_like(g)
+def _hessians(c, eta, trans, q, k):
+    """The Hessian of log2 rho(A_lam) for each slice of a stack: the
+    covariance of the rows under eta when k = 1, else `_hessian`."""
+    if k == 1:
+        f = c - c @ eta[:, :, None]
+        return LOG2 * ((f * eta[:, None, :]) @ f.transpose(0, 2, 1))
+    return np.array([_hessian(*slice_, q, k) for slice_ in zip(c, eta, trans)])
+
+
+def _newton_steps(hess, g, lam, bounded):
+    """Newton steps for D on the free multipliers of a stack of systems of
+    one size: a division for one row of positive curvature, else the
+    stacked eigendecomposition.  Along flat directions of the Hessian
+    (parallel rows) D is linear, so the step follows its slope down to the
+    nearest bound lam_i = 0 of a `bounded` multiplier."""
     if g.shape[1] == 1:
         h = hess[:, 0]
-        div = live[:, None] & (h > 0.0)
+        div = h > 0.0
         step = -g / np.where(div, h, np.inf)
-        live = live & ~div[:, 0]
-    rest = np.flatnonzero(live)
+        rest = np.flatnonzero(~div[:, 0])
+    else:
+        step, rest = np.zeros_like(g), np.arange(len(g))
     if rest.size:
         curv, vecs = np.linalg.eigh(hess[rest])
         gv = (vecs.transpose(0, 2, 1) @ g[rest][:, :, None])[:, :, 0]
         flat = curv <= 1e-9 * curv[:, -1:]
         s = (-vecs @ np.where(flat, 0.0, gv / np.where(flat, 1.0, curv))[:, :, None])[:, :, 0]
         slope = (vecs @ np.where(flat, gv, 0.0)[:, :, None])[:, :, 0]
-        hits = slope > 0.0
+        hits = bounded & (slope > 0.0)
         ratio = np.full(slope.shape, np.inf)
         np.divide(lam[rest] + s, slope, out=ratio, where=hits)
         back = ratio.min(axis=1)

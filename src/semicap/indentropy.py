@@ -27,11 +27,12 @@ optimiser exploits:
   maximisation over the feasible slice, the one-state case of the
   certified pressure dual in `capacity` (one multiplier per constraint,
   warm-started from the site's previous solve), which also polishes the
-  ascent's result.  These sweeps run on the same stack of starts: each
+  ascent's result.  The same engine solves that dual for capacity and
+  for the slices.  These sweeps run on the same stack of starts: each
   site's affine terms come from the same gather tables for every start
-  at once, one stacked call of that dual (`capacity._slice_duals`) solves
-  every start's slice, bit for bit as the start's own call would, and
-  each start keeps its own stop;
+  at once, one stacked call of the engine (`capacity._slice_duals`)
+  solves every start's slice, bit for bit as the start's own call would,
+  and each start keeps its own stop;
 * everything is repeated from random restarts plus i.i.d. and period-2
   warm starts (screened row by row at eps = 0, by the LP distance above
   it), and the winner is certified feasible by an LP distance check.
@@ -388,14 +389,16 @@ def hind_fixed_n(gamma: ConstraintSet, side: int, eps: float = 0.0, *,
     averaged window distribution lies within TV distance eps of Γ.
 
     Returns the best local optimum over `restarts` random starts plus the
-    i.i.d. and period-2 warm starts.  The optimisers relax each row
-    c . mu <= b to c . mu <= b + eps * reach, reach being max c - min c on a
-    `<=` row and max c on a zero `==` row (`_ball_reach`): the most c . mu
-    can rise within TV distance eps of the row.  Every point of the eps-ball
-    around Γ meets these rows; points that meet them but lie outside the
-    ball are dropped by the distance check.  The result's `feasible` flag
-    is an LP certificate (distance of the averaged marginal re-checked
-    exactly); only a certified result is a valid lower bound.
+    i.i.d. and period-2 warm starts, or the best screened start where that
+    is better.  The optimisers read a row c . mu == b as c . mu <= b, plus
+    -c . mu <= -b when c can fall below b, and relax each row c . mu <= b
+    to c . mu <= b + eps * reach, reach being max c - min c
+    (`_ball_reach`): the most c . mu can rise within TV distance eps of the
+    row.  Every point of the eps-ball around Γ meets these rows; points
+    that meet them but lie outside the ball are dropped by the distance
+    check.  The result's `feasible` flag is an LP certificate (distance of
+    the averaged marginal re-checked exactly); only a certified result is a
+    valid lower bound.
     """
     eps = _checked_eps(eps)
     model = _WindowModel(gamma, side)
@@ -405,12 +408,14 @@ def hind_fixed_n(gamma: ConstraintSet, side: int, eps: float = 0.0, *,
     cap = gamma.cap
     if cap is not None:
         coeff_list, bounds_eff = [cap[0]], [cap[1] + eps]
-    elif (gamma.bounds[gamma.equal] != 0.0).any():
-        raise ValidationError("hind_fixed_n supports <= and zero-equality constraints")
     else:
-        coeff_list = gamma.coeffs
-        bounds_eff = [b + eps * _ball_reach(c, e)
-                      for c, b, e in zip(gamma.coeffs, gamma.bounds, gamma.equal)]
+        rows = []
+        for c, b, e in zip(gamma.coeffs, gamma.bounds, gamma.equal):
+            rows.append((c, b))
+            if e and c.min() < b:   # c == b is also -c <= -b where c can fall below b
+                rows.append((-c, -b))
+        coeff_list = [c for c, _ in rows]
+        bounds_eff = [b + eps * _ball_reach(c, False) for c, b in rows]
 
     def feasible_law(avg) -> bool:
         if cap is not None:
@@ -458,6 +463,9 @@ def hind_fixed_n(gamma: ConstraintSet, side: int, eps: float = 0.0, *,
         stack = _optimize_single_cap(model, stack, cap[0], bounds_eff[0])
     if cap is None or cap[1] < math.inf:   # no polish when no row binds
         stack = _sweep_hard(model, stack, bounds_eff, coeff_list)
+    # the screened starts stay candidates, after the optimised rows so that
+    # those win ties: a polish can leave every start outside the eps-ball
+    stack = np.concatenate([stack, np.array(starts)])
     best_rows, best_val = None, -math.inf
     vals = _entropy_sums(stack) / n
     for rows, avg, val in zip(stack, _window_law(stack, model.table), vals):

@@ -246,6 +246,36 @@ def test_hind_forbidding_rows_ignore_how_they_are_written():
                 assert res.feasible and res.value == ref.value, (eps, n)
 
 
+# mu(11) - mu(00) == 0 and mu(11) <= 0.1, with the signed `==` row written
+# as it is and as two `<=` rows
+_BALANCE = np.array([-1.0, 0.0, 0.0, 1.0])
+_BALANCE_EQ = ConstraintSet(BIN, Shape.segment(2), (
+    LinearConstraint(_BALANCE, 0.0, "=="), LinearConstraint(np.eye(4)[3], 0.1)))
+_BALANCE_LE = _system((_BALANCE, 0.0), (-_BALANCE, 0.0), (np.eye(4)[3], 0.1))
+
+
+def test_hind_signed_equality_row_reads_as_two_rows():
+    # a signed `==` row binds from below too; read as `<=` alone it let the
+    # polish leave Γ, and every start was dropped
+    for eps in (0.0, 0.01):
+        for n in (2, 3, 4):
+            eq, le = (hind_fixed_n(g, n, eps, restarts=4, seed=1)
+                      for g in (_BALANCE_EQ, _BALANCE_LE))
+            assert eq.feasible == le.feasible, (eps, n)
+            assert eq.value == pytest.approx(le.value, abs=1e-12), (eps, n)
+    res = hind_fixed_n(_BALANCE_EQ, 2, restarts=4, seed=1)
+    assert res.feasible and res.value == pytest.approx(0.33729006661701, abs=1e-12)
+
+
+def test_hind_keeps_screened_starts_the_polish_moves_out_of_the_ball():
+    # at eps = 0.01 every screened start lies in the ball, and the polish
+    # takes each one to TV distance 0.04 from Γ: the best screened start is
+    # the result, not -inf
+    for n in (2, 4):
+        res = hind_fixed_n(_BALANCE_LE, n, 0.01, restarts=4, seed=1)
+        assert res.feasible and math.isfinite(res.value), n
+
+
 def test_hind_empty_system_is_one_bit():
     # no row binds: the unconstrained optimum, with no polish to run
     res = hind_fixed_n(ConstraintSet(BIN, Shape.segment(2), ()), 3, restarts=2)
