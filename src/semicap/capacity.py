@@ -78,7 +78,7 @@ class GibbsDual:
     bound: float         # D(lam): an upper bound on the maximum
     lam: np.ndarray      # one multiplier per row (0 for hard rows)
     iterations: int
-    converged: bool      # bound - value <= gap_tol
+    converged: bool      # |bound - value| <= gap_tol
 
 
 def _conditional_entropy(mu: np.ndarray, q: int) -> np.ndarray:
@@ -204,8 +204,10 @@ def pressure_dual(coeffs, bounds, equal, q: int, k: int, start: np.ndarray,
     is within gap_tol of D(lam), which bounds every feasible entropy from
     above.  If the budget runs out first, the Perron measure is mixed with
     the feasible `start` just enough to meet the rows, and `start` itself is
-    returned when it is better.  Raises EmptySystemError when a row alone
-    cannot be met, or the hard rows leave no shift-invariant pattern.
+    returned when it is better.  `converged` needs the bound within gap_tol
+    of the value on both sides: a bound below the value certifies nothing.
+    Raises EmptySystemError when the hard rows leave no shift-invariant
+    pattern, or a row cannot be met on the windows they leave.
 
     This runs the engine behind `_slice_duals` on a stack of one slice:
     capacity and the site slices of `indentropy` share one solver.
@@ -218,7 +220,7 @@ def pressure_dual(coeffs, bounds, equal, q: int, k: int, start: np.ndarray,
     if not ok[0]:
         raise EmptySystemError("the rows leave no shift-invariant measure")
     return GibbsDual(mu[0], float(value[0]), float(bound[0]), lam[0], int(its[0]),
-                     bool(bound[0] - value[0] <= gap_tol))
+                     bool(abs(bound[0] - value[0]) <= gap_tol))
 
 
 def _slice_duals(lins: np.ndarray, rhs: np.ndarray, starts: np.ndarray,
@@ -228,8 +230,9 @@ def _slice_duals(lins: np.ndarray, rhs: np.ndarray, starts: np.ndarray,
     lins[i] . p <= rhs[i] (lins (S, R, q)), from the feasible start
     starts[i] and the multipliers lam[i].  Returns the measures (S, q) and
     the multipliers (S, R), each bit for bit what its own call returns; a
-    slice whose own call would raise (a row that cannot be met, or hard
-    rows that leave no symbol) keeps its start and its multipliers."""
+    slice whose own call would raise (hard rows that leave no symbol, or a
+    row that none of the symbols they leave meets) keeps its start and its
+    multipliers."""
     mu, lam, *_ = _duals(lins, rhs, np.zeros(lins.shape[1], dtype=bool), starts, lam,
                          lins.shape[2], 1, max_iter, gap_tol)
     return mu, lam
@@ -255,7 +258,9 @@ def _duals(lins, rhs, equal, starts, lam, q, k, max_iter, gap_tol):
     if k > 1:
         for i in range(len(c)):
             allowed[i], comps[i] = _cycle_components(allowed[i], q, k)
-    ok = ~(b < -_HARD_TOL).any(axis=1) & allowed.any(axis=1)
+    # a row that no window left by the hard rows meets leaves no measure
+    least = c.min(axis=2, where=allowed[:, None, :], initial=np.inf)
+    ok = ~(least > b + _HARD_TOL).any(axis=1) & allowed.any(axis=1)
     floored = np.maximum(lam, np.where(equal, -np.inf, 0.0))   # lam >= 0 on `<=` rows
     if ok.all() and soft.all():   # the common case: one group, all rows soft
         return *_soft_duals(c, b, equal, allowed, comps, starts, floored, q, k,

@@ -440,16 +440,23 @@ def empirical_counts(word: Word, shape: Shape) -> np.ndarray:
             f"shape dimension {shape.dim} != word dimension {word.dim}"
         )
     m = pattern_space_size(word.alphabet, shape)
-    return _pattern_counts(word.cells.reshape(-1),
-                           placements(shape, word.side), word.alphabet.size, m)
+    return _pattern_counts(word.cells.reshape(1, -1),
+                           placements(shape, word.side), word.alphabet.size, m)[0]
 
 
-def _pattern_counts(flat_cells: np.ndarray, table: np.ndarray, q: int,
+def _pattern_counts(cells: np.ndarray, table: np.ndarray, q: int,
                     m: int) -> np.ndarray:
-    """Counts of the m patterns that a placement table's rows read in the
-    flat cells (first point most significant), as an int64 vector."""
-    idx = flat_cells[table] @ q ** np.arange(table.shape[1] - 1, -1, -1)
-    return np.bincount(idx, minlength=m).astype(np.int64, copy=False)
+    """Counts of the m patterns that a placement table's rows read in each
+    row of a stack of flat cells (S, ncells), first point most significant,
+    as an (S, m) int64 array.  One `bincount` counts the whole stack: row
+    s's pattern indices are offset by s * m."""
+    idx = cells.take(table[:, 0], axis=1).astype(np.intp)
+    for col in table.T[1:]:
+        idx *= q
+        idx += cells.take(col, axis=1)
+    idx += np.arange(0, len(cells) * m, m)[:, None]
+    counts = np.bincount(idx.reshape(-1), minlength=len(cells) * m)
+    return counts.astype(np.int64, copy=False).reshape(len(cells), m)
 
 
 def empirical_distribution(word: Word, shape: Shape) -> PatternDistribution:

@@ -65,6 +65,9 @@ __all__ = [
 ]
 
 _MASK64 = (1 << 64) - 1
+# `concentration_check` scores at most this many cells (trials x side) per
+# block, and a whole block at once, so that its temporaries stay small.
+_BLOCK_CELLS = 1 << 14
 
 
 class SplitMix64:
@@ -73,7 +76,8 @@ class SplitMix64:
     0x9E3779B97F4A7C15 and the output mixes with the Stafford "mix13"
     constants.  `next_float` takes the top 53 bits, so results are
     bit-identical on every platform.  `floats` is the same stream as one
-    numpy block; the scalar methods stay its reference.
+    numpy block, drawn by the stacked kernel `_splitmix53`; the scalar
+    methods stay its reference.
     """
 
     GAMMA = 0x9E3779B97F4A7C15
@@ -96,21 +100,29 @@ class SplitMix64:
 
     def floats(self, n: int) -> np.ndarray:
         """The next n values of `next_float` as one float64 array; the
-        state advances by n.  uint64 array arithmetic wraps mod 2^64, which
-        is the scalar form's masking."""
+        state advances by n."""
         if n < 0:
             raise ValidationError("cannot draw a negative number of floats")
-        z = np.arange(1, n + 1, dtype=np.uint64)
-        z *= np.uint64(self.GAMMA)
-        z += np.uint64(self.state)
+        k = _splitmix53(np.array([self.state], dtype=np.uint64), n)[0]
         self.state = (self.state + n * self.GAMMA) & _MASK64
-        z ^= z >> np.uint64(30)
-        z *= np.uint64(self.MIX1)
-        z ^= z >> np.uint64(27)
-        z *= np.uint64(self.MIX2)
-        z ^= z >> np.uint64(31)
-        z >>= np.uint64(11)
-        return z.astype(np.float64) * 2.0 ** -53
+        return k * 2.0 ** -53
+
+
+def _splitmix53(seeds: np.ndarray, n: int) -> np.ndarray:
+    """The top 53 bits of the first n outputs of SplitMix64 for each seed
+    of a uint64 stack, as an (S, n) uint64 array: entry (s, i) is
+    `next_u64() >> 11` of the (i+1)-th call on `SplitMix64(seeds[s])`,
+    whose state is seeds[s] + (i+1)·GAMMA mod 2^64.  uint64 array
+    arithmetic wraps mod 2^64, which is the scalar form's masking; every
+    operand is uint64, so no numpy version promotes to float."""
+    z = np.add.outer(seeds, np.arange(1, n + 1, dtype=np.uint64) * np.uint64(SplitMix64.GAMMA))
+    t = np.empty_like(z)
+    for shift, mult in ((30, SplitMix64.MIX1), (27, SplitMix64.MIX2)):
+        z ^= np.right_shift(z, np.uint64(shift), out=t)
+        z *= np.uint64(mult)
+    z ^= np.right_shift(z, np.uint64(31), out=t)
+    z >>= np.uint64(11)
+    return z
 
 
 def sample_word(mu, seed: int, side: int | None = None) -> Word:
@@ -132,22 +144,31 @@ def sample_word(mu, seed: int, side: int | None = None) -> Word:
         raise ValidationError("expected a site-product or periodic measure")
     if side is not None and side != mu.side:
         raise ValidationError(f"side {side!r} differs from the measure's side {mu.side}")
-    cells = _draw_cells(_cumulative_rows(mu), seed, cell_dtype(mu.alphabet))
+    seeds = np.array([seed & _MASK64], dtype=np.uint64)
+    cells = _draw_cells(_thresholds(mu), seeds, cell_dtype(mu.alphabet))
     return Word(mu.alphabet, cells.reshape((mu.side,) * mu.dim))
 
 
-def _cumulative_rows(mu: SiteProductMeasure) -> np.ndarray:
-    """Each site row's cumulative masses without the last: the symbol is
-    the number of them at or below the draw, which clamps it to q-1
-    against rounding in the last sum (the row is nondecreasing)."""
-    return np.cumsum(mu.site_dists, axis=1)[:, :-1]
+def _thresholds(mu: SiteProductMeasure) -> np.ndarray:
+    """Each site row's cumulative masses c without the last, as the uint64
+    thresholds ceil(c·2^53) on `_splitmix53`'s integers.  The symbol at
+    draw u = k·2^-53 is the number of masses at or below u, and c <= u
+    exactly when ceil(c·2^53) <= k (u is exact and k whole); dropping the
+    last mass clamps the symbol to q-1 against rounding in the last sum
+    (the row is nondecreasing)."""
+    cums = np.cumsum(mu.site_dists, axis=1)[:, :-1]
+    return np.ceil(cums * 2.0 ** 53).astype(np.uint64)
 
 
-def _draw_cells(cums: np.ndarray, seed: int, dtype) -> np.ndarray:
-    """The flat cells of `sample_word`: cell i is the inverse CDF of row i
-    of `cums` at the i-th float of a SplitMix64 stream seeded with seed."""
-    u = SplitMix64(seed).floats(len(cums))
-    return (cums <= u[:, None]).sum(axis=1, dtype=dtype)
+def _draw_cells(thresholds: np.ndarray, seeds: np.ndarray, dtype) -> np.ndarray:
+    """The flat cells of `sample_word` at each seed of a uint64 stack, as
+    an (S, ncells) array: cell i is the inverse CDF of site row i
+    (`_thresholds`) at the i-th float of the seed's SplitMix64 stream."""
+    k = _splitmix53(seeds, len(thresholds))
+    cells = np.zeros(k.shape, dtype=dtype)
+    for col in thresholds.T:
+        cells += k >= col
+    return cells
 
 
 # ---------------------------------------------------------------------------
@@ -184,10 +205,14 @@ def concentration_check(mu, gamma: ConstraintSet,
     satisfies dist <= eps, inclusively, with a 1e-12 slack for rounding.
     Sides must be distinct whole numbers, and trials a whole number.
 
-    Each side tiles the measure, takes its cumulative site rows and builds
-    its placement table once, so a trial only draws the word's cells (those
-    of `sample_word` at its seed) and counts its patterns as integers over
-    the table.  The counts divided by the side are the floats of
+    Each side tiles the measure, takes its site rows' inverse-CDF
+    thresholds and builds its placement table once.  It then scores the
+    trials in blocks of at most `_BLOCK_CELLS` cells (trials x side, and
+    one trial when the side alone is larger), so the temporaries stay small
+    whatever the number of trials.  A block draws all its words' cells in
+    one stacked SplitMix64 call (row t the cells of `sample_word` at trial
+    t's seed) and counts their patterns as integers over the table in one
+    `bincount`.  The counts divided by the side are the floats of
     `empirical_distribution`'s exact fractions (both are below 2^53, so the
     division rounds correctly).  Each word's distance, the closed form when
     the system is a single cap (`ConstraintSet.cap`) or else the LP, equals
@@ -198,9 +223,10 @@ def concentration_check(mu, gamma: ConstraintSet,
     The inside fraction tends to 1 as the side N grows.  When the measure
     lies on the boundary of Γ (a pattern rate exactly at a cap), only the
     eps margin absorbs the fluctuations of the capped pattern's empirical
-    rate, whose standard deviation is sigma/sqrt(N) for large N; the fraction then approaches 1 at the central-limit rate, with the
-    outside fraction near P(Z > eps sqrt(N) / sigma), and it is close to 1
-    only once N is several times (sigma / eps)^2.
+    rate, whose standard deviation is sigma/sqrt(N) for large N.  The
+    fraction then approaches 1 at the central-limit rate, with the outside
+    fraction near P(Z > eps sqrt(N) / sigma), and it is close to 1 only
+    once N is several times (sigma / eps)^2.
     """
     eps_list = tuple(sorted(_checked_eps(e) for e in eps_list))
     sides = tuple(sorted(_whole(n, "side") for n in sides))
@@ -232,21 +258,23 @@ def concentration_check(mu, gamma: ConstraintSet,
     base_feasible = base_distance < min(eps_list)
 
     dtype = cell_dtype(mu.alphabet)
+    bars = np.asarray(eps_list) + 1e-12
     fractions = np.zeros((len(eps_list), len(sides)))
     for j, n in enumerate(sides):
-        cums = _cumulative_rows(tiled[j])
+        thresholds = _thresholds(tiled[j])
         table = placements(gamma.shape, n)
-        inside = np.zeros(len(eps_list))
-        for t in range(trials):
-            # the cells of sample_word(tiled[j], seed ^ (j * trials + t))
-            cells = _draw_cells(cums, seed ^ (j * trials + t), dtype)
-            counts = _pattern_counts(cells, table, gamma.alphabet.size,
-                                     gamma.npatterns)
-            dist = _probs_distance(counts / n, gamma)
-            for i, eps in enumerate(eps_list):
-                if dist <= eps + 1e-12:
-                    inside[i] += 1
-        fractions[:, j] = inside / trials
+        block = max(1, _BLOCK_CELLS // n)
+        for t in range(0, trials, block):
+            # trial t' of side j draws the cells of
+            # sample_word(tiled[j], seed ^ (j * trials + t'))
+            first = j * trials + t
+            seeds = np.uint64(seed & _MASK64) ^ np.arange(
+                first, first + min(block, trials - t), dtype=np.uint64)
+            counts = _pattern_counts(_draw_cells(thresholds, seeds, dtype), table,
+                                     gamma.alphabet.size, gamma.npatterns)
+            dists = np.array([_probs_distance(row / n, gamma) for row in counts])
+            fractions[:, j] += (dists[:, None] <= bars).sum(axis=0)
+    fractions /= trials
 
     outside = np.clip(1.0 - fractions, 1.0 / (10 * trials), None)
     decay = -np.log(outside) / np.asarray(sides)[None, :]

@@ -188,6 +188,41 @@ def test_site_slice_dual_on_random_slices():
         assert sol.value >= _entropy(start) - 1e-12
 
 
+def test_pressure_dual_rejects_a_row_unmet_on_the_windows_the_hard_rows_leave():
+    # row 0 is hard and leaves symbol 2 alone; row 1 caps symbol 2 at 0.5,
+    # which no measure on symbol 2 meets although the simplex does
+    rows, bounds, start = [[1, 1, 0], [0, 0, 1]], [0.0, 0.5], np.array([0.2, 0.3, 0.5])
+    with pytest.raises(EmptySystemError):
+        pressure_dual(rows, bounds, [False, False], 3, 1, start, max_iter=200,
+                      gap_tol=1e-12)
+    # on a stack, that slice keeps its start and multipliers, and the other
+    # (symbol 0 forbidden) is solved as its own call solves it
+    lins = np.array([rows, [[1, 0, 0], [0, 0, 1]]], dtype=float)
+    rhs, lam = np.array([bounds, bounds]), np.array([[0.0, 1.5], [0.0, 0.5]])
+    mu, lam_out = _slice_duals(lins, rhs, np.array([start, start]), lam, max_iter=200,
+                               gap_tol=1e-12)
+    assert np.array_equal(mu[0], start) and np.array_equal(lam_out[0], lam[0])
+    sol = pressure_dual(lins[1], bounds, [False, False], 3, 1, start, lam[1],
+                        max_iter=200, gap_tol=1e-12)
+    assert sol.converged and sol.value == pytest.approx(1.0, abs=1e-9)
+    assert np.array_equal(mu[1], sol.measure) and np.array_equal(lam_out[1], sol.lam)
+
+
+def test_pressure_dual_bound_below_value_is_not_converged():
+    # the start charges symbol 0, which the hard row 0 forbids; after two
+    # iterations the returned measure mixes toward it and its entropy
+    # exceeds the bound, which then certifies nothing
+    start = np.array([0.3, 0.05, 0.65])
+    for max_iter in (1, 2, 3):
+        sol = pressure_dual([[1, 0, 0], [0, 1, 0]], [0.0, 0.1], [False, False], 3, 1,
+                            start, max_iter=max_iter, gap_tol=1e-12)
+        assert sol.bound < sol.value - 1e-12
+        assert not sol.converged
+    sol = pressure_dual([[1, 0, 0], [0, 1, 0]], [0.0, 0.1], [False, False], 3, 1,
+                        start, max_iter=200, gap_tol=1e-12)
+    assert sol.converged and sol.value == pytest.approx(_entropy(np.array([0.1, 0.9])))
+
+
 def test_slice_duals_match_pressure_dual_per_start():
     """The stacked one-state dual returns, for every slice of the stack, the
     measure and multipliers of that slice's own `pressure_dual` call, bit

@@ -27,7 +27,9 @@ from semicap.scs_model import (
 )
 from semicap.indentropy import PeriodicProductMeasure, hind_fixed_n
 from semicap.validation import (
+    _BLOCK_CELLS,
     SplitMix64,
+    _splitmix53,
     concentration_check,
     cyclic_vs_noncyclic,
     hasse_report,
@@ -138,6 +140,21 @@ def test_splitmix64_floats_is_the_scalar_stream():
         assert rng.state == ref.state
     with pytest.raises(ValidationError):
         SplitMix64(0).floats(-1)
+
+
+def test_splitmix53_rows_are_the_seeds_streams():
+    # the states of seeds -1 and 2^64 - 1 wrap on the first draw
+    seeds = (0, -1, 2 ** 63 + 5, 2 ** 64 - 1)
+    k = _splitmix53(np.array([s % 2 ** 64 for s in seeds], dtype=np.uint64), 40)
+    assert k.shape == (4, 40) and k.dtype == np.uint64
+    for row, seed in zip(k, seeds):
+        ref = SplitMix64(seed)
+        assert row.tolist() == [ref.next_u64() >> 11 for _ in range(40)]
+        ref = SplitMix64(seed)
+        floats = SplitMix64(seed).floats(40)
+        assert np.array_equal(row * 2.0 ** -53, floats)
+        assert floats.tolist() == [ref.next_float() for _ in range(40)]
+    assert _splitmix53(np.array([5, 6], dtype=np.uint64), 0).shape == (2, 0)
 
 
 def test_sample_word_matches_scalar_stream():
@@ -323,11 +340,19 @@ _CONCENTRATION_CASES = {
 }
 
 
-@pytest.mark.parametrize("seed", [0, 7, 2 ** 63 + 5])
+@pytest.mark.parametrize("seed, extra_side, trials", [
+    (0, None, 25), (7, None, 25), (2 ** 63 + 5, None, 25), (-5, None, 25),
+    # side 600 scores blocks of 27 trials, the last of them partial
+    (3, 600, 40),
+    # a side above the block budget scores one trial per block
+    (11, _BLOCK_CELLS + 2, 3),
+], ids=["0", "7", str(2 ** 63 + 5), "negative seed", "partial last block",
+        "side above the block"])
 @pytest.mark.parametrize("case", sorted(_CONCENTRATION_CASES))
-def test_concentration_matches_per_word_reference(case, seed):
+def test_concentration_matches_per_word_reference(case, seed, extra_side, trials):
     mu, gamma, eps_list, sides = _CONCENTRATION_CASES[case]
-    trials = 25
+    if extra_side is not None:
+        sides = sides + [extra_side]
     rep = concentration_check(mu, gamma, eps_list, sides, trials, seed)
     fractions, base_distance, monotone = _concentration_reference(
         mu, gamma, eps_list, sides, trials, seed)
