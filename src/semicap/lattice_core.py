@@ -391,6 +391,8 @@ class SiteProductMeasure:
             raise ValidationError(
                 f"site_dists must have shape ({ncells}, {self.alphabet.size})"
             )
+        if not np.isfinite(rows).all():
+            raise ValidationError("site probabilities must be finite")
         if rows.min(initial=0.0) < -1e-12:
             raise ValidationError("negative site probability")
         np.clip(rows, 0.0, None, out=rows)

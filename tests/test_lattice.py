@@ -366,6 +366,13 @@ def test_product_entropy_sums_sites():
         == pytest.approx(9.0)
 
 
+@pytest.mark.parametrize("row", [[np.nan, 1.0], [np.inf, 0.0], [1.2, -0.2], [0.6, 0.6]],
+                         ids=["nan", "inf", "negative", "sum above 1"])
+def test_site_product_measure_rejects_bad_rows(row):
+    with pytest.raises(ValidationError):
+        SiteProductMeasure(BIN, 1, 2, [[0.5, 0.5], row])
+
+
 def test_distribution_validation():
     with pytest.raises(ValidationError):
         PatternDistribution.from_floats(BIN, Shape.segment(1), [0.7, 0.7])
