@@ -259,8 +259,8 @@ def _duals(lins, rhs, equal, starts, lam, q, k, max_iter, gap_tol):
         for i in range(len(c)):
             allowed[i], comps[i] = _cycle_components(allowed[i], q, k)
     # a row that no window left by the hard rows meets leaves no measure
-    least = c.min(axis=2, where=allowed[:, None, :], initial=np.inf)
-    ok = ~(least > b + _HARD_TOL).any(axis=1) & allowed.any(axis=1)
+    meets = ((c <= (b + _HARD_TOL)[:, :, None]) & allowed[:, None, :]).any(axis=2)
+    ok = meets.all(axis=1) & allowed.any(axis=1)
     floored = np.maximum(lam, np.where(equal, -np.inf, 0.0))   # lam >= 0 on `<=` rows
     if ok.all() and soft.all():   # the common case: one group, all rows soft
         return *_soft_duals(c, b, equal, allowed, comps, starts, floored, q, k,
