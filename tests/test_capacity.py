@@ -209,9 +209,9 @@ def test_pressure_dual_rejects_a_row_unmet_on_the_windows_the_hard_rows_leave():
 
 
 def test_pressure_dual_bound_below_value_is_not_converged():
-    # the start charges symbol 0, which the hard row 0 forbids; after two
-    # iterations the returned measure mixes toward it and its entropy
-    # exceeds the bound, which then certifies nothing
+    # the start charges symbol 0, which the hard row 0 forbids; stopped
+    # after 1-3 iterations, the returned measure mixes toward it and its
+    # entropy exceeds the bound, which then certifies nothing
     start = np.array([0.3, 0.05, 0.65])
     for max_iter in (1, 2, 3):
         sol = pressure_dual([[1, 0, 0], [0, 1, 0]], [0.0, 0.1], [False, False], 3, 1,

@@ -150,10 +150,7 @@ def test_splitmix53_rows_are_the_seeds_streams():
     for row, seed in zip(k, seeds):
         ref = SplitMix64(seed)
         assert row.tolist() == [ref.next_u64() >> 11 for _ in range(40)]
-        ref = SplitMix64(seed)
-        floats = SplitMix64(seed).floats(40)
-        assert np.array_equal(row * 2.0 ** -53, floats)
-        assert floats.tolist() == [ref.next_float() for _ in range(40)]
+        assert np.array_equal(row * 2.0 ** -53, SplitMix64(seed).floats(40))
     assert _splitmix53(np.array([5, 6], dtype=np.uint64), 0).shape == (2, 0)
 
 
