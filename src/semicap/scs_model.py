@@ -17,9 +17,12 @@ word.
 """
 from __future__ import annotations
 
+import functools
 import math
+from bisect import bisect_left
 from dataclasses import dataclass, field
 from fractions import Fraction
+from operator import itemgetter
 from typing import Iterable, Sequence
 
 import numpy as np
@@ -332,9 +335,12 @@ def _probs_distance(probs: np.ndarray, gamma: ConstraintSet) -> float:
 # Admissibility of a single word
 # ---------------------------------------------------------------------------
 
+@functools.lru_cache(maxsize=1 << 12)
 def _decimal(x) -> Fraction:
     """A float bound or coefficient read as its shortest round-trip decimal,
-    so 0.3 means 3/10 (`Fraction(0.3)` is the binary float, below 3/10)."""
+    so 0.3 means 3/10 (`Fraction(0.3)` is the binary float, below 3/10).
+    Equal floats read alike (0.0 and -0.0 both as 0), so the reading of
+    each value is kept."""
     return Fraction(repr(float(x)))
 
 
@@ -408,6 +414,17 @@ def _counts_admissible(counts: np.ndarray, total: int, gamma: ConstraintSet,
 # At eps > 0 a type is first tested against Γ's own rows, unrelaxed, in
 # exact integers: a type inside Γ is at distance 0, and only the types
 # outside Γ get the distance LP.
+#
+# What a step does is fixed by the cells and shapes alone, so it is built
+# once, before any state is seen.  Writing a symbol at cell t extends the
+# frontier by it; the placements completing at t read some positions of
+# the extended frontier, and the next frontier keeps some.  Both position
+# lists become `operator.itemgetter`s.  The increments of the statistics
+# depend only on the values read, so a table per step maps those values to
+# the increments, filled on first use, with at most q^(cells read)
+# entries.  A state's move is then one tuple extension, one table lookup,
+# `_advance`, and the merge into the next layer.  Steps that complete the same checks in the same order share one
+# table, since the same values then mean the same increments.
 # In 1-D this is the de Bruijn transfer matrix with the head kept for the
 # wrap, in 2-D the row-profile transfer.
 
@@ -430,9 +447,10 @@ def _scale_row(coeffs: np.ndarray, bound: Fraction, scale: int, sense: str,
     integer weights = c * common.  For eps > 0 the budget of a prunable row
     is relaxed by eps times the row's `_ball_reach`.
     """
-    fracs = [_decimal(c) for c in coeffs]
-    common = math.lcm(*(f.denominator for f in fracs))
-    weights = [int(f * common) for f in fracs]
+    fracs = {c: _decimal(c) for c in set(coeffs.tolist())}   # each distinct value once
+    common = math.lcm(*(f.denominator for f in fracs.values()))
+    scaled = {c: f.numerator * (common // f.denominator) for c, f in fracs.items()}
+    weights = [scaled[c] for c in coeffs.tolist()]
     equal = sense == "=="
     prunable = all(w >= 0 for w in weights) and (not equal or bound == 0)
     budget = bound * scale * common
@@ -460,8 +478,27 @@ def _advance(stats: tuple, delta: tuple) -> tuple | None:
     return tuple(new)
 
 
+def _getter(positions: tuple[int, ...]) -> itemgetter:
+    """An itemgetter returning the tuple of the entries at `positions`, for
+    any number of them: a slice when they run contiguously upwards."""
+    if not positions:
+        return itemgetter(slice(0, 0))
+    lo = positions[0]
+    if positions == tuple(range(lo, lo + len(positions))):
+        return itemgetter(slice(lo, lo + len(positions)))
+    return itemgetter(*positions)
+
+
 class _Transfer:
-    """Forward transfer counter over the cube {0..side-1}^d."""
+    """Forward transfer counter over the cube {0..side-1}^d.
+
+    `steps[t]` is (reads, keep, ks, deltas).  `reads` and `keep` are
+    itemgetters over the extended frontier, the frontier's values in cell
+    order followed by the symbol at cell t: `reads` returns the cells of
+    the placements completing at t, one placement after another in
+    shape-point order, and `keep` the next frontier.  `ks` lists those
+    placements' checks, and `deltas` maps read values to the statistic
+    increments, as `_delta` computes them on a miss."""
 
     def __init__(self, side: int, system, eps: float = 0.0, cyclic: bool = True,
                  convention: str = "tile"):
@@ -484,8 +521,10 @@ class _Transfer:
         self.types: list[tuple[int, int, ConstraintSet, list[_Row]]] = []
         self.caps: list = []                                   # per slot: prune cap
         last = np.full(ncells, -1, dtype=np.int64)             # last step reading each cell
-        done: list[list] = [[] for _ in range(ncells)]         # per step: (charge, cells) completed
-        for shapes, gamma in checks:
+        done: list[list] = [[] for _ in range(ncells)]         # per step: (check, cells) completed
+        self.charges: list[list] = []                          # per check: its charge
+        self.widths: list[int] = []                             # per check: cells per placement
+        for k, (shapes, gamma) in enumerate(checks):
             tables = [placements(s, side, cyclic=cyclic, slack=slack) for s in shapes]
             nplace = sum(len(tab) for tab in tables)
             charge: list[list[tuple[int, int]]] = [[] for _ in range(gamma.npatterns)]
@@ -506,69 +545,79 @@ class _Transfer:
                 for i in range(gamma.npatterns):
                     charge[i].append((len(self.caps) + i, 1))
                 self.caps += [math.inf] * gamma.npatterns
+            self.charges.append(charge)
+            self.widths.append(len(gamma.shape))
             for tab in tables:
                 np.maximum.at(last, tab, tab.max(axis=1, keepdims=True))
                 for cells in tab.tolist():
-                    done[max(cells)].append((charge, cells))
+                    done[max(cells)].append((k, cells))
         self.zero = (0,) * len(self.caps)
 
-        # Per step: the completed placements as (charge, frontier positions
-        # read in shape-point order), and the positions the frontier keeps.
-        self.steps: list[tuple[list, tuple[int, ...]]] = []
+        # A cell two placements read appears twice in `reads`, always with
+        # one value, so a table holds at most q^(distinct cells read)
+        # entries.  Steps that read, keep and complete alike share one entry.
+        self.steps: list[tuple] = []
+        built: dict = {}
+        deltas: dict = {}
         frontier: list[int] = []
         last = last.tolist()
         for t in range(ncells):
             ext = frontier + [t]
-            pos = {c: i for i, c in enumerate(ext)}
-            keep = tuple(i for i, c in enumerate(ext) if last[c] > t)
-            self.steps.append(([(ch, [pos[c] for c in cells]) for ch, cells in done[t]], keep))
+            reads = tuple([bisect_left(ext, c) for _, cells in done[t] for c in cells])
+            keep = tuple([i for i, c in enumerate(ext) if last[c] > t])
+            ks = tuple([k for k, _ in done[t]])
+            step = built.get((reads, keep, ks))
+            if step is None:
+                step = built[reads, keep, ks] = (_getter(reads), _getter(keep), ks,
+                                                 deltas.setdefault(ks, {}))
+            self.steps.append(step)
             frontier = [ext[i] for i in keep]
             if len(frontier) * math.log2(self.q) > MAX_STATE_BITS:
                 raise SizeGuardError(f"transfer frontier holds {len(frontier)} cells, "
                                      f"above {MAX_STATE_BITS} bits")
 
-    def _edge(self, t: int, front: tuple, a: int):
-        """The frontier after writing `a` at cell t, and the statistic
-        increments as (slot, increment, cap) triples."""
-        reads, keep = self.steps[t]
-        ext = front + (a,)
+    def _delta(self, ks: tuple, seen: tuple) -> tuple:
+        """The statistic increments of one step's completed placements, of
+        the checks `ks`, when its read positions hold `seen`, as (slot,
+        increment, cap) triples."""
         q = self.q
         inc: dict[int, int] = {}
-        for charge, poss in reads:
+        it = iter(seen)
+        for k in ks:
             idx = 0
-            for p in poss:
-                idx = idx * q + ext[p]
-            for slot, w in charge[idx]:
+            for _ in range(self.widths[k]):
+                idx = idx * q + next(it)
+            for slot, w in self.charges[k][idx]:
                 inc[slot] = inc.get(slot, 0) + w
         caps = self.caps
-        delta = tuple((s, w, caps[s]) for s, w in inc.items() if w)
-        return tuple(ext[i] for i in keep), delta
+        return tuple((s, w, caps[s]) for s, w in inc.items() if w)
 
     def _transfer(self, prefix: Sequence[int] = (), back: list | None = None) -> dict:
         """The final layer {(frontier, statistics): words}.  With `back`, each
         layer's first-arrival links {state: (previous state, symbol)} are
         appended to it."""
         layer = {((), self.zero): 1}
-        for t in range(len(self.steps)):
+        limit = 1 << MAX_STATE_BITS
+        for t, (reads, keep, ks, deltas) in enumerate(self.steps):
             syms = (prefix[t],) if t < len(prefix) else range(self.q)
-            edges: dict = {}
             nxt: dict = {}
             links: dict = {}
             for state, words in layer.items():
                 front, stats = state
                 for a in syms:
-                    e = edges.get((front, a))
-                    if e is None:
-                        e = edges[front, a] = self._edge(t, front, a)
-                    nfront, delta = e
+                    ext = front + (a,)
+                    seen = reads(ext)
+                    delta = deltas.get(seen)
+                    if delta is None:
+                        delta = deltas[seen] = self._delta(ks, seen)
                     new = _advance(stats, delta) if delta else stats
                     if new is None:
                         continue
-                    key = (nfront, new)
+                    key = (keep(ext), new)
                     if key in nxt:
                         nxt[key] += words
                     else:
-                        if len(nxt) >= 1 << MAX_STATE_BITS:
+                        if len(nxt) >= limit:
                             raise SizeGuardError(
                                 f"transfer layer {t} exceeds 2^{MAX_STATE_BITS} states")
                         nxt[key] = words
