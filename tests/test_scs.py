@@ -434,6 +434,20 @@ def test_find_admissible_word_is_lexicographically_first():
     assert find_admissible_word(3, empty) is None
 
 
+def test_find_admissible_word_first_in_two_dimensions_at_side_4():
+    # 4 x 4 arrays, past the 3 x 3 cases above, each behind a prefix: a
+    # strict and a weak product whose first words mix zeros and ones, and
+    # a strict one with no admissible word after its prefix
+    for seed, prefix in ((15, [0, 1]), (22, [0, 0, 1, 1]), (10, [0, 0, 1, 1])):
+        system = _window2_system(np.random.default_rng(seed), 2)
+        got = find_admissible_word(4, system, prefix=prefix)
+        want = _first_admissible(4, system, 2, 0.0, prefix)
+        if want is None:
+            assert got is None, f"seed {seed}"
+        else:
+            assert got is not None and np.array_equal(got.cells, want.cells), f"seed {seed}"
+
+
 def test_count_exceeds_int64():
     # the Lucas number L_100: counts are Python ints, never int64 or float64
     count = count_admissible(100, rll_constraint(1, 0.0))
@@ -448,6 +462,79 @@ def test_two_dimensional_counts_pinned():
     assert count_admissible(5, axial_product(factor, 2, "weak")) == 2_632_486
     hard_squares = axial_product(rll_constraint(1, 0.0), 2)
     assert count_admissible(6, hard_squares) == 2_406_862
+
+
+def _row_transfer_count(n, cap, accept):
+    """Cyclic n x n binary arrays, counted row by row without `semicap`.
+    A state is (first row, current row, horizontal 11 total, vertical 11
+    total), and a total above `cap` drops the state; the vertical wrap
+    from the last row back to the first is closed at the end, and
+    accept(h, v) tests the full totals.  Counts stay below 2^(n^2), exact
+    in int64 for n <= 7."""
+    rows = np.arange(1 << n)
+    ones = np.array([bin(r).count("1") for r in range(1 << n)])
+    rotated = ((rows << 1) | (rows >> (n - 1))) & ((1 << n) - 1)
+    h = ones[rows & rotated]                          # horizontal 11 windows of a row
+    v = ones[rows[:, None] & rows[None, :]]           # vertical 11 windows between two rows
+    layer = np.zeros((len(rows), len(rows), cap + 1, cap + 1), dtype=np.int64)
+    for r in rows[h <= cap]:
+        layer[r, r, h[r], 0] = 1
+    for _ in range(n - 1):
+        nxt = np.zeros_like(layer)
+        for dh in range(cap + 1):
+            for dv in range(cap + 1):
+                moves = ((v == dv) & (h[None, :] == dh)).astype(np.int64)
+                moved = np.einsum("frhv,rs->fshv", layer, moves)
+                nxt[:, :, dh:, dv:] += moved[:, :, :cap + 1 - dh, :cap + 1 - dv]
+        layer = nxt
+    total = 0
+    for dh in range(cap + 1):
+        for dv in range(cap + 1):
+            for wrap in range(n + 1):
+                if accept(dh, dv + wrap):
+                    total += int(layer[:, :, dh, dv][v == wrap].sum())
+    return total
+
+
+def _hard_square_count(n, cyclic):
+    """n x n binary arrays with no two ones adjacent along a row or a
+    column, without `semicap`: the row transfer matrix T of compatible
+    rows over Python ints, trace(T^n) when cyclic, else the sum of
+    T^(n-1) over the allowed rows."""
+    rows = range(1 << n)
+    mask = (1 << n) - 1
+    shifted = [((r << 1) | (r >> (n - 1))) & mask if cyclic else (r << 1) & mask for r in rows]
+    allowed = [r & s == 0 for r, s in zip(rows, shifted)]
+    t = np.array([[int(allowed[r] and allowed[s] and r & s == 0) for s in rows] for r in rows],
+                 dtype=object)
+    power = np.identity(len(rows), dtype=object)
+    for _ in range(n if cyclic else n - 1):
+        power = power @ t
+    if cyclic:
+        return int(np.trace(power))
+    ok = np.array([int(a) for a in allowed], dtype=object)
+    return int(ok @ power @ ok)
+
+
+# cyclic 2-D rll(1, 0.1) past what count_exhaustive enumerates: (strict, weak)
+RLL_1_01_2D = {4: (3_783, 9_127), 5: (1_128_256, 2_632_486)}
+
+
+def test_two_dimensional_counts_match_row_transfer_oracle():
+    factor = rll_constraint(1, 0.1)
+    for n, (strict, weak) in RLL_1_01_2D.items():
+        # strict: at most a tenth of each axis's n^2 windows read 11;
+        # weak: at most a tenth of all 2 n^2
+        cap, weak_cap = n * n // 10, 2 * n * n // 10
+        assert _row_transfer_count(n, cap, lambda a, b: a <= cap and b <= cap) == strict
+        assert _row_transfer_count(n, weak_cap, lambda a, b: a + b <= weak_cap) == weak
+        assert count_admissible(n, axial_product(factor, 2, "strict")) == strict
+        assert count_admissible(n, axial_product(factor, 2, "weak")) == weak
+    hard_squares = axial_product(rll_constraint(1, 0.0), 2)
+    assert _row_transfer_count(5, 0, lambda a, b: a == b == 0) == 25_531
+    assert _hard_square_count(5, cyclic=True) == count_admissible(5, hard_squares) == 25_531
+    assert (_hard_square_count(4, cyclic=False)
+            == count_admissible_noncyclic(4, hard_squares) == 1_234)
 
 
 def test_axial_system_validation():
