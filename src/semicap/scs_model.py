@@ -17,7 +17,6 @@ word.
 """
 from __future__ import annotations
 
-import functools
 import math
 from bisect import bisect_left
 from dataclasses import dataclass, field
@@ -335,12 +334,9 @@ def _probs_distance(probs: np.ndarray, gamma: ConstraintSet) -> float:
 # Admissibility of a single word
 # ---------------------------------------------------------------------------
 
-@functools.lru_cache(maxsize=1 << 12)
 def _decimal(x) -> Fraction:
     """A float bound or coefficient read as its shortest round-trip decimal,
-    so 0.3 means 3/10 (`Fraction(0.3)` is the binary float, below 3/10).
-    Equal floats read alike (0.0 and -0.0 both as 0), so the reading of
-    each value is kept."""
+    so 0.3 means 3/10 (`Fraction(0.3)` is the binary float, below 3/10)."""
     return Fraction(repr(float(x)))
 
 
@@ -423,8 +419,9 @@ def _counts_admissible(counts: np.ndarray, total: int, gamma: ConstraintSet,
 # depend only on the values read, so a table per step maps those values to
 # the increments, filled on first use, with at most q^(cells read)
 # entries.  A state's move is then one tuple extension, one table lookup,
-# `_advance`, and the merge into the next layer.  Steps that complete the same checks in the same order share one
-# table, since the same values then mean the same increments.
+# `_advance`, and the merge into the next layer.  Steps that complete the
+# same checks in the same order share one table, since the same values
+# then mean the same increments.
 # In 1-D this is the de Bruijn transfer matrix with the head kept for the
 # wrap, in 2-D the row-profile transfer.
 
@@ -523,7 +520,7 @@ class _Transfer:
         last = np.full(ncells, -1, dtype=np.int64)             # last step reading each cell
         done: list[list] = [[] for _ in range(ncells)]         # per step: (check, cells) completed
         self.charges: list[list] = []                          # per check: its charge
-        self.widths: list[int] = []                             # per check: cells per placement
+        self.widths: list[int] = []                            # per check: cells per placement
         for k, (shapes, gamma) in enumerate(checks):
             tables = [placements(s, side, cyclic=cyclic, slack=slack) for s in shapes]
             nplace = sum(len(tab) for tab in tables)
@@ -555,22 +552,17 @@ class _Transfer:
 
         # A cell two placements read appears twice in `reads`, always with
         # one value, so a table holds at most q^(distinct cells read)
-        # entries.  Steps that read, keep and complete alike share one entry.
+        # entries.
         self.steps: list[tuple] = []
-        built: dict = {}
-        deltas: dict = {}
+        deltas: dict = {}                  # one table per sequence of checks
         frontier: list[int] = []
         last = last.tolist()
         for t in range(ncells):
-            ext = frontier + [t]
+            ext = frontier + [t]               # increasing, so bisection finds a cell
             reads = tuple([bisect_left(ext, c) for _, cells in done[t] for c in cells])
             keep = tuple([i for i, c in enumerate(ext) if last[c] > t])
             ks = tuple([k for k, _ in done[t]])
-            step = built.get((reads, keep, ks))
-            if step is None:
-                step = built[reads, keep, ks] = (_getter(reads), _getter(keep), ks,
-                                                 deltas.setdefault(ks, {}))
-            self.steps.append(step)
+            self.steps.append((_getter(reads), _getter(keep), ks, deltas.setdefault(ks, {})))
             frontier = [ext[i] for i in keep]
             if len(frontier) * math.log2(self.q) > MAX_STATE_BITS:
                 raise SizeGuardError(f"transfer frontier holds {len(frontier)} cells, "
