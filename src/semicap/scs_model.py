@@ -17,6 +17,7 @@ word.
 """
 from __future__ import annotations
 
+import functools
 import math
 from bisect import bisect_left
 from dataclasses import dataclass, field
@@ -334,9 +335,12 @@ def _probs_distance(probs: np.ndarray, gamma: ConstraintSet) -> float:
 # Admissibility of a single word
 # ---------------------------------------------------------------------------
 
+@functools.lru_cache(maxsize=1 << 12)
 def _decimal(x) -> Fraction:
     """A float bound or coefficient read as its shortest round-trip decimal,
-    so 0.3 means 3/10 (`Fraction(0.3)` is the binary float, below 3/10)."""
+    so 0.3 means 3/10 (`Fraction(0.3)` is the binary float, below 3/10).
+    Every transfer reads its rows through here, so readings are cached;
+    equal floats read alike (0.0 and -0.0 both as 0)."""
     return Fraction(repr(float(x)))
 
 
@@ -478,9 +482,7 @@ def _advance(stats: tuple, delta: tuple) -> tuple | None:
 def _getter(positions: tuple[int, ...]) -> itemgetter:
     """An itemgetter returning the tuple of the entries at `positions`, for
     any number of them: a slice when they run contiguously upwards."""
-    if not positions:
-        return itemgetter(slice(0, 0))
-    lo = positions[0]
+    lo = positions[0] if positions else 0
     if positions == tuple(range(lo, lo + len(positions))):
         return itemgetter(slice(lo, lo + len(positions)))
     return itemgetter(*positions)
