@@ -34,8 +34,12 @@ optimiser exploits:
   solves every start's slice, bit for bit as the start's own call would,
   and each start keeps its own stop;
 * everything is repeated from random restarts plus i.i.d. and period-2
-  warm starts (screened row by row at eps = 0, by the LP distance above
-  it), and the winner is certified feasible by an LP distance check.
+  warm starts, and the winner is certified feasible by an LP distance
+  check.  The starts are drawn and screened as one stack: the random rows
+  are one draw, each start moves from an admissible word's point mass
+  toward its target, and at each halving of the mixing weight one stacked
+  window law screens every start not yet feasible (row by row at
+  eps = 0, by the LP distance above it).
 
 `hind_com_fixed_n` is the combinatorial counterpart: over words whose cells
 hold nonempty symbol subsets, maximise the per-cell choice count subject to
@@ -189,16 +193,22 @@ class _WindowModel:
         at v as two gathers, built once per row.  Each gather lists, for
         every (window, charged pattern) pair in window then pattern order,
         the flat indices site*q + symbol of the window's cells other than v
-        and a weight row.  The linear gather takes the windows holding v,
-        its weights holding the pattern's coefficient at the symbol in v's
-        slot; the constant gather takes the windows missing v, its weights
-        the coefficient alone.  `terms` evaluates either on a stack."""
+        (kept as one index column per cell) and a weight row.  The linear
+        gather takes the windows holding v, its weights holding the
+        pattern's coefficient at the symbol in v's slot; the constant
+        gather takes the windows missing v, its weights the coefficient
+        alone.  `terms` evaluates either on a stack."""
         key = np.asarray(coeffs, dtype=np.float64).tobytes()
         gathers = self._gathers.get(key)
         if gathers is None:
             charged = [(pattern_from_index(i, self.q, self.k), c)
                        for i, c in enumerate(np.asarray(coeffs).tolist()) if c]
             windows, gathers = self.table.tolist(), []
+
+            def gather(idx, weights, cells, width):
+                idx = np.array(idx, dtype=np.intp).reshape(len(idx), cells)
+                return tuple(idx.T), np.array(weights).reshape(len(idx), width)
+
             for v in range(self.side):
                 lin_idx, lin_w, const_idx, const_w = [], [], [], []
                 for w in windows:
@@ -212,11 +222,8 @@ class _WindowModel:
                         else:
                             const_idx.append(idx)
                             const_w.append(c)
-                gathers.append((
-                    (np.array(lin_idx, dtype=np.intp).reshape(len(lin_idx), self.k - 1),
-                     np.array(lin_w).reshape(len(lin_idx), self.q)),
-                    (np.array(const_idx, dtype=np.intp).reshape(len(const_idx), self.k),
-                     np.array(const_w).reshape(len(const_idx), 1))))
+                gathers.append((gather(lin_idx, lin_w, self.k - 1, self.q),
+                                gather(const_idx, const_w, self.k, 1)))
             self._gathers[key] = gathers
         return gathers
 
@@ -224,12 +231,20 @@ class _WindowModel:
         """One gather of `site_gathers` on a stack of row sets flattened to
         (S, n*q): the linear terms (S, q) or the constant (S, 1).  The pairs
         are added one after another, so each start's terms do not depend on
-        the stack around it (a plain sum may add a single column pairwise)."""
-        idx, weights = gather
-        if not len(idx):
+        the stack around it (a plain sum may add a single column pairwise),
+        and each pair's cells are multiplied in order, column by column."""
+        cols, weights = gather
+        if not len(weights):
             return np.zeros((len(flat), weights.shape[1]))
-        pairs = flat[:, idx].prod(axis=2)[:, :, None] * weights
-        return np.add.accumulate(pairs, axis=1)[:, -1] / self.side
+        if not cols:
+            prods = np.ones((len(flat), len(weights)))
+        else:
+            prods = flat.take(cols[0], axis=1)
+            for col in cols[1:]:
+                prods *= flat.take(col, axis=1)
+        if len(weights) == 1:
+            return prods * weights[0] / self.side
+        return np.add.accumulate(prods[:, :, None] * weights, axis=1)[:, -1] / self.side
 
 
 def _entropy_sums(stack: np.ndarray) -> np.ndarray:
@@ -282,19 +297,20 @@ def _lagrangian_fixed_point(model: _WindowModel, rows: np.ndarray,
     of starts: `rows` (S, n, q) is updated in place and returned, and
     `lam` holds one multiplier per start.  Each start leaves the stack
     after the sweep in which none of its sites moved by `_SWEEP_STOP`."""
-    gathers = model.site_gathers(coeffs)
+    gathers = [lin for lin, _ in model.site_gathers(coeffs)]
     live = np.arange(len(rows))
     for _ in range(_FIXED_POINT_SWEEPS):
         sub = rows[live]
+        before = sub.copy()
         flat = sub.reshape(len(live), -1)
         scale = -lam[live, None]
-        delta = np.zeros(len(live))
-        for v, (lin_gather, _) in enumerate(gathers):
-            lin = model.terms(flat, lin_gather)
-            w = np.exp2(scale * (lin - lin.min(axis=1, keepdims=True)))
-            new = w / w.sum(axis=1, keepdims=True)
-            np.maximum(delta, np.abs(new - sub[:, v]).max(axis=1), out=delta)
-            sub[:, v] = new
+        for v, gather in enumerate(gathers):
+            lin = model.terms(flat, gather)
+            w = np.exp2(scale * (lin - np.minimum.reduce(lin, axis=1, keepdims=True)))
+            sub[:, v] = w / np.add.reduce(w, axis=1, keepdims=True)
+        # each site moves once a sweep: a start's largest site move is its
+        # largest move over the sweep
+        delta = np.maximum.reduce(np.abs(sub - before), axis=(1, 2))
         rows[live] = sub
         live = live[~(delta < _SWEEP_STOP)]
         if not live.size:
@@ -367,22 +383,6 @@ def _optimize_single_cap(model: _WindowModel, starts: np.ndarray,
     return result
 
 
-def _mix_until_feasible(model: _WindowModel, anchor: np.ndarray,
-                        target: np.ndarray, bounds_check, mask=None) -> np.ndarray:
-    """Move `anchor` toward `target` (sitewise convex mix, optionally on a
-    subset of sites), backing the mixing weight off until feasible."""
-    t = 1.0
-    for _ in range(40):
-        rows = anchor.copy()
-        sel = range(model.side) if mask is None else mask
-        for v in sel:
-            rows[v] = (1.0 - t) * anchor[v] + t * target[v]
-        if bounds_check(rows):
-            return rows
-        t *= 0.5
-    return anchor.copy()
-
-
 def hind_fixed_n(gamma: ConstraintSet, side: int, eps: float = 0.0, *,
                  restarts: int = 20, seed: int = 0) -> HindResult:
     """Best entropy rate of a length-`side` cyclic product measure whose
@@ -401,10 +401,11 @@ def hind_fixed_n(gamma: ConstraintSet, side: int, eps: float = 0.0, *,
     valid lower bound.
     """
     eps = _checked_eps(eps)
+    restarts, seed = _whole(restarts, "restarts"), _whole(seed, "seed")
+    if restarts < 0 or seed < 0:
+        raise ValidationError("restarts and seed must be >= 0")
     model = _WindowModel(gamma, side)
     n, q = side, model.q
-    # only drawing a start needs the generator, and with it numpy.random
-    rng = np.random.default_rng(seed) if restarts > 0 else None
     cap = gamma.cap
     if cap is not None:
         coeff_list, bounds_eff = [cap[0]], [cap[1] + eps]
@@ -426,38 +427,49 @@ def hind_fixed_n(gamma: ConstraintSet, side: int, eps: float = 0.0, *,
         mu = PatternDistribution(gamma.alphabet, gamma.shape, avg)
         return tv_distance_to_set(mu, gamma) <= eps + _FEAS_SLACK
 
-    feasible_rows = lambda rows: feasible_law(_window_law(rows, model.table))
+    def screen(stack) -> np.ndarray:
+        """Which row sets of a stack (S, n, q) meet the relaxed rows."""
+        if not len(stack):
+            return np.zeros(0, dtype=bool)
+        return np.array([feasible_law(avg) for avg in _window_law(stack, model.table)],
+                        dtype=bool)
 
     # deterministic anchor: point mass on an admissible word
     w0 = find_admissible_word(side, gamma, eps)
-    anchor = None
-    if w0 is not None:
+    uniform = np.full((1, n, q), 1.0 / q)
+    # the random starts in one draw, the stream of `restarts` draws of n
+    # rows; only a draw needs the generator, and with it numpy.random
+    rand = (np.random.default_rng(seed).dirichlet(np.ones(q), size=(restarts, n))
+            if restarts else np.zeros((0, n, q)))
+    screened = [uniform] if screen(uniform)[0] else []
+    if w0 is None:
+        screened.append(rand[screen(rand)])
+    else:
+        # move the anchor toward each target (every site, the even sites,
+        # every site of each random start), halving each start's mixing
+        # weight until it passes the screen; the anchor is the fallback
         anchor = np.zeros((n, q))
         anchor[np.arange(n), w0.cells] = 1.0
+        targets = np.concatenate([uniform, uniform, rand])
+        sites = np.ones(targets.shape[:2] + (1,), dtype=bool)
+        sites[1, 1::2] = False
+        mixed = np.repeat(anchor[None], len(targets), axis=0)
+        pending, t = np.arange(len(targets)), 1.0
+        for _ in range(40):
+            rows = np.where(sites[pending], (1.0 - t) * anchor + t * targets[pending], anchor)
+            ok = screen(rows)
+            mixed[pending[ok]] = rows[ok]
+            pending = pending[~ok]
+            if not pending.size:
+                break
+            t *= 0.5
+        screened.append(mixed)
+    starts = np.concatenate(screened)
 
-    uniform = np.full((n, q), 1.0 / q)
-    starts: list[np.ndarray] = []
-    if feasible_rows(uniform):
-        starts.append(uniform.copy())
-    if anchor is not None:
-        starts.append(_mix_until_feasible(model, anchor, uniform, feasible_rows))
-        starts.append(
-            _mix_until_feasible(model, anchor, uniform, feasible_rows,
-                                mask=range(0, n, 2))
-        )
-        for _ in range(restarts):
-            rand = rng.dirichlet(np.ones(q), size=n)
-            starts.append(_mix_until_feasible(model, anchor, rand, feasible_rows))
-    else:
-        for _ in range(restarts):
-            rand = rng.dirichlet(np.ones(q), size=n)
-            if feasible_rows(rand):
-                starts.append(rand)
-
-    if not starts:
+    if not len(starts):
         return HindResult(-math.inf, None, side, eps, False, math.inf, 0)
 
-    stack = np.array(starts)
+    stack = starts.copy()
     if cap is not None and bounds_eff[0] > _FEAS_SLACK:
         # single positive cap: the shared-multiplier ascent, then the polish
         stack = _optimize_single_cap(model, stack, cap[0], bounds_eff[0])
@@ -465,7 +477,7 @@ def hind_fixed_n(gamma: ConstraintSet, side: int, eps: float = 0.0, *,
         stack = _sweep_hard(model, stack, bounds_eff, coeff_list)
     # the screened starts stay candidates, after the optimised rows so that
     # those win ties: a polish can leave every start outside the eps-ball
-    stack = np.concatenate([stack, np.array(starts)])
+    stack = np.concatenate([stack, starts])
     best_rows, best_val = None, -math.inf
     vals = _entropy_sums(stack) / n
     for rows, avg, val in zip(stack, _window_law(stack, model.table), vals):

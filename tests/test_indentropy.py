@@ -10,6 +10,7 @@ import pytest
 
 from semicap.lattice_core import (
     Alphabet,
+    PatternDistribution,
     Shape,
     SiteProductMeasure,
     ValidationError,
@@ -19,8 +20,10 @@ from semicap.capacity import capacity_1d, pressure_dual, transfer_matrix_capacit
 from semicap.scs_model import (
     ConstraintSet,
     LinearConstraint,
+    find_admissible_word,
     fully_constrained,
     rll_constraint,
+    tv_distance_to_set,
 )
 from semicap.indentropy import (
     MultiChoiceWord,
@@ -320,6 +323,33 @@ def test_hind_single_cap_solves_per_start(monkeypatch):
     assert calls <= 25 * res.restarts
 
 
+_TRI = Alphabet.of_size(3)
+_CAP_CASES = (  # (alphabet, window, side, capped patterns, cap, slack?)
+    (BIN, 1, 3, [1], 0.2, False),
+    (BIN, 2, 4, [3], 0.1, False),
+    (BIN, 2, 3, [3], 0.6, True),
+    (BIN, 3, 4, [7], 0.11, False),
+    (BIN, 3, 5, [7], 0.11, False),
+    (BIN, 3, 4, [3, 6], 0.05, False),
+    (_TRI, 1, 3, [2], 0.9, True),
+    (_TRI, 2, 3, [8], 0.03, False),
+    (_TRI, 3, 3, [13, 26], 0.01, False),
+)
+
+
+def _cap_cases():
+    """Each single-cap case of `_CAP_CASES` with its model, coefficient row
+    and five seeded random starts."""
+    rng = np.random.default_rng(29)
+    for case in _CAP_CASES:
+        alphabet, k, side, capped, bound, _ = case
+        coeffs = np.zeros(alphabet.size ** k)
+        coeffs[capped] = 1.0
+        model = _WindowModel(ConstraintSet(alphabet, Shape.segment(k), (
+            LinearConstraint(coeffs, bound),)), side)
+        yield case, model, coeffs, rng.dirichlet(np.ones(alphabet.size), size=(5, side))
+
+
 def test_hind_batch_matches_single_starts(monkeypatch):
     # the batched ascent runs every start as a stack of one would: the same
     # rows, and the same fixed-point solves (inputs and number) per start;
@@ -333,26 +363,8 @@ def test_hind_batch_matches_single_starts(monkeypatch):
         return solve(model, rows, coeffs, lam)
 
     monkeypatch.setattr(indentropy, "_lagrangian_fixed_point", recorded)
-    rng = np.random.default_rng(29)
-    tri = Alphabet.of_size(3)
-    cases = (  # (alphabet, window, side, capped patterns, cap, slack?)
-        (BIN, 1, 3, [1], 0.2, False),
-        (BIN, 2, 4, [3], 0.1, False),
-        (BIN, 2, 3, [3], 0.6, True),
-        (BIN, 3, 4, [7], 0.11, False),
-        (BIN, 3, 5, [7], 0.11, False),
-        (BIN, 3, 4, [3, 6], 0.05, False),
-        (tri, 1, 3, [2], 0.9, True),
-        (tri, 2, 3, [8], 0.03, False),
-        (tri, 3, 3, [13, 26], 0.01, False),
-    )
     uneven = []
-    for alphabet, k, side, capped, bound, slack in cases:
-        coeffs = np.zeros(alphabet.size ** k)
-        coeffs[capped] = 1.0
-        model = _WindowModel(ConstraintSet(alphabet, Shape.segment(k), (
-            LinearConstraint(coeffs, bound),)), side)
-        starts = rng.dirichlet(np.ones(alphabet.size), size=(5, side))
+    for (alphabet, k, side, capped, bound, slack), model, coeffs, starts in _cap_cases():
         solves.clear()
         batch = indentropy._optimize_single_cap(model, starts, coeffs, bound)
         unmatched, counts = list(solves), set()
@@ -373,18 +385,184 @@ def test_hind_batch_matches_single_starts(monkeypatch):
     assert any(uneven)
 
 
+_TWO_ROWS = ConstraintSet(BIN, Shape.segment(2), (
+    LinearConstraint(np.array([0.0, 0.5, 0.5, 1.0]), 0.4),
+    LinearConstraint(np.array([0.0, 0.0, 0.0, 1.0]), 0.15)))
+
+
 def test_hind_benchmark_values():
     # the four product-measure bounds a benchmark `bounds` round computes
-    two_rows = ConstraintSet(BIN, Shape.segment(2), (
-        LinearConstraint(np.array([0.0, 0.5, 0.5, 1.0]), 0.4),
-        LinearConstraint(np.array([0.0, 0.0, 0.0, 1.0]), 0.15)))
     for gamma, side, eps, value in (
             (rll_constraint(2, 0.05), 3, 0.0, 0.9494380930666207),
             (rll_constraint(1, 0.1), 2, 0.0, 0.9002320226345673),
             (rll_constraint(1, 0.1), 4, 0.01, 0.9166159099453555),
-            (two_rows, 4, 0.0, 0.9539600076279061)):
+            (_TWO_ROWS, 4, 0.0, 0.9539600076279061)):
         res = hind_fixed_n(gamma, side, eps)
         assert res.feasible and abs(res.value - value) <= 1e-15, (side, eps)
+
+
+def test_hind_values_pinned_to_the_last_bit():
+    # values of the per-site fixed-point loop and the per-start start
+    # building, compared with no tolerance
+    q3 = np.zeros(27)
+    q3[[13, 26]] = 1.0   # mu(111) + mu(222) <= 0.01
+    tri_cap = ConstraintSet(_TRI, Shape.segment(3), (LinearConstraint(q3, 0.01),))
+    for gamma, side, eps, kwargs, value in (
+            (tri_cap, 3, 0.0, dict(restarts=3, seed=1), 1.2801842499699336),
+            (rll_constraint(3, 0.05), 5, 0.0, {}, 0.9978753291681428),
+            (rll_constraint(1, 0.1), 3, 0.0, dict(restarts=0), 0.9002320226345674),
+            (rll_constraint(0, 0.3), 1, 0.0, dict(restarts=0), 0.8812908992306928),
+            (_TWO_ROWS, 3, 0.01, {}, 0.9674811634775575),
+            (rll_constraint(2, 0.01), 3, 0.0, {}, 0.7596403787799962)):
+        res = hind_fixed_n(gamma, side, eps, **kwargs)
+        assert res.feasible and res.value == value, (side, eps, kwargs)
+
+
+@pytest.mark.parametrize("kwargs", [dict(restarts=-1), dict(restarts=2.5),
+                                    dict(seed=-1), dict(seed=0.5)])
+def test_hind_rejects_bad_restarts_and_seed(kwargs):
+    # each must be a whole number >= 0: no silent empty run, no raw
+    # TypeError or numpy ValueError
+    with pytest.raises(ValidationError):
+        hind_fixed_n(rll_constraint(1, 0.1), 3, **kwargs)
+
+
+def _starts_per_start(gamma, side, eps, restarts, seed):
+    """Reference start building, start by start: the screened uniform rows,
+    then with an anchor word each target mixed in alone (every site, the
+    even sites, every site of each random start) with its weight halved
+    until the screen passes, else each random start that passes; one
+    `dirichlet(size=n)` draw per restart."""
+    model = _WindowModel(gamma, side)
+    n, q, cap = side, model.q, gamma.cap
+    slack = indentropy._FEAS_SLACK
+
+    def feasible(rows):
+        avg = _window_law(rows, model.table)
+        if cap is not None:
+            return float(cap[0] @ avg) <= cap[1] + eps + slack
+        if eps == 0.0:
+            return all(c.satisfied(avg, slack) for c in gamma.constraints)
+        mu = PatternDistribution(gamma.alphabet, gamma.shape, avg)
+        return tv_distance_to_set(mu, gamma) <= eps + slack
+
+    def mix(anchor, target, sites=range(n)):
+        t = 1.0
+        for _ in range(40):
+            rows = anchor.copy()
+            for v in sites:
+                rows[v] = (1.0 - t) * anchor[v] + t * target[v]
+            if feasible(rows):
+                return rows
+            t *= 0.5
+        return anchor.copy()
+
+    rng = np.random.default_rng(seed)
+    uniform = np.full((n, q), 1.0 / q)
+    starts = [uniform] if feasible(uniform) else []
+    word = find_admissible_word(side, gamma, eps)
+    if word is None:
+        for _ in range(restarts):
+            rand = rng.dirichlet(np.ones(q), size=n)
+            if feasible(rand):
+                starts.append(rand)
+        return starts
+    anchor = np.zeros((n, q))
+    anchor[np.arange(n), word.cells] = 1.0
+    starts += [mix(anchor, uniform), mix(anchor, uniform, range(0, n, 2))]
+    starts += [mix(anchor, rng.dirichlet(np.ones(q), size=n)) for _ in range(restarts)]
+    return starts
+
+
+def test_hind_stacked_starts_match_per_start_loop(monkeypatch):
+    # the starts reach the first optimiser as the per-start loop builds
+    # them, bit for bit: a single cap, the two-row system at eps 0 (rows
+    # checked directly) and 0.01 (the LP screen), and a row no word meets
+    # at side 4, so no anchor: none pass at eps 0, some random ones at 0.01
+    seen = []
+    for name in ("_optimize_single_cap", "_sweep_hard"):
+        def first(model, rows, *args, _run=getattr(indentropy, name)):
+            seen.append(rows.copy())
+            return _run(model, rows, *args)
+        monkeypatch.setattr(indentropy, name, first)
+    equal = ConstraintSet(BIN, Shape.segment(1), (
+        LinearConstraint(np.array([0.0, 1.0]), 0.3, "=="),))
+    passed = set()
+    for gamma, side, eps in ((rll_constraint(2, 0.05), 4, 0.0), (_TWO_ROWS, 4, 0.0),
+                             (_TWO_ROWS, 3, 0.01), (equal, 4, 0.0), (equal, 4, 0.01)):
+        for restarts in (0, 1, 20):
+            seen.clear()
+            res = hind_fixed_n(gamma, side, eps, restarts=restarts, seed=0)
+            want = _starts_per_start(gamma, side, eps, restarts, 0)
+            assert res.restarts == len(want), (side, eps, restarts)
+            if want:
+                assert np.array_equal(seen[0], np.array(want)), (side, eps, restarts)
+            else:
+                assert not seen, (side, eps, restarts)
+            passed.add((gamma is equal, eps, len(want) > 0))
+    assert (True, 0.0, False) in passed and (True, 0.01, True) in passed
+
+
+def test_dirichlet_stack_is_the_stream_of_single_draws():
+    # one draw of (R, n) rows continues the generator exactly as R draws of n
+    for q, restarts, side, seed in ((2, 20, 4, 0), (3, 7, 3, 5), (2, 1, 1, 2), (4, 5, 6, 9)):
+        one = np.random.default_rng(seed).dirichlet(np.ones(q), size=(restarts, side))
+        rng = np.random.default_rng(seed)
+        each = [rng.dirichlet(np.ones(q), size=side) for _ in range(restarts)]
+        assert np.array_equal(one, np.array(each)), (q, restarts, side)
+
+
+def _fixed_point_per_site(model, rows, coeffs, lam):
+    """Reference fixed point: the per-site loop with each site's linear
+    terms as one (S, pairs, cells) gather multiplied out along its cells,
+    and each start's largest move taken site by site."""
+    gathers = []
+    for (cols, weights), _ in model.site_gathers(coeffs):
+        idx = np.array(cols, dtype=np.intp).reshape(len(cols), len(weights)).T
+        gathers.append((idx, weights))
+
+    def terms(flat, idx, weights):
+        if not len(idx):
+            return np.zeros((len(flat), weights.shape[1]))
+        pairs = flat[:, idx].prod(axis=2)[:, :, None] * weights
+        return np.add.accumulate(pairs, axis=1)[:, -1] / model.side
+
+    live = np.arange(len(rows))
+    for _ in range(indentropy._FIXED_POINT_SWEEPS):
+        sub = rows[live]
+        flat = sub.reshape(len(live), -1)
+        scale = -lam[live, None]
+        delta = np.zeros(len(live))
+        for v, (idx, weights) in enumerate(gathers):
+            lin = terms(flat, idx, weights)
+            w = np.exp2(scale * (lin - lin.min(axis=1, keepdims=True)))
+            new = w / w.sum(axis=1, keepdims=True)
+            np.maximum(delta, np.abs(new - sub[:, v]).max(axis=1), out=delta)
+            sub[:, v] = new
+        rows[live] = sub
+        live = live[~(delta < indentropy._SWEEP_STOP)]
+        if not live.size:
+            break
+    return rows
+
+
+def test_fixed_point_matches_per_site_loop(monkeypatch):
+    # every fixed-point solve of the single-cap ascents returns the rows of
+    # the per-site reference loop on the same input, bit for bit
+    solve, solves = indentropy._lagrangian_fixed_point, 0
+
+    def checked(model, rows, coeffs, lam):
+        nonlocal solves
+        want = _fixed_point_per_site(model, rows.copy(), coeffs, lam)
+        got = solve(model, rows, coeffs, lam)
+        assert np.array_equal(got, want), (model.k, model.side, lam)
+        solves += 1
+        return got
+
+    monkeypatch.setattr(indentropy, "_lagrangian_fixed_point", checked)
+    for case, model, coeffs, starts in _cap_cases():
+        indentropy._optimize_single_cap(model, starts, coeffs, case[4])
+    assert solves > 2 * len(_CAP_CASES)
 
 
 def _site_coeffs(model, rows, v, coeffs):
@@ -628,12 +806,9 @@ def test_hind_deterministic_given_seed():
 def test_hind_random_starts_are_pinned():
     # on the two-row system the best start depends on the seed's draws, so
     # these values pin the random starts themselves
-    two_rows = ConstraintSet(BIN, Shape.segment(2), (
-        LinearConstraint(np.array([0.0, 0.5, 0.5, 1.0]), 0.4),
-        LinearConstraint(np.array([0.0, 0.0, 0.0, 1.0]), 0.15)))
     for restarts, seed, value in ((2, 0, 0.9579755596844003), (2, 2, 0.9417094424652749),
                                   (0, 0, 0.9364084392275019)):
-        res = hind_fixed_n(two_rows, 3, 0.01, restarts=restarts, seed=seed)
+        res = hind_fixed_n(_TWO_ROWS, 3, 0.01, restarts=restarts, seed=seed)
         assert res.feasible and res.restarts == restarts + 2
         assert abs(res.value - value) <= 1e-12, (restarts, seed)
 
