@@ -242,8 +242,6 @@ class _WindowModel:
             prods = flat.take(cols[0], axis=1)
             for col in cols[1:]:
                 prods *= flat.take(col, axis=1)
-        if len(weights) == 1:
-            return prods * weights[0] / self.side
         return np.add.accumulate(prods[:, :, None] * weights, axis=1)[:, -1] / self.side
 
 

@@ -401,9 +401,11 @@ def test_hind_benchmark_values():
         assert res.feasible and abs(res.value - value) <= 1e-15, (side, eps)
 
 
-def test_hind_values_pinned_to_the_last_bit():
+def test_hind_values_pinned():
     # values of the per-site fixed-point loop and the per-start start
-    # building, compared with no tolerance
+    # building; numpy picks its log and exp2 kernels by CPU, so a last bit
+    # may move between machines (the reference-loop tests below check bit
+    # identity on one machine)
     q3 = np.zeros(27)
     q3[[13, 26]] = 1.0   # mu(111) + mu(222) <= 0.01
     tri_cap = ConstraintSet(_TRI, Shape.segment(3), (LinearConstraint(q3, 0.01),))
@@ -415,7 +417,7 @@ def test_hind_values_pinned_to_the_last_bit():
             (_TWO_ROWS, 3, 0.01, {}, 0.9674811634775575),
             (rll_constraint(2, 0.01), 3, 0.0, {}, 0.7596403787799962)):
         res = hind_fixed_n(gamma, side, eps, **kwargs)
-        assert res.feasible and res.value == value, (side, eps, kwargs)
+        assert res.feasible and abs(res.value - value) <= 1e-15, (side, eps, kwargs)
 
 
 @pytest.mark.parametrize("kwargs", [dict(restarts=-1), dict(restarts=2.5),
