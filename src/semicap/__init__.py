@@ -19,7 +19,6 @@ from semicap.lattice_core import (
     empirical_counts,
     empirical_distribution,
     entropy,
-    enumerate_patterns,
     marginal,
     product_entropy,
     tv_distance,

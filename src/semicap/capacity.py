@@ -45,7 +45,6 @@ from semicap.linprog import solve_lp
 from semicap.scs_model import ConstraintSet, EmptySystemError, _checks, count_admissible
 
 __all__ = [
-    "ShiftInvariancePolytope",
     "CapacityResult",
     "DimensionBound",
     "CountRow",
@@ -453,23 +452,6 @@ def shift_invariant_equations(k: int, alphabet: Alphabet) -> list[np.ndarray]:
     x, m = np.arange(q ** k), np.arange(s)[:, None]   # m indexes the middle word
     # +1 on a . m (m as suffix), -1 on m . a (m as prefix)
     return list((x % s == m) - (x // q == m).astype(np.float64))
-
-
-@dataclass(frozen=True, eq=False)
-class ShiftInvariancePolytope:
-    """Shift-invariant distributions on Σ^k, as equality constraints."""
-
-    alphabet: Alphabet
-    k: int
-    equations: tuple[np.ndarray, ...]
-
-    @classmethod
-    def build(cls, k: int, alphabet: Alphabet) -> "ShiftInvariancePolytope":
-        return cls(alphabet, k, tuple(shift_invariant_equations(k, alphabet)))
-
-    def contains(self, dist: PatternDistribution, tol: float = 1e-8) -> bool:
-        probs = dist.float_probs()
-        return all(abs(float(r @ probs)) <= tol for r in self.equations)
 
 
 # ---------------------------------------------------------------------------

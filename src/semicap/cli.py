@@ -50,7 +50,6 @@ from semicap.validation import (
     cyclic_vs_noncyclic,
     hasse_report,
 )
-from semicap.indentropy import PeriodicProductMeasure
 
 __all__ = ["main"]
 
@@ -246,7 +245,7 @@ def _cmd_indentropy(args) -> tuple[_Table, int]:
     table.row(record="best", eps=best.eps, n=best.side, value=best.value,
               feasible=best.feasible, distance=best.distance)
     table.row(record="lower_bound", eps=best.eps, n=best.side,
-              value=report.lower_bound, feasible=True)
+              value=best.value, feasible=True)
     table.row(record="lift_rate_error", value=report.lift_rate_error)
     if report.curve_reference is not None:
         table.row(record="curve_reference", value=report.curve_reference)
@@ -307,8 +306,7 @@ def _cmd_report(args) -> tuple[_Table, int]:
     eps_pos = [e for e in cfg.eps_list if e > 0] or [0.01]
     period = measure.side
     sides = sorted({period * max(1, round(n / period)) for n in (30, 100, 300)})
-    mu = PeriodicProductMeasure(measure.alphabet, period, measure.site_dists)
-    conc = concentration_check(mu, cfg.factor(), eps_pos, sides,
+    conc = concentration_check(measure, cfg.factor(), eps_pos, sides,
                                cfg.solver.trials, seed)
     table.row(record="concentration_base_distance", value=conc.base_distance)
     for i, eps in enumerate(conc.eps_list):

@@ -145,9 +145,6 @@ class PeriodicProductMeasure:
     def iid(cls, alphabet: Alphabet, dist: Sequence[float]) -> "PeriodicProductMeasure":
         return cls(alphabet, 1, np.asarray(dist, dtype=np.float64)[None, :])
 
-    def entropy_rate(self) -> float:
-        return float(np.mean([_entropy_vec(row) for row in self.site_dists]))
-
     def tile(self, side: int) -> SiteProductMeasure:
         """Extend to the length-`side` cycle (side must be a multiple of the
         period so the cyclic extension is well defined)."""
@@ -427,8 +424,6 @@ def hind_fixed_n(gamma: ConstraintSet, side: int, eps: float = 0.0, *,
 
     def screen(stack) -> np.ndarray:
         """Which row sets of a stack (S, n, q) meet the relaxed rows."""
-        if not len(stack):
-            return np.zeros(0, dtype=bool)
         return np.array([feasible_law(avg) for avg in _window_law(stack, model.table)],
                         dtype=bool)
 
@@ -698,7 +693,6 @@ class IndependenceReport:
     lift_rate: float                   # entropy rate of `lift`
     lift_rate_error: float             # |lift_rate - best.value|
     curve_reference: float | None      # closed-form check for window-2 caps
-    lower_bound: float                 # certified d-dimensional lower bound
 
 
 def hind_bound_report(gamma: ConstraintSet, dim: int,
@@ -727,5 +721,5 @@ def hind_bound_report(gamma: ConstraintSet, dim: int,
         curve_ref = curve_optimum_01p(cap[1]).value
     return IndependenceReport(
         dim, eps_list, sides, tuple(rows), best, lift, lift_rate,
-        abs(lift_rate - best.value), curve_ref, best.value,
+        abs(lift_rate - best.value), curve_ref,
     )

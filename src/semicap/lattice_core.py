@@ -10,8 +10,7 @@ Everything downstream works with three kinds of objects:
 
 Pattern indexing is positional: the points of a shape are kept in sorted
 (lexicographic) order, and a pattern's index is its base-|Σ| value with the
-first point as the most significant digit.  `enumerate_patterns` yields
-patterns in exactly this order.
+first point as the most significant digit; `pattern_from_index` inverts it.
 
 Where a shape's windows sit is decided in one place, the placement table
 of `placements`: one row per placement, holding the flat (row-major) cell
@@ -29,7 +28,7 @@ import itertools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterable, Iterator, Sequence
+from typing import Iterable, Sequence
 
 import numpy as np
 
@@ -42,7 +41,6 @@ __all__ = [
     "cell_dtype",
     "PatternDistribution",
     "SiteProductMeasure",
-    "enumerate_patterns",
     "pattern_index",
     "pattern_from_index",
     "placements",
@@ -267,15 +265,6 @@ def pattern_space_size(alphabet: Alphabet, shape: Shape) -> int:
             f"pattern space of size {alphabet.size}^{len(shape)} exceeds guard"
         )
     return size
-
-
-def enumerate_patterns(alphabet: Alphabet, shape: Shape) -> Iterator[tuple[int, ...]]:
-    """Yield all patterns on `shape` in index order.
-
-    The i-th yielded tuple has `pattern_index(tuple, q) == i`.
-    """
-    pattern_space_size(alphabet, shape)
-    yield from itertools.product(range(alphabet.size), repeat=len(shape))
 
 
 def placements(shape: Shape, side: int, *, cyclic: bool = True,
@@ -539,19 +528,22 @@ def _window_law(rows: np.ndarray, table: np.ndarray) -> np.ndarray:
     per-cell distributions `rows` induce: the outer product of the cells'
     rows, first point most significant.  `rows` is one measure's (n, q),
     giving the law (m,), or a stack (S, n, q) of them, giving (S, m) with
-    each law exactly as if alone.  Blocks of placements keep every
-    temporary within `_BLOCK_FLOATS` floats, and each block's sum starts
-    from the running total, so the sum is sequential whatever the block."""
+    each law exactly as if alone; an empty stack gives (0, m).  Blocks of
+    placements keep every temporary within `_BLOCK_FLOATS` floats, and each
+    block's sum starts from the running total, so the sum is sequential
+    whatever the block."""
     stack = rows[None] if rows.ndim == 2 else rows
     nplace, k = table.shape
-    s, m = len(stack), stack.shape[2] ** k
-    block = max(1, _BLOCK_FLOATS // (s * m))
+    s, _, q = stack.shape
+    m = q ** k
+    block = max(1, _BLOCK_FLOATS // max(1, s * m))
     total = np.zeros((s, m))
     for start in range(0, nplace, block):
         cols = table[start:start + block].T
         law = stack[:, cols[0]]
         for col in cols[1:]:
-            law = (law[:, :, :, None] * stack[:, col][:, :, None, :]).reshape(s, len(col), -1)
+            law = (law[:, :, :, None] * stack[:, col][:, :, None, :]).reshape(
+                s, len(col), law.shape[2] * q)
         law[:, 0] += total
         total = law.sum(axis=1)
     total /= nplace

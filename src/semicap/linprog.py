@@ -3,9 +3,9 @@
 Two-phase primal simplex on a dense tableau, with Bland's anti-cycling
 pivoting rule throughout.  Written for the tiny, dense, sometimes degenerate
 programs this package generates (the distance-to-polytope LP of
-`scs_model`, and the feasibility programs of `ConstraintSet.feasible_point`
-and `capacity._feasible_start`, a few dozen variables); determinism
-matters more than speed here, and Bland's rule guarantees termination.
+`scs_model`, and the feasibility program of `capacity._feasible_start`, a
+few dozen variables); determinism matters more than speed here, and
+Bland's rule guarantees termination.
 
 The entry point solves
 

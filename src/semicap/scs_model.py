@@ -153,20 +153,6 @@ class ConstraintSet:
         probs = dist.float_probs()
         return all(c.satisfied(probs, tol) for c in self.constraints)
 
-    def feasible_point(self) -> PatternDistribution:
-        """Some distribution in the polytope (raises EmptySystemError if none)."""
-        m, eq = self.npatterns, self.equal
-        res = solve_lp(
-            np.zeros(m),
-            a_ub=self.coeffs[~eq],
-            b_ub=self.bounds[~eq],
-            a_eq=np.vstack([np.ones(m), self.coeffs[eq]]),
-            b_eq=np.concatenate([[1.0], self.bounds[eq]]),
-        )
-        if not res.ok:
-            raise EmptySystemError("constraint set contains no distribution")
-        return PatternDistribution.from_floats(self.alphabet, self.shape, res.x)
-
 
 @dataclass(frozen=True, eq=False)
 class AxialSystem:

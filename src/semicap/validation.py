@@ -75,9 +75,9 @@ class SplitMix64:
     reproducibility: state advances by the golden-ratio increment
     0x9E3779B97F4A7C15 and the output mixes with the Stafford "mix13"
     constants.  `next_float` takes the top 53 bits, so results are
-    bit-identical on every platform.  `floats` is the same stream as one
-    numpy block, drawn by the stacked kernel `_splitmix53`; the scalar
-    methods stay its reference.
+    bit-identical on every platform.  The stacked kernel `_splitmix53`
+    draws the same streams as numpy blocks; the scalar methods stay its
+    reference.
     """
 
     GAMMA = 0x9E3779B97F4A7C15
@@ -97,15 +97,6 @@ class SplitMix64:
     def next_float(self) -> float:
         """Uniform in [0, 1) with 53 random bits."""
         return (self.next_u64() >> 11) * 2.0 ** -53
-
-    def floats(self, n: int) -> np.ndarray:
-        """The next n values of `next_float` as one float64 array; the
-        state advances by n."""
-        if n < 0:
-            raise ValidationError("cannot draw a negative number of floats")
-        k = _splitmix53(np.array([self.state], dtype=np.uint64), n)[0]
-        self.state = (self.state + n * self.GAMMA) & _MASK64
-        return k * 2.0 ** -53
 
 
 def _splitmix53(seeds: np.ndarray, n: int) -> np.ndarray:

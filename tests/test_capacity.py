@@ -7,7 +7,6 @@ import pytest
 from semicap.lattice_core import Alphabet, Shape, ValidationError
 from semicap.capacity import (
     _slice_duals,
-    ShiftInvariancePolytope,
     capacity_1d,
     elimeysch_lower_bound,
     internal_capacity_sequence,
@@ -108,12 +107,19 @@ def test_capacity_two_row_certificate():
     res = capacity_1d(TWO_ROW)
     assert res.converged and res.duality_gap <= 1e-9
     assert TWO_ROW.contains(res.optimizer, tol=1e-9)
-    poly = ShiftInvariancePolytope.build(2, BIN)
-    assert poly.contains(res.optimizer, tol=1e-9)
+    assert _shift_invariant(res.optimizer, 2, tol=1e-9)
     # value is the conditional entropy of the returned optimizer
     probs = res.optimizer.float_probs()
     cond = _entropy(probs) - _entropy(probs.reshape(2, 2).sum(axis=1))
     assert res.value == pytest.approx(cond, abs=1e-12)
+
+
+def _shift_invariant(dist, k, tol):
+    """Whether a distribution on length-k windows meets every
+    shift-invariance equation to within `tol`."""
+    probs = dist.float_probs()
+    return all(abs(float(r @ probs)) <= tol
+               for r in shift_invariant_equations(k, dist.alphabet))
 
 
 def _window2_row(alphabet, fn):
@@ -157,8 +163,7 @@ def test_capacity_on_reducible_graphs():
         assert res.converged and res.duality_gap <= 1e-9
         assert res.value == pytest.approx(value, abs=1e-12)
         assert gamma.contains(res.optimizer, tol=1e-9)
-        poly = ShiftInvariancePolytope.build(2, gamma.alphabet)
-        assert poly.contains(res.optimizer, tol=1e-9)
+        assert _shift_invariant(res.optimizer, 2, tol=1e-9)
 
 
 def test_capacity_budget_stops_short_inside_gamma():
@@ -167,7 +172,7 @@ def test_capacity_budget_stops_short_inside_gamma():
     assert not res.converged and res.iterations == 2
     assert res.duality_gap > 1e-9
     assert g.contains(res.optimizer, tol=1e-9)
-    assert ShiftInvariancePolytope.build(3, BIN).contains(res.optimizer, tol=1e-9)
+    assert _shift_invariant(res.optimizer, 3, tol=1e-9)
 
 
 def test_site_slice_dual_on_random_slices():
@@ -284,8 +289,7 @@ def test_optimizer_is_feasible_and_shift_invariant():
     res = capacity_1d(g)
     eta = res.optimizer
     assert g.contains(eta, tol=1e-7)
-    poly = ShiftInvariancePolytope(BIN, 3, shift_invariant_equations(3, BIN))
-    assert poly.contains(eta, tol=1e-7)
+    assert _shift_invariant(eta, 3, tol=1e-7)
     probs = eta.float_probs()
     assert probs.sum() == pytest.approx(1.0, abs=1e-9)
     # prefix and suffix pair marginals of the optimizing triple agree

@@ -119,7 +119,7 @@ def test_curve_rejects_bad_p():
 
 def test_periodic_measure_basics():
     mu = PeriodicProductMeasure(BIN, 2, np.array([[0.5, 0.5], [1.0, 0.0]]))
-    assert mu.entropy_rate() == pytest.approx(0.5)
+    assert product_entropy(mu.tile(mu.period)) / mu.period == pytest.approx(0.5)
     tiled = mu.tile(6)
     assert tiled.side == 6
     assert np.allclose(tiled.site_dists[4], [0.5, 0.5])
@@ -133,7 +133,7 @@ def test_periodic_measure_basics():
 def test_periodic_measure_iid():
     mu = PeriodicProductMeasure.iid(BIN, [0.25, 0.75])
     assert mu.period == 1
-    assert mu.entropy_rate() == pytest.approx(h2(0.25))
+    assert product_entropy(mu.tile(mu.period)) / mu.period == pytest.approx(h2(0.25))
     assert mu.tile(3).site_dists.shape == (3, 2)
 
 
@@ -781,6 +781,12 @@ def test_hind_reports_starts_run():
         LinearConstraint(np.array([1.0, 1.0]), 0.0, "=="),))
     res = hind_fixed_n(empty, 2, restarts=3, seed=0)
     assert not res.feasible and res.measure is None and res.restarts == 0
+    # mu(1) == 0.3 has no admissible word at n = 4 and the uniform start
+    # misses it, so with no restarts the screen meets an empty stack
+    equal = ConstraintSet(BIN, Shape.segment(1), (
+        LinearConstraint(np.array([0.0, 1.0]), 0.3, "=="),))
+    res = hind_fixed_n(equal, 4, restarts=0, seed=0)
+    assert not res.feasible and res.measure is None and res.restarts == 0
 
 
 def test_hind_single_cap_results_are_certified():
@@ -927,8 +933,7 @@ def test_bound_report_soft_cap():
     assert rep.dim == 2
     assert len(rep.rows) == 2
     assert rep.best.feasible
-    assert rep.lower_bound == rep.best.value
-    assert rep.lower_bound >= 0.94
+    assert rep.best.value >= 0.94
     assert rep.lift is not None and rep.lift.dim == 2
     assert rep.lift_rate_error <= 1e-12
 
@@ -946,7 +951,7 @@ def test_bound_report_curve_reference():
     # nor does a cap of 1.5 on mu(11), which binds nothing
     rep_free = hind_bound_report(rll_constraint(1, 1.5), 1, eps_list=(0.0,),
                                  sides=(2, 3), restarts=2, seed=0)
-    assert rep_free.curve_reference is None and rep_free.lower_bound == 1.0
+    assert rep_free.curve_reference is None and rep_free.best.value == 1.0
 
 
 def test_bound_report_filters_short_sides():

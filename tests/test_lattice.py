@@ -326,6 +326,14 @@ def test_window_law_stack_matches_single_measures(monkeypatch):
         monkeypatch.undo()
 
 
+def test_window_law_empty_stack():
+    # an empty stack has an empty law of the window's pattern count
+    for k, side in ((2, 3), (3, 4)):
+        table = placements(Shape.segment(k), side)
+        law = lattice_core._window_law(np.zeros((0, side, 2)), table)
+        assert law.shape == (0, 2 ** k) and law.dtype == np.float64
+
+
 def test_averaged_marginal_translation_invariant():
     rng = np.random.default_rng(7)
     mu = SiteProductMeasure(BIN, 1, 6, rng.dirichlet(np.ones(2), size=6))

@@ -207,14 +207,14 @@ def test_distance_against_grid_oracle():
 
 def test_feasible_point_and_empty_system():
     g = rll_constraint(2, 0.05)
-    point = g.feasible_point()
-    assert g.contains(point)
+    point = PatternDistribution.from_floats(BIN, g.shape, np.eye(8)[0])  # all 000
+    assert g.contains(point) and tv_distance_to_set(point, g) == 0.0
     empty = ConstraintSet(BIN, Shape.segment(2), [
         LinearConstraint((0, 0, 0, 1), 0.0, "=="),
         LinearConstraint((0, 0, 0, -1), -0.2, "<="),  # mass(11) >= 0.2
     ])
     with pytest.raises(EmptySystemError):
-        empty.feasible_point()
+        tv_distance_to_set(PatternDistribution.uniform(BIN, empty.shape), empty)
 
 
 def test_is_admissible_exact_and_relaxed():
@@ -406,7 +406,7 @@ def _window2_system(rng, dim):
                 for _ in range(int(rng.integers(1, 3)))]
         gamma = ConstraintSet(BIN, Shape.segment(2), rows)
         try:
-            gamma.feasible_point()
+            tv_distance_to_set(PatternDistribution.uniform(BIN, gamma.shape), gamma)
         except EmptySystemError:
             continue
         if dim == 1:
