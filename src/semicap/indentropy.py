@@ -73,6 +73,7 @@ from semicap.capacity import _require_window, _slice_duals
 from semicap.scs_model import (
     ConstraintSet,
     _ball_reach,
+    _meets_rows,
     find_admissible_word,
     tv_distance_to_set,
 )
@@ -125,33 +126,21 @@ def _h2(x: float) -> float:
 # Periodic product measures
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True, eq=False)
-class PeriodicProductMeasure:
-    """A 1-D product measure repeating with a fixed period."""
+class PeriodicProductMeasure(SiteProductMeasure):
+    """A 1-D product measure repeating with a fixed period: one period as
+    a `SiteProductMeasure` whose side is the period, so `tile` repeats it
+    around any cycle whose length is a multiple of the period."""
 
-    alphabet: Alphabet
-    period: int
-    site_dists: np.ndarray  # (period, q)
+    def __init__(self, alphabet: Alphabet, period: int, site_dists) -> None:
+        super().__init__(alphabet, 1, period, site_dists)
 
-    def __post_init__(self) -> None:
-        rows = np.asarray(self.site_dists, dtype=np.float64)
-        if rows.shape != (self.period, self.alphabet.size):
-            raise ValidationError("site_dists must be (period, alphabet size)")
-        # one period as a site-product measure checks the rows as distributions
-        site = SiteProductMeasure(self.alphabet, 1, self.period, rows)
-        object.__setattr__(self, "site_dists", site.site_dists)
+    @property
+    def period(self) -> int:
+        return self.side
 
     @classmethod
     def iid(cls, alphabet: Alphabet, dist: Sequence[float]) -> "PeriodicProductMeasure":
         return cls(alphabet, 1, np.asarray(dist, dtype=np.float64)[None, :])
-
-    def tile(self, side: int) -> SiteProductMeasure:
-        """Extend to the length-`side` cycle (side must be a multiple of the
-        period so the cyclic extension is well defined)."""
-        if side % self.period:
-            raise ValidationError("side must be divisible by the period")
-        rows = np.tile(self.site_dists, (side // self.period, 1))
-        return SiteProductMeasure(self.alphabet, 1, side, rows)
 
 
 # ---------------------------------------------------------------------------
@@ -418,7 +407,7 @@ def hind_fixed_n(gamma: ConstraintSet, side: int, eps: float = 0.0, *,
             return float(cap[0] @ avg) <= bounds_eff[0] + _FEAS_SLACK
         if eps == 0.0:
             # distance zero means every row holds: no LP needed
-            return all(c.satisfied(avg, _FEAS_SLACK) for c in gamma.constraints)
+            return _meets_rows(gamma, avg, _FEAS_SLACK)
         mu = PatternDistribution(gamma.alphabet, gamma.shape, avg)
         return tv_distance_to_set(mu, gamma) <= eps + _FEAS_SLACK
 

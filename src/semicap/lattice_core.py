@@ -148,18 +148,9 @@ class Shape:
         object.__setattr__(self, "points", tuple(pts))
 
     @classmethod
-    def segment(cls, k: int, dim: int = 1, axis: int = 0) -> "Shape":
-        """The k consecutive points 0..k-1 along `axis` of a dim-dimensional lattice."""
-        if k < 1:
-            raise ValidationError("segment length must be >= 1")
-        if not 0 <= axis < dim:
-            raise ValidationError("axis out of range")
-        pts = []
-        for i in range(k):
-            p = [0] * dim
-            p[axis] = i
-            pts.append(tuple(p))
-        return cls(pts)
+    def segment(cls, k: int) -> "Shape":
+        """The k consecutive points 0..k-1 of the 1-D lattice (k >= 1)."""
+        return cls((i,) for i in range(k))
 
     @classmethod
     def box(cls, side: int, dim: int) -> "Shape":
@@ -402,6 +393,16 @@ class SiteProductMeasure:
         rows = np.zeros((flat.size, q))
         rows[np.arange(flat.size), flat] = 1.0
         return cls(word.alphabet, word.dim, word.side, rows)
+
+    def tile(self, side: int) -> "SiteProductMeasure":
+        """The one rule for a 1-D measure on a longer cycle: site v of the
+        length-`side` cycle, a multiple of self.side, takes row v mod self.side."""
+        if self.dim != 1:
+            raise ValidationError("only a 1-D measure tiles a longer cycle")
+        if side % self.side:
+            raise ValidationError(f"side {side} is not a multiple of {self.side}")
+        rows = np.tile(self.site_dists, (side // self.side, 1))
+        return SiteProductMeasure(self.alphabet, 1, side, rows)
 
 
 # ---------------------------------------------------------------------------

@@ -94,15 +94,6 @@ class LinearConstraint:
             raise ValidationError("constraint coefficients and bound must be finite")
         object.__setattr__(self, "coeffs", coeffs)
 
-    def evaluate(self, probs: np.ndarray) -> float:
-        return float(self.coeffs @ probs)
-
-    def satisfied(self, probs: np.ndarray, tol: float = FEASIBILITY_TOL) -> bool:
-        v = self.evaluate(probs)
-        if self.sense == "<=":
-            return v <= self.bound + tol
-        return abs(v - self.bound) <= tol
-
 
 @dataclass(frozen=True, eq=False)
 class ConstraintSet:
@@ -111,8 +102,9 @@ class ConstraintSet:
 
     The rows are also held as read-only arrays, built once: `coeffs`
     (rows x patterns), `bounds`, and `equal` (True on `==` rows), in the
-    order of `constraints`.  The float engines read these, and two fields
-    that say once what the rows mean, however they are written
+    order of `constraints`.  Every float reader uses these (the LPs, the
+    pressure dual, `_meets_rows`); the exact tests read `constraints`.
+    Two more fields say once what the rows mean, however they are written
     (`_classify`): `forbidden`, the 0/1 indicator of the patterns Γ forbids
     when forbidding is all its rows do, else None; and `cap`, (indicator
     of A, b) when Γ is "mass of A at most b", else None."""
@@ -150,8 +142,17 @@ class ConstraintSet:
         return pattern_space_size(self.alphabet, self.shape)
 
     def contains(self, dist: PatternDistribution, tol: float = FEASIBILITY_TOL) -> bool:
-        probs = dist.float_probs()
-        return all(c.satisfied(probs, tol) for c in self.constraints)
+        return _meets_rows(self, dist.float_probs(), tol)
+
+
+def _meets_rows(gamma: ConstraintSet, probs: np.ndarray, tol: float) -> bool:
+    """Whether float pattern vector p meets every row of Γ within `tol`:
+    float(c @ p) <= b + tol, or |float(c @ p) - b| <= tol on an `==` row."""
+    for c, b, e in zip(gamma.coeffs, gamma.bounds, gamma.equal):
+        v = float(c @ probs)
+        if not (abs(v - b) <= tol if e else v <= b + tol):
+            return False
+    return True
 
 
 @dataclass(frozen=True, eq=False)

@@ -36,12 +36,13 @@ from semicap.lattice_core import (
     placements,
 )
 from semicap.capacity import (
+    CapacityResult,
     CountRow,
     capacity_1d,
     elimeysch_lower_bound,
     internal_capacity_sequence,
 )
-from semicap.indentropy import PeriodicProductMeasure, hind_bound_report
+from semicap.indentropy import hind_bound_report
 from semicap.scs_model import (
     ConstraintSet,
     _probs_distance,
@@ -119,22 +120,18 @@ def _splitmix53(seeds: np.ndarray, n: int) -> np.ndarray:
 def sample_word(mu, seed: int, side: int | None = None) -> Word:
     """Draw one word from a product measure.
 
-    `mu` is a SiteProductMeasure (side fixed by the measure; `side`, if
-    given, must equal it) or a PeriodicProductMeasure together with `side`
-    (a multiple of the period).
+    `mu` is a SiteProductMeasure (a PeriodicProductMeasure is one).  The
+    word has the measure's side, or, given a 1-D measure, any multiple
+    `side` of it, around which `SiteProductMeasure.tile` repeats the rows.
     The cells, in row-major order, take one block of a SplitMix64 stream
     seeded with `seed` (cell i the i-th `next_float`), and each cell's
     symbol is the inverse CDF of its site row at its draw — equal seeds
     give bit-identical words everywhere.
     """
-    if isinstance(mu, PeriodicProductMeasure):
-        if side is None:
-            raise ValidationError("side is required for a periodic measure")
-        mu = mu.tile(side)
     if not isinstance(mu, SiteProductMeasure):
-        raise ValidationError("expected a site-product or periodic measure")
+        raise ValidationError("expected a site-product measure")
     if side is not None and side != mu.side:
-        raise ValidationError(f"side {side!r} differs from the measure's side {mu.side}")
+        mu = mu.tile(side)
     seeds = np.array([seed & _MASK64], dtype=np.uint64)
     cells = _draw_cells(_thresholds(mu), seeds, cell_dtype(mu.alphabet))
     return Word(mu.alphabet, cells.reshape((mu.side,) * mu.dim))
@@ -194,7 +191,8 @@ def concentration_check(mu, gamma: ConstraintSet,
     (one distance computation each), which makes the fraction nondecreasing
     in eps by construction.  A word counts as inside when its distance
     satisfies dist <= eps, inclusively, with a 1e-12 slack for rounding.
-    Sides must be distinct whole numbers, and trials a whole number.
+    Sides must be distinct multiples of the 1-D measure's side, at least
+    the window (`SiteProductMeasure.tile`), and trials a whole number.
 
     Each side tiles the measure, takes its site rows' inverse-CDF
     thresholds and builds its placement table once.  It then scores the
@@ -228,20 +226,16 @@ def concentration_check(mu, gamma: ConstraintSet,
         raise ValidationError("concentration_check sides must be distinct")
     if trials < 1:
         raise ValidationError("concentration_check needs at least one trial")
-    if isinstance(mu, SiteProductMeasure):
-        if mu.dim != 1:
-            raise ValidationError("concentration_check samples 1-D words")
-        mu = PeriodicProductMeasure(mu.alphabet, mu.side, mu.site_dists)
-    if not isinstance(mu, PeriodicProductMeasure):
-        raise ValidationError("expected a site-product or periodic measure")
+    if not isinstance(mu, SiteProductMeasure):
+        raise ValidationError("expected a site-product measure")
     if not isinstance(gamma, ConstraintSet):
         raise ValidationError("concentration_check needs a ConstraintSet, "
                               f"not {type(gamma).__name__}")
     if mu.alphabet != gamma.alphabet:
         raise ValidationError("the measure and the constraint set have different alphabets")
     for n in sides:
-        if n % mu.period or n < len(gamma.shape):
-            raise ValidationError(f"side {n} incompatible with the measure")
+        if n < len(gamma.shape):
+            raise ValidationError(f"side {n} is shorter than the window")
 
     tiled = [mu.tile(n) for n in sides]
     base = averaged_marginal(tiled[0], gamma.shape)
@@ -294,7 +288,8 @@ class HasseReport:
     quantities: tuple[HasseQuantity, ...]
     count_rows: tuple[CountRow, ...]
     edges: tuple[tuple[str, bool, str], ...]  # (description, holds, detail)
-    hind_measure: SiteProductMeasure | None = None  # the certified witness
+    hind_measure: SiteProductMeasure  # the certified witness
+    capacity: CapacityResult          # capacity_1d's result and duality gap
 
     def value(self, name: str) -> float:
         for qt in self.quantities:
@@ -354,7 +349,7 @@ def hasse_report(gamma: ConstraintSet, dim: int, *,
     if bad:
         msgs = "; ".join(f"{d} violated ({x})" for d, x in bad)
         raise ValidationError(f"inequality chain broken: {msgs}")
-    return HasseReport(dim, quantities, tuple(rows), edges, best.measure)
+    return HasseReport(dim, quantities, tuple(rows), edges, best.measure, cap)
 
 
 # ---------------------------------------------------------------------------

@@ -1,11 +1,13 @@
 """End-to-end command-line checks: output formats, exit codes, and
 reproducibility of emitted tables."""
+import dataclasses
 import json
 import math
 import os
 
 import pytest
 
+from semicap import validation
 from semicap.cli import main
 
 RLL_FREE = """\
@@ -34,6 +36,32 @@ FORBIDDEN = """\
 alphabet = 2
 constraint = forbidden
 forbidden = 11
+"""
+
+# {0, 1} and {2} never adjacent, and the mass of {0, 1} at most 0.5: the
+# capacity dual stops unconverged
+TERNARY_UNCONVERGED = """\
+[system]
+alphabet = 3
+constraint = linear
+window = 2
+linear =
+  0 0 1 0 0 1 1 1 0 == 0
+  1 1 0 1 1 0 1 1 0 <= 0.5
+
+[solver]
+restarts = 2
+trials = 20
+"""
+
+# mass of 0 and mass of 1 both 0.9: no distribution meets the rows
+EMPTY = """\
+[system]
+constraint = linear
+window = 1
+linear =
+  1 0 == 0.9
+  0 1 == 0.9
 """
 
 
@@ -379,6 +407,46 @@ max_iter = 4
     assert fields["converged"] == "0"
     # the best value found is still emitted and is nearly there
     assert float(fields["capacity"]) == pytest.approx(0.976, abs=2e-3)
+
+
+def test_report_flags_capacity_nonconvergence(tmp_path):
+    # report prints every row, the capacity row as capacity prints it, and
+    # exits 4 with a note, as capacity does
+    cfg = write(tmp_path, TERNARY_UNCONVERGED)
+    rc, cap = run(["capacity", "--config", cfg], tmp_path, "cap.csv")
+    assert rc == 4
+    fields = {s.split(",")[0]: s.split(",")[2] for s in cap.splitlines()[2:]}
+    assert fields["converged"] == "0"
+    assert float(fields["duality_gap"]) > 0.4
+    rc, text = run(["report", "--config", cfg], tmp_path, "report.csv")
+    assert rc == 4
+    lines = text.strip().splitlines()
+    assert f"quantity,capacity_1d,{fields['capacity']}" in lines
+    assert sum(s.startswith("edge,") for s in lines) == 3
+    assert lines[-2].startswith("concentration_monotone,")
+    assert lines[-1] == ("# capacity_1d did not converge: duality gap "
+                         + fields["duality_gap"])
+
+
+@pytest.mark.parametrize("command", ["capacity", "report"])
+def test_exit_on_empty_system(tmp_path, capsys, command):
+    cfg = write(tmp_path, EMPTY, "empty.ini")
+    assert main([command, "--config", cfg]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "the configured system is empty" in captured.err
+
+
+def test_report_notes_a_broken_chain(tmp_path, monkeypatch):
+    real = validation.capacity_1d
+    monkeypatch.setattr(validation, "capacity_1d",
+                        lambda gamma: dataclasses.replace(real(gamma), value=0.0))
+    rc, text = run(["report", "--config", write(tmp_path, RLL_FREE)], tmp_path)
+    assert rc == 4
+    lines = text.strip().splitlines()
+    assert lines[1:-1] == ["record,name,value"]
+    assert lines[-1].startswith(
+        "# consistency failure: inequality chain broken: hind <= capacity_1d violated")
 
 
 def test_help_exits_zero(capsys):

@@ -443,8 +443,10 @@ def _starts_per_start(gamma, side, eps, restarts, seed):
         avg = _window_law(rows, model.table)
         if cap is not None:
             return float(cap[0] @ avg) <= cap[1] + eps + slack
-        if eps == 0.0:
-            return all(c.satisfied(avg, slack) for c in gamma.constraints)
+        if eps == 0.0:  # each row's own dot, as written
+            dots = [(float(c.coeffs @ avg), c.bound, c.sense) for c in gamma.constraints]
+            return all(abs(v - b) <= slack if s == "==" else v <= b + slack
+                       for v, b, s in dots)
         mu = PatternDistribution(gamma.alphabet, gamma.shape, avg)
         return tv_distance_to_set(mu, gamma) <= eps + slack
 

@@ -180,7 +180,7 @@ def _grid_distance(mu_probs, cons, denom=60):
         if sum(comp) > denom:
             continue
         nu = np.array(comp + (denom - sum(comp),), dtype=float) / denom
-        if all(c.satisfied(nu, tol=1e-9) for c in cons):
+        if all(float(c.coeffs @ nu) <= c.bound + 1e-9 for c in cons):  # all "<="
             best = min(best, 0.5 * np.abs(nu - mu_probs).sum())
     return best
 

@@ -1,5 +1,6 @@
 """Sampling, concentration experiments, the bound-chain report, and
 cyclic/non-cyclic count comparisons."""
+import dataclasses
 import math
 
 import numpy as np
@@ -26,6 +27,7 @@ from semicap.scs_model import (
     tv_distance_to_set,
 )
 from semicap.indentropy import PeriodicProductMeasure, hind_fixed_n
+from semicap import validation
 from semicap.validation import (
     _BLOCK_CELLS,
     SplitMix64,
@@ -175,16 +177,34 @@ def test_sample_word_clamps_short_rows():
 
 
 def test_sample_word_rejects_side_of_site_measure():
-    mu = SiteProductMeasure.uniform(BIN, 1, 3)
+    # one rule for every measure: its own side, or a multiple of a 1-D
+    # measure's side, which tiles the site rows around the longer cycle
+    rows = np.array([[0.5, 0.5], [0.9, 0.1], [0.2, 0.8]])
+    mu = SiteProductMeasure(BIN, 1, 3, rows)
     assert sample_word(mu, 0, side=3).side == 3
+    for seed in (0, 7, 2**40 + 1):
+        w = sample_word(mu, seed, side=12)
+        assert w.side == 12
+        want = sample_word(SiteProductMeasure(BIN, 1, 12, np.tile(rows, (4, 1))), seed)
+        assert np.array_equal(w.cells, want.cells)
     with pytest.raises(ValidationError, match="side"):
-        sample_word(mu, 0, side=12)
-
-
-def test_sample_word_requires_side_for_periodic():
-    mu = PeriodicProductMeasure.iid(BIN, [0.5, 0.5])
+        sample_word(mu, 0, side=10)
+    square = SiteProductMeasure.uniform(BIN, 2, 3)
+    assert sample_word(square, 0, side=3).cells.shape == (3, 3)
     with pytest.raises(ValidationError):
-        sample_word(mu, seed=0)
+        sample_word(square, 0, side=6)
+
+
+def test_sample_word_of_periodic_measure():
+    # a periodic measure is a site-product measure of side its period
+    mu = PeriodicProductMeasure(BIN, 2, np.array([[0.5, 0.5], [0.1, 0.9]]))
+    assert isinstance(mu, SiteProductMeasure) and (mu.period, mu.side) == (2, 2)
+    assert np.array_equal(sample_word(mu, seed=5).cells, sample_word(mu, 5, side=2).cells)
+    assert sample_word(mu, seed=5).side == 2
+    assert np.array_equal(sample_word(mu, 5, side=8).cells,
+                          sample_word(mu.tile(8), seed=5).cells)
+    with pytest.raises(ValidationError):
+        sample_word(mu, 0, side=5)
     with pytest.raises(ValidationError):
         sample_word([[0.5, 0.5]], seed=0)
 
@@ -424,6 +444,24 @@ def test_hasse_soft_cap_values():
     assert "hind_fixed_n" in provs["hind"]
 
 
+def test_hasse_broken_chain_raises(monkeypatch):
+    # a capacity below the product-measure bound breaks the first edge
+    real = validation.capacity_1d
+    monkeypatch.setattr(validation, "capacity_1d",
+                        lambda gamma: dataclasses.replace(real(gamma), value=0.0))
+    with pytest.raises(ValidationError,
+                       match=r"inequality chain broken: hind <= capacity_1d violated"):
+        hasse_report(rll_constraint(1, 0.0), 2, hind_sides=(2,), count_sides=(4,),
+                     restarts=2)
+
+
+def test_hasse_keeps_the_capacity_certificate():
+    rep = hasse_report(rll_constraint(1, 0.0), 2, hind_sides=(2,), count_sides=(4,),
+                       restarts=2)
+    assert rep.capacity.converged
+    assert rep.capacity.value == rep.value("capacity_1d")
+
+
 # ---------------------------------------------------------------------------
 # Cyclic vs non-cyclic counting
 # ---------------------------------------------------------------------------
@@ -459,6 +497,21 @@ def test_cyclic_gap_monotonicity_windows():
     gamma = rll_constraint(1, 0.0)
     assert not cyclic_vs_noncyclic(gamma, range(4, 9)).gap_decreasing
     assert cyclic_vs_noncyclic(gamma, range(5, 10)).gap_decreasing
+
+
+def test_cyclic_vs_noncyclic_gap_branches():
+    # {00, 11} forbidden: no cyclic word at odd sides against two
+    # non-cyclic ones, so the gap is inf there and does not decrease
+    alternating = fully_constrained(BIN, Shape.segment(2), [(0, 0), (1, 1)])
+    rep = cyclic_vs_noncyclic(alternating, range(4, 8))
+    assert [(r.cyclic, r.noncyclic) for r in rep.rows] == [(2, 2), (0, 2), (2, 2), (0, 2)]
+    assert [r.gap for r in rep.rows] == [0.0, math.inf, 0.0, math.inf]
+    assert all(r.contained for r in rep.rows) and not rep.gap_decreasing
+    # both symbols forbidden: no word either way, and the gap is 0
+    empty = fully_constrained(BIN, Shape.segment(1), [(0,), (1,)])
+    rep = cyclic_vs_noncyclic(empty, (3, 4))
+    assert [(r.cyclic, r.noncyclic, r.gap) for r in rep.rows] == [(0, 0, 0.0)] * 2
+    assert rep.gap_decreasing
 
 
 def test_cyclic_vs_noncyclic_two_dimensional():
