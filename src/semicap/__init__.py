@@ -54,6 +54,7 @@ from semicap.indentropy import (
     IndependenceReport,
     MultiChoiceWord,
     PeriodicProductMeasure,
+    UncertifiedError,
     axial_lift,
     curve_optimum_01p,
     fillings_count,

@@ -20,8 +20,9 @@ round-trip form — reparsing a table reproduces the values bit for bit.
 `indentropy`); out-of-range values are configuration errors.
 
 Exit codes: 0 success; 2 configuration or usage error; 3 a size guard
-refused the computation; 4 numerical non-convergence or a failed
-consistency check (partial values are still emitted where they exist).
+refused the computation; 4 numerical non-convergence, no certified
+product measure, or a failed consistency check (partial values are still
+emitted where they exist).
 
 Everything runs in one process, and every result is deterministic for a
 given config and seed.
@@ -38,7 +39,7 @@ import numpy as np
 
 from semicap.capacity import capacity_1d, internal_capacity_sequence
 from semicap.config import ConfigError, SystemConfig
-from semicap.indentropy import curve_optimum_01p, hind_bound_report
+from semicap.indentropy import UncertifiedError, curve_optimum_01p, hind_bound_report
 from semicap.lattice_core import (
     SizeGuardError,
     ValidationError,
@@ -290,7 +291,7 @@ def _cmd_report(args) -> tuple[_Table, int]:
     table.header("record", "name", "value")
     try:
         hasse = hasse_report(cfg.factor(), dim, restarts=restarts, seed=seed)
-    except EmptySystemError:
+    except (EmptySystemError, UncertifiedError):
         raise
     except ValidationError as exc:
         table.note(f"consistency failure: {exc}")
@@ -415,6 +416,9 @@ def main(argv=None) -> int:
     except EmptySystemError as exc:
         print(f"semicap: the configured system is empty: {exc}", file=sys.stderr)
         return EXIT_CONFIG
+    except UncertifiedError as exc:
+        print(f"semicap: {exc}", file=sys.stderr)
+        return EXIT_NO_CONVERGENCE
     except ValidationError as exc:
         print(f"semicap: invalid input: {exc}", file=sys.stderr)
         return EXIT_CONFIG

@@ -91,6 +91,7 @@ __all__ = [
     "fillings_count",
     "hind_com_fixed_n",
     "hind_bound_report",
+    "UncertifiedError",
 ]
 
 _CERT_TOL = 1e-8
@@ -671,6 +672,11 @@ def hind_com_fixed_n(gamma: ConstraintSet, side: int) -> HindComResult:
 # Report assembly
 # ---------------------------------------------------------------------------
 
+class UncertifiedError(ValidationError):
+    """No product measure on the requested grid passed its feasibility
+    certificate: the optimiser failed, not the input."""
+
+
 @dataclass(frozen=True, eq=False)
 class IndependenceReport:
     dim: int
@@ -700,7 +706,8 @@ def hind_bound_report(gamma: ConstraintSet, dim: int,
             rows.append(hind_fixed_n(gamma, n, eps, restarts=restarts, seed=seed))
     certified = [r for r in rows if r.eps == min(eps_list) and r.feasible]
     if not certified:
-        raise ValidationError("no certified product measure found")
+        raise UncertifiedError(f"no certified product measure found at eps = "
+                               f"{min(eps_list):g} on sides {list(sides)}")
     best = max(certified, key=lambda r: r.value)
     lift = axial_lift(best.measure, dim)
     lift_rate = product_entropy(lift) / (best.side ** dim)

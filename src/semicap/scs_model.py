@@ -409,12 +409,20 @@ def _counts_admissible(counts: np.ndarray, total: int, gamma: ConstraintSet,
 # lists become `operator.itemgetter`s.  The increments of the statistics
 # depend only on the values read, so a table per step maps those values to
 # the increments, filled on first use, with at most q^(cells read)
-# entries.  A state's move is then one tuple extension, one table lookup,
-# `_advance`, and the merge into the next layer.  Steps that complete the
-# same checks in the same order share one table, since the same values
-# then mean the same increments.
+# entries.  Steps that complete the same checks in the same order share
+# one table, since the same values then mean the same increments.
 # In 1-D this is the de Bruijn transfer matrix with the head kept for the
 # wrap, in 2-D the row-profile transfer.
+#
+# Many states share a frontier, so a layer groups them by it:
+# {frontier: {statistics: words}}.  The next frontier and the increments
+# depend on the frontier and the symbol alone, so one tuple extension, one
+# table lookup and one `keep` serve a whole group per symbol, and only
+# `_advance` and the merge into the next layer's group run once per
+# statistics vector.  The groups do not keep the lexicographic order that
+# the first word needs, so `first_word` ranks each layer's states instead:
+# a state's rank is the order of the first prefix reaching it, which its
+# predecessors' ranks and the symbols leading from them decide.
 
 @dataclass
 class _Row:
@@ -484,7 +492,13 @@ class _Transfer:
     the placements completing at t, one placement after another in
     shape-point order, and `keep` the next frontier.  `ks` lists those
     placements' checks, and `deltas` maps read values to the statistic
-    increments, as `_delta` computes them on a miss."""
+    increments, as `_delta` computes them on a miss.
+
+    A layer is {frontier: {statistics: words}}.  `count` sums the words of
+    the accepted final states.  `first_word` ranks each layer's states by
+    the lexicographic order of their first prefixes: a state links to the
+    predecessor with the smallest (rank, symbol), and the accepted final
+    state of lowest rank spells the word through its links."""
 
     def __init__(self, side: int, system, eps: float = 0.0, cyclic: bool = True,
                  convention: str = "tile"):
@@ -574,36 +588,50 @@ class _Transfer:
         return tuple((s, w, caps[s]) for s, w in inc.items() if w)
 
     def _transfer(self, prefix: Sequence[int] = (), back: list | None = None) -> dict:
-        """The final layer {(frontier, statistics): words}.  With `back`, each
-        layer's first-arrival links {state: (previous state, symbol)} are
-        appended to it."""
-        layer = {((), self.zero): 1}
+        """The final layer {frontier: {statistics: words}}.  With `back`,
+        each layer's links {state: (previous state, symbol)} are appended to
+        it, a state being a (frontier, statistics) pair linked to the
+        predecessor with the smallest (rank, symbol); the links are inserted
+        in that order, so a state's position in them is its rank."""
+        layer: dict = {(): {self.zero: 1}}
+        rank = {((), self.zero): 0}
         limit = 1 << MAX_STATE_BITS
         for t, (reads, keep, ks, deltas) in enumerate(self.steps):
             syms = (prefix[t],) if t < len(prefix) else range(self.q)
             nxt: dict = {}
-            links: dict = {}
-            for state, words in layer.items():
-                front, stats = state
+            best: dict = {}
+            size = 0
+            for front, group in layer.items():
                 for a in syms:
                     ext = front + (a,)
                     seen = reads(ext)
                     delta = deltas.get(seen)
                     if delta is None:
                         delta = deltas[seen] = self._delta(ks, seen)
-                    new = _advance(stats, delta) if delta else stats
-                    if new is None:
-                        continue
-                    key = (keep(ext), new)
-                    if key in nxt:
-                        nxt[key] += words
-                    else:
-                        if len(nxt) >= limit:
-                            raise SizeGuardError(
-                                f"transfer layer {t} exceeds 2^{MAX_STATE_BITS} states")
-                        nxt[key] = words
-                        links[key] = (state, a)
+                    succ = keep(ext)
+                    target = nxt.get(succ) or {}
+                    for stats, words in group.items():
+                        new = _advance(stats, delta) if delta else stats
+                        if new is None:
+                            continue
+                        if new in target:
+                            target[new] += words
+                        else:
+                            if size >= limit:
+                                raise SizeGuardError(
+                                    f"transfer layer {t} exceeds 2^{MAX_STATE_BITS} states")
+                            size += 1
+                            target[new] = words
+                        if back is not None:
+                            order = (rank[front, stats], a)
+                            key = (succ, new)
+                            if key not in best or order < best[key][0]:
+                                best[key] = (order, (front, stats), a)
+                    if target:
+                        nxt[succ] = target
             if back is not None:
+                links = {key: best[key][1:] for key in sorted(best, key=lambda k: best[k][0])}
+                rank = {key: i for i, key in enumerate(links)}
                 back.append(links)
             layer = nxt
         return layer
@@ -629,16 +657,17 @@ class _Transfer:
 
     def count(self) -> int:
         seen: dict = {}
-        return sum(words for (_, stats), words in self._transfer().items()
-                   if self._accepts(stats, seen))
+        return sum(words for group in self._transfer().values()
+                   for stats, words in group.items() if self._accepts(stats, seen))
 
     def first_word(self, prefix: Sequence[int] = ()) -> Word | None:
-        """The lexicographically first admissible word.  States enter each
-        layer in the order of the first prefix reaching them, so the first
-        accepted final state's first-arrival chain spells that word."""
+        """The lexicographically first admissible word.  A state's rank is
+        the order of the first prefix reaching it, so the links of the
+        accepted final state of lowest rank spell that word."""
         back: list = []
         seen: dict = {}
-        for state in self._transfer(prefix, back):
+        self._transfer(prefix, back)
+        for state in back[-1]:
             if self._accepts(state[1], seen):
                 cells = []
                 for links in reversed(back):

@@ -64,6 +64,14 @@ linear =
   0 1 == 0.9
 """
 
+# the one row mu(1) == 0.3: no short product measure is certified on it
+EQUAL = """\
+[system]
+constraint = linear
+window = 1
+linear = 0 1 == 0.3
+"""
+
 
 def soft_with_dimension(d):
     return RLL_SOFT.replace("constraint = rll", f"dimension = {d}\nconstraint = rll")
@@ -435,6 +443,17 @@ def test_exit_on_empty_system(tmp_path, capsys, command):
     captured = capsys.readouterr()
     assert captured.out == ""
     assert "the configured system is empty" in captured.err
+
+
+@pytest.mark.parametrize("command", ["indentropy", "report"])
+def test_exit_when_no_product_measure_is_certified(tmp_path, capsys, command):
+    # the optimiser's failure, not the input's: exit 4, as for a capacity
+    # dual that does not converge, with the reason on stderr
+    cfg = write(tmp_path, EQUAL, "equal.ini")
+    assert main([command, "--config", cfg]) == 4
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "no certified product measure found at eps = 0 on sides" in captured.err
 
 
 def test_report_notes_a_broken_chain(tmp_path, monkeypatch):

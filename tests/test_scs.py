@@ -396,22 +396,25 @@ def _first_admissible(n, system, dim, eps, prefix=()):
     return None
 
 
-def _window2_system(rng, dim):
+def _window2_system(rng, dim, alphabet=BIN, mode=None):
     """A nonempty window-2 polytope with signed coefficients, which also
     charge the pattern 00, so the first admissible word is often not all
-    zeros; in 2-D its strict or weak axial product."""
+    zeros; in 2-D its axial product, strict or weak at random unless
+    `mode` names one."""
     while True:
-        rows = [LinearConstraint(tuple(rng.uniform(-0.5, 1.0, size=4)),
+        rows = [LinearConstraint(tuple(rng.uniform(-0.5, 1.0, size=alphabet.size ** 2)),
                                  float(rng.uniform(0.0, 0.5)), "<=")
                 for _ in range(int(rng.integers(1, 3)))]
-        gamma = ConstraintSet(BIN, Shape.segment(2), rows)
+        gamma = ConstraintSet(alphabet, Shape.segment(2), rows)
         try:
-            tv_distance_to_set(PatternDistribution.uniform(BIN, gamma.shape), gamma)
+            tv_distance_to_set(PatternDistribution.uniform(alphabet, gamma.shape), gamma)
         except EmptySystemError:
             continue
         if dim == 1:
             return gamma
-        return axial_product(gamma, 2, "strict" if rng.integers(0, 2) else "weak")
+        if mode is None:
+            mode = "strict" if rng.integers(0, 2) else "weak"
+        return axial_product(gamma, 2, mode)
 
 
 def test_find_admissible_word_is_lexicographically_first():
@@ -429,6 +432,23 @@ def test_find_admissible_word_is_lexicographically_first():
             else:
                 assert got is not None and np.array_equal(got.cells, want.cells), \
                     f"{system} n={n} eps={eps} prefix={pre}"
+    # cases whose frontiers each carry several statistics vectors, where
+    # the word that reaches a state first in the transfer's order is not
+    # always the lexicographically first: (seed, alphabet, dim, side, eps,
+    # mode, prefix)
+    tri = Alphabet.of_size(3)
+    cases = [(1, BIN, 1, 10, 0.05, None, []), (5, BIN, 1, 10, 0.05, None, [0, 1]),
+             (7, BIN, 1, 10, 0.05, None, []),
+             (1, BIN, 2, 4, 0.0, "weak", []), (3, BIN, 2, 4, 0.0, "weak", []),
+             (5, BIN, 2, 4, 0.0, "weak", [0, 0, 0]),
+             (1, tri, 1, 6, 0.0, None, []), (8, tri, 1, 6, 0.0, None, [0]),
+             (13, tri, 1, 6, 0.05, None, []), (5, tri, 1, 6, 0.05, None, [0])]
+    for seed, alphabet, dim, n, eps, mode, prefix in cases:
+        system = _window2_system(np.random.default_rng(seed), dim, alphabet, mode)
+        got = find_admissible_word(n, system, eps, prefix=prefix)
+        want = _first_admissible(n, system, dim, eps, prefix)
+        assert want is not None, f"seed {seed}"
+        assert got is not None and np.array_equal(got.cells, want.cells), f"seed {seed}"
     empty = fully_constrained(BIN, Shape.segment(1), [(0,), (1,)])
     assert _first_admissible(3, empty, 1, 0.0) is None
     assert find_admissible_word(3, empty) is None
@@ -456,10 +476,14 @@ def test_count_exceeds_int64():
 
 
 def test_two_dimensional_counts_pinned():
-    # values the word-by-word search confirmed in minutes
+    # n = 5: values the word-by-word search confirmed in minutes; weak
+    # n = 6 and strict n = 7: values `_row_transfer_count` confirmed in
+    # 10 and 14 s, too slow to rerun here
     factor = rll_constraint(1, 0.1)
     assert count_admissible(5, axial_product(factor, 2, "strict")) == 1_128_256
     assert count_admissible(5, axial_product(factor, 2, "weak")) == 2_632_486
+    assert count_admissible(6, axial_product(factor, 2, "weak")) == 2_290_551_592
+    assert count_admissible(7, axial_product(factor, 2, "strict")) == 2_101_278_955_329
     hard_squares = axial_product(rll_constraint(1, 0.0), 2)
     assert count_admissible(6, hard_squares) == 2_406_862
 
@@ -530,6 +554,9 @@ def test_two_dimensional_counts_match_row_transfer_oracle():
         assert _row_transfer_count(n, weak_cap, lambda a, b: a + b <= weak_cap) == weak
         assert count_admissible(n, axial_product(factor, 2, "strict")) == strict
         assert count_admissible(n, axial_product(factor, 2, "weak")) == weak
+    # strict n = 6, whose oracle run is short enough to repeat
+    assert _row_transfer_count(6, 3, lambda a, b: a <= 3 and b <= 3) == 903_663_466
+    assert count_admissible(6, axial_product(factor, 2, "strict")) == 903_663_466
     hard_squares = axial_product(rll_constraint(1, 0.0), 2)
     assert _row_transfer_count(5, 0, lambda a, b: a == b == 0) == 25_531
     assert _hard_square_count(5, cyclic=True) == count_admissible(5, hard_squares) == 25_531
