@@ -419,10 +419,13 @@ def _counts_admissible(counts: np.ndarray, total: int, gamma: ConstraintSet,
 # depend on the frontier and the symbol alone, so one tuple extension, one
 # table lookup and one `keep` serve a whole group per symbol, and only
 # `_advance` and the merge into the next layer's group run once per
-# statistics vector.  The groups do not keep the lexicographic order that
-# the first word needs, so `first_word` ranks each layer's states instead:
-# a state's rank is the order of the first prefix reaching it, which its
-# predecessors' ranks and the symbols leading from them decide.
+# statistics vector; a group that adds nothing and lands on a frontier
+# not yet reached is copied whole.  The layer guard still counts states,
+# after each group's moves.  The groups do not keep the lexicographic
+# order that the first word needs, so `first_word` ranks each layer's
+# states instead: a state's rank is the order of the first prefix
+# reaching it, which its predecessors' ranks and the symbols leading from
+# them decide.
 
 @dataclass
 class _Row:
@@ -609,7 +612,15 @@ class _Transfer:
                     if delta is None:
                         delta = deltas[seen] = self._delta(ks, seen)
                     succ = keep(ext)
-                    target = nxt.get(succ) or {}
+                    target = nxt.get(succ)
+                    if target is None:
+                        if not delta and back is None:
+                            # nothing to add and no group to merge into:
+                            # copy it whole (`first_word` links each state)
+                            nxt[succ] = group.copy()
+                            size += len(group)
+                            continue
+                        target = {}
                     for stats, words in group.items():
                         new = _advance(stats, delta) if delta else stats
                         if new is None:
@@ -617,9 +628,6 @@ class _Transfer:
                         if new in target:
                             target[new] += words
                         else:
-                            if size >= limit:
-                                raise SizeGuardError(
-                                    f"transfer layer {t} exceeds 2^{MAX_STATE_BITS} states")
                             size += 1
                             target[new] = words
                         if back is not None:
@@ -629,8 +637,11 @@ class _Transfer:
                                 best[key] = (order, (front, stats), a)
                     if target:
                         nxt[succ] = target
+                if size > limit:
+                    raise SizeGuardError(
+                        f"transfer layer {t} exceeds 2^{MAX_STATE_BITS} states")
             if back is not None:
-                links = {key: best[key][1:] for key in sorted(best, key=lambda k: best[k][0])}
+                links = {key: best[key][1:] for key in sorted(best, key=best.get)}
                 rank = {key: i for i, key in enumerate(links)}
                 back.append(links)
             layer = nxt

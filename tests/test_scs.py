@@ -477,8 +477,8 @@ def test_count_exceeds_int64():
 
 def test_two_dimensional_counts_pinned():
     # n = 5: values the word-by-word search confirmed in minutes; weak
-    # n = 6 and strict n = 7: values `_row_transfer_count` confirmed in
-    # 10 and 14 s, too slow to rerun here
+    # n = 6 and strict n = 7: values `_row_transfer_count` confirmed, but
+    # in 10 and 14 s on a 2-core machine, too slow to rerun here
     factor = rll_constraint(1, 0.1)
     assert count_admissible(5, axial_product(factor, 2, "strict")) == 1_128_256
     assert count_admissible(5, axial_product(factor, 2, "weak")) == 2_632_486
