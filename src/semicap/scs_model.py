@@ -422,10 +422,10 @@ def _counts_admissible(counts: np.ndarray, total: int, gamma: ConstraintSet,
 # statistics vector; a group that adds nothing and lands on a frontier
 # not yet reached is copied whole.  The layer guard still counts states,
 # after each group's moves.  The groups do not keep the lexicographic
-# order that the first word needs, so `first_word` ranks each layer's
-# states instead: a state's rank is the order of the first prefix
-# reaching it, which its predecessors' ranks and the symbols leading from
-# them decide.
+# order that the first word needs, so `first_word` carries each state's
+# first prefix, the least word reaching it, as a base-q integer: a move
+# by symbol a maps code c to c * q + a, which keeps the order of equal-
+# length prefixes, and a merge keeps the least code.
 
 @dataclass
 class _Row:
@@ -498,10 +498,8 @@ class _Transfer:
     increments, as `_delta` computes them on a miss.
 
     A layer is {frontier: {statistics: words}}.  `count` sums the words of
-    the accepted final states.  `first_word` ranks each layer's states by
-    the lexicographic order of their first prefixes: a state links to the
-    predecessor with the smallest (rank, symbol), and the accepted final
-    state of lowest rank spells the word through its links."""
+    the accepted final states; `first_word` decodes the least first prefix
+    among them."""
 
     def __init__(self, side: int, system, eps: float = 0.0, cyclic: bool = True,
                  convention: str = "tile"):
@@ -590,19 +588,17 @@ class _Transfer:
         caps = self.caps
         return tuple((s, w, caps[s]) for s, w in inc.items() if w)
 
-    def _transfer(self, prefix: Sequence[int] = (), back: list | None = None) -> dict:
-        """The final layer {frontier: {statistics: words}}.  With `back`,
-        each layer's links {state: (previous state, symbol)} are appended to
-        it, a state being a (frontier, statistics) pair linked to the
-        predecessor with the smallest (rank, symbol); the links are inserted
-        in that order, so a state's position in them is its rank."""
+    def _transfer(self, prefix: Sequence[int] = (), coded: bool = False) -> tuple[dict, dict]:
+        """The final layer {frontier: {statistics: words}} and, when `coded`,
+        each final state's first prefix, the least word reaching it, as a
+        base-q integer {(frontier, statistics): code}."""
         layer: dict = {(): {self.zero: 1}}
-        rank = {((), self.zero): 0}
-        limit = 1 << MAX_STATE_BITS
+        code = {((), self.zero): 0}
+        q, limit = self.q, 1 << MAX_STATE_BITS
         for t, (reads, keep, ks, deltas) in enumerate(self.steps):
-            syms = (prefix[t],) if t < len(prefix) else range(self.q)
+            syms = (prefix[t],) if t < len(prefix) else range(q)
             nxt: dict = {}
-            best: dict = {}
+            least: dict = {}
             size = 0
             for front, group in layer.items():
                 for a in syms:
@@ -614,9 +610,9 @@ class _Transfer:
                     succ = keep(ext)
                     target = nxt.get(succ)
                     if target is None:
-                        if not delta and back is None:
+                        if not delta and not coded:
                             # nothing to add and no group to merge into:
-                            # copy it whole (`first_word` links each state)
+                            # copy it whole (`first_word` codes each state)
                             nxt[succ] = group.copy()
                             size += len(group)
                             continue
@@ -630,22 +626,18 @@ class _Transfer:
                         else:
                             size += 1
                             target[new] = words
-                        if back is not None:
-                            order = (rank[front, stats], a)
+                        if coded:
+                            c = code[front, stats] * q + a
                             key = (succ, new)
-                            if key not in best or order < best[key][0]:
-                                best[key] = (order, (front, stats), a)
+                            if key not in least or c < least[key]:
+                                least[key] = c
                     if target:
                         nxt[succ] = target
                 if size > limit:
                     raise SizeGuardError(
                         f"transfer layer {t} exceeds 2^{MAX_STATE_BITS} states")
-            if back is not None:
-                links = {key: best[key][1:] for key in sorted(best, key=best.get)}
-                rank = {key: i for i, key in enumerate(links)}
-                back.append(links)
-            layer = nxt
-        return layer
+            layer, code = nxt, least
+        return layer, code
 
     def _accepts(self, stats: tuple, seen: dict) -> bool:
         """The exact admissibility test on one final state's statistics.  At
@@ -668,21 +660,19 @@ class _Transfer:
 
     def count(self) -> int:
         seen: dict = {}
-        return sum(words for group in self._transfer().values()
+        return sum(words for group in self._transfer()[0].values()
                    for stats, words in group.items() if self._accepts(stats, seen))
 
     def first_word(self, prefix: Sequence[int] = ()) -> Word | None:
-        """The lexicographically first admissible word.  A state's rank is
-        the order of the first prefix reaching it, so the links of the
-        accepted final state of lowest rank spell that word."""
-        back: list = []
+        """The lexicographically first admissible word: the least first
+        prefix among the accepted final states."""
         seen: dict = {}
-        self._transfer(prefix, back)
-        for state in back[-1]:
-            if self._accepts(state[1], seen):
+        codes = self._transfer(prefix, coded=True)[1]
+        for (_, stats), code in sorted(codes.items(), key=itemgetter(1)):
+            if self._accepts(stats, seen):
                 cells = []
-                for links in reversed(back):
-                    state, a = links[state]
+                for _ in range(len(self.steps)):
+                    code, a = divmod(code, self.q)
                     cells.append(a)
                 cells.reverse()
                 return Word(self.alphabet, np.array(cells, dtype=np.int64)
@@ -769,5 +759,9 @@ def count_exhaustive(side: int, system, eps: float = 0.0) -> int:
 
 def find_admissible_word(side: int, system, eps: float = 0.0,
                          prefix: Sequence[int] = ()) -> Word | None:
-    """First admissible word in lexicographic cell order, or None."""
-    return _Transfer(side, system, eps).first_word(prefix=prefix)
+    """First admissible word in lexicographic cell order that starts with
+    `prefix`, or None."""
+    transfer = _Transfer(side, system, eps)
+    if len(prefix) > len(transfer.steps) or any(a not in range(transfer.q) for a in prefix):
+        raise ValidationError("prefix must be at most side^d symbols in 0..q-1")
+    return transfer.first_word(prefix=prefix)

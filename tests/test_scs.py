@@ -382,6 +382,10 @@ def test_find_admissible_word():
     # an unsatisfiable system yields nothing
     empty = fully_constrained(BIN, Shape.segment(1), [(0,), (1,)])
     assert find_admissible_word(3, empty) is None
+    # a prefix holds symbols of the alphabet and fits in the word
+    for prefix in ([2], [-1], [0.5], [0] * 6):
+        with pytest.raises(ValidationError, match="prefix"):
+            find_admissible_word(5, g, prefix=prefix)
 
 
 def _first_admissible(n, system, dim, eps, prefix=()):
@@ -441,7 +445,7 @@ def test_find_admissible_word_is_lexicographically_first():
              (7, BIN, 1, 10, 0.05, None, []),
              (1, BIN, 2, 4, 0.0, "weak", []), (3, BIN, 2, 4, 0.0, "weak", []),
              (5, BIN, 2, 4, 0.0, "weak", [0, 0, 0]),
-             (1, tri, 1, 6, 0.0, None, []), (8, tri, 1, 6, 0.0, None, [0]),
+             (1, tri, 1, 6, 0.0, None, []), (11, tri, 1, 6, 0.0, None, [0]),
              (13, tri, 1, 6, 0.05, None, []), (5, tri, 1, 6, 0.05, None, [0])]
     for seed, alphabet, dim, n, eps, mode, prefix in cases:
         system = _window2_system(np.random.default_rng(seed), dim, alphabet, mode)
