@@ -419,9 +419,8 @@ def _counts_admissible(counts: np.ndarray, total: int, gamma: ConstraintSet,
 # depend on the frontier and the symbol alone, so one tuple extension, one
 # table lookup and one `keep` serve a whole group per symbol, and only
 # `_advance` and the merge into the next layer's group run once per
-# statistics vector; a group that adds nothing and lands on a frontier
-# not yet reached is copied whole.  The layer guard still counts states,
-# after each group's moves.  The groups do not keep the lexicographic
+# statistics vector.  The layer guard still counts states, before each
+# new one is stored.  The groups do not keep the lexicographic
 # order that the first word needs, so `first_word` carries each state's
 # first prefix, the least word reaching it, as a base-q integer: a move
 # by symbol a maps code c to c * q + a, which keeps the order of equal-
@@ -610,12 +609,6 @@ class _Transfer:
                     succ = keep(ext)
                     target = nxt.get(succ)
                     if target is None:
-                        if not delta and not coded:
-                            # nothing to add and no group to merge into:
-                            # copy it whole (`first_word` codes each state)
-                            nxt[succ] = group.copy()
-                            size += len(group)
-                            continue
                         target = {}
                     for stats, words in group.items():
                         new = _advance(stats, delta) if delta else stats
@@ -624,6 +617,9 @@ class _Transfer:
                         if new in target:
                             target[new] += words
                         else:
+                            if size >= limit:
+                                raise SizeGuardError(
+                                    f"transfer layer {t} exceeds 2^{MAX_STATE_BITS} states")
                             size += 1
                             target[new] = words
                         if coded:
@@ -633,9 +629,6 @@ class _Transfer:
                                 least[key] = c
                     if target:
                         nxt[succ] = target
-                if size > limit:
-                    raise SizeGuardError(
-                        f"transfer layer {t} exceeds 2^{MAX_STATE_BITS} states")
             layer, code = nxt, least
         return layer, code
 

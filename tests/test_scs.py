@@ -615,3 +615,37 @@ def test_transfer_size_guard_limits(monkeypatch):
     # the first row stays in the frontier for the vertical wrap
     with pytest.raises(SizeGuardError, match="frontier"):
         count_admissible(5, axial_product(rll_constraint(1, 0.0), 2))
+
+
+@pytest.mark.parametrize("side, system, eps", [
+    (30, rll_constraint(2, 0.5), 0.0),
+    (12, rll_constraint(1, 0.3), 0.05),
+    (4, axial_product(rll_constraint(1, 0.2), 2, "weak"), 0.0),
+])
+def test_transfer_layer_guard_is_exact(monkeypatch, side, system, eps):
+    # the layer guard counts (frontier, statistics) states, not frontier
+    # groups, and trips before a layer stores one state past the limit
+    tr = scs_model._Transfer(side, system, eps)
+    steps, sizes = tr.steps, []
+    for t in range(len(steps)):
+        tr.steps = steps[:t + 1]
+        sizes.append(sum(map(len, tr._transfer()[0].values())))
+    tr.steps = steps
+    total = tr.count()
+    bits = (max(sizes) - 1).bit_length()          # least limit that holds them all
+    monkeypatch.setattr(scs_model, "MAX_STATE_BITS", bits)
+    assert tr.count() == total
+    monkeypatch.setattr(scs_model, "MAX_STATE_BITS", bits - 1)
+    limit = 1 << (bits - 1)
+    first = next(t for t, size in enumerate(sizes) if size > limit)
+    with pytest.raises(SizeGuardError, match=f"layer {first} exceeds") as info:
+        tr.count()
+    # the layer being built when the guard trips holds exactly the limit
+    tb = info.tb
+    while tb.tb_frame.f_code.co_name != "_transfer":
+        tb = tb.tb_next
+    local = tb.tb_frame.f_locals
+    held = sum(map(len, local["nxt"].values()))
+    if local["nxt"].get(local["succ"]) is not local["target"]:
+        held += len(local["target"])
+    assert held == limit
