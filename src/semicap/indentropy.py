@@ -500,7 +500,7 @@ def curve_optimum_01p(p: float) -> CurvePoint:
     point x = y = sqrt(p) stops being optimal for small p, where the search
     picks up the asymmetric branch).
     """
-    if p < 0 or p > 1:
+    if not 0 <= p <= 1:  # also rejects NaN
         raise ValidationError("p must lie in [0, 1]")
     if p >= 0.25:
         return CurvePoint(p, 1.0, 0.5, 0.5)
@@ -617,6 +617,9 @@ def hind_com_fixed_n(gamma: ConstraintSet, side: int) -> HindComResult:
     """
     if gamma.forbidden is None:
         raise ValidationError("need a fully-constrained system")
+    side = _whole(side, "side")
+    if side < 1:
+        raise ValidationError("side must be >= 1")
     shape = gamma.shape
     d = shape.dim
     q = gamma.alphabet.size
@@ -697,6 +700,8 @@ def hind_bound_report(gamma: ConstraintSet, dim: int,
     """Run the fixed-n optimiser over a grid of (eps, side), lift the best
     certified measure to `dim` dimensions, and assemble the lower bound."""
     eps_list = tuple(float(e) for e in eps_list)
+    if not eps_list:
+        raise ValidationError("eps_list must not be empty")
     sides = tuple(n for n in (int(n) for n in sides) if n >= len(gamma.shape))
     if not sides:
         raise ValidationError("every requested side is shorter than the window")

@@ -35,6 +35,7 @@ from semicap.lattice_core import (
     ValidationError,
     Word,
     _checked_eps,
+    _pattern_counts,
     _whole,
     empirical_counts,
     # unused here; kept importable because the benchmark tracer patches it
@@ -709,9 +710,10 @@ def count_admissible_noncyclic(side: int, system, *,
 def count_exhaustive(side: int, system, eps: float = 0.0) -> int:
     """Reference counter: enumerate every word and test admissibility.
 
-    It does not use the transfer counter: each word's pattern counts are
-    read off the placement tables, and `is_admissible`'s test runs once per
-    distinct count vector of a check.
+    It does not use the transfer counter: each block of words is counted
+    against each check's placement table by `_pattern_counts` (as
+    `empirical_counts` counts one word), and `is_admissible`'s test runs
+    once per distinct count vector of a check.
     """
     eps, side = _checked_eps(eps), _whole(side, "side")
     if side < 1:
@@ -722,22 +724,17 @@ def count_exhaustive(side: int, system, eps: float = 0.0) -> int:
     nwords = q ** ncells
     if nwords > MAX_ENUMERATION:
         raise SizeGuardError("exhaustive enumeration too large")
-    # per check: all its placements, pattern digit weights, and its verdicts
-    tests = []
-    for shapes, gamma in checks:
-        table = np.vstack([placements(s, side) for s in shapes])
-        weights = q ** np.arange(table.shape[1] - 1, -1, -1)
-        tests.append((table, weights, gamma, {}))
+    # per check: all its placements and its verdicts
+    tests = [(np.vstack([placements(s, side) for s in shapes]), gamma, {})
+             for shapes, gamma in checks]
     digits = q ** np.arange(ncells - 1, -1, -1)  # cell 0 most significant
     count = 0
     for start in range(0, nwords, _ENUMERATION_BLOCK):
         index = np.arange(start, min(start + _ENUMERATION_BLOCK, nwords))
         words = index[:, None] // digits % q
         ok = np.ones(len(words), dtype=bool)
-        for table, weights, gamma, seen in tests:
-            m = gamma.npatterns
-            pats = words[:, table] @ weights + m * np.arange(len(words))[:, None]
-            counts = np.bincount(pats.ravel(), minlength=m * len(words)).reshape(-1, m)
+        for table, gamma, seen in tests:
+            counts = _pattern_counts(words, table, q, gamma.npatterns)
             vecs, inverse = np.unique(counts, axis=0, return_inverse=True)
             verdicts = []
             for vec in vecs:

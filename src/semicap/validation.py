@@ -315,25 +315,27 @@ def hasse_report(gamma: ConstraintSet, dim: int, *,
     * the dimension-interpolation bound never exceeds the 1-D capacity.
 
     The product-measure bound and its lift are `hind_bound_report`'s at
-    eps = 0 over `hind_sides`.  A violated edge raises ValidationError with
-    a diagnostic — a report is only ever returned with all required edges
-    holding.
+    eps = 0 over `hind_sides`.  The dimension-interpolation bound
+    (`elimeysch_lower_bound`) is stated for binary systems only, so on a
+    larger alphabet it, its edge and its share of `best_lower_bound` are
+    left out.  A violated edge raises ValidationError with a diagnostic — a
+    report is only ever returned with all required edges holding.
     """
     cap = capacity_1d(gamma)
     hind = hind_bound_report(gamma, dim, (0.0,), hind_sides,
                              restarts=restarts, seed=seed)
     best = hind.best
-    dim_bound = elimeysch_lower_bound(cap.value, dim)
+    dim_bounds = ([elimeysch_lower_bound(cap.value, dim).value]
+                  if gamma.alphabet.size == 2 else [])
     rows = internal_capacity_sequence(gamma, count_sides, 0.0)
 
     quantities = (
         HasseQuantity("hind", best.value, "indentropy.hind_fixed_n"),
         HasseQuantity("hind_lift", hind.lift_rate, "indentropy.axial_lift"),
         HasseQuantity("capacity_1d", cap.value, "capacity.capacity_1d"),
-        HasseQuantity("dimension_bound", dim_bound.value,
-                      "capacity.elimeysch_lower_bound"),
-        HasseQuantity("best_lower_bound",
-                      max(best.value, dim_bound.value),
+        *(HasseQuantity("dimension_bound", v, "capacity.elimeysch_lower_bound")
+          for v in dim_bounds),
+        HasseQuantity("best_lower_bound", max([best.value, *dim_bounds]),
                       "validation.hasse_report"),
     )
     edges = (
@@ -341,9 +343,8 @@ def hasse_report(gamma: ConstraintSet, dim: int, *,
          f"{best.value:.12g} vs {cap.value:.12g}"),
         ("lift preserves rate", hind.lift_rate_error <= 1e-12,
          f"error {hind.lift_rate_error:.3g}"),
-        ("dimension_bound <= capacity_1d",
-         dim_bound.value <= cap.value + _CHAIN_TOL,
-         f"{dim_bound.value:.12g} vs {cap.value:.12g}"),
+        *(("dimension_bound <= capacity_1d", v <= cap.value + _CHAIN_TOL,
+           f"{v:.12g} vs {cap.value:.12g}") for v in dim_bounds),
     )
     bad = [(desc, detail) for desc, ok, detail in edges if not ok]
     if bad:

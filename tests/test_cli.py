@@ -73,6 +73,16 @@ linear = 0 1 == 0.3
 """
 
 
+# 2 2 never adjacent over {0, 1, 2}, in two dimensions
+TERNARY_FORBIDDEN_2D = """\
+[system]
+alphabet = 3
+constraint = forbidden
+forbidden = 22
+dimension = 2
+"""
+
+
 def soft_with_dimension(d):
     return RLL_SOFT.replace("constraint = rll", f"dimension = {d}\nconstraint = rll")
 
@@ -204,6 +214,20 @@ def test_report_bundle(tmp_path):
     assert edges and all(r["value"] == 1 for r in edges)
     conc = [r for r in rows if r.get("record") == "concentration"]
     assert conc and all(0.0 <= r["value"] <= 1.0 for r in conc)
+
+
+def test_report_on_a_ternary_system(tmp_path):
+    # the binary prior bound 1 + d(cap1 - 1) is neither reported nor checked
+    cfg = write(tmp_path, TERNARY_FORBIDDEN_2D)
+    rc, text = run(["report", "--config", cfg, "--format", "jsonl"], tmp_path)
+    assert rc == 0
+    rows = [json.loads(s) for s in text.strip().splitlines()[1:]]
+    quantities = {r["name"]: r["value"] for r in rows if r.get("record") == "quantity"}
+    assert "dimension_bound" not in quantities
+    assert quantities["best_lower_bound"] == quantities["hind"]
+    assert quantities["hind"] <= quantities["capacity_1d"]
+    edges = {r["name"]: r["value"] for r in rows if r.get("record") == "edge"}
+    assert edges == {"hind <= capacity_1d": 1, "lift preserves rate": 1}
 
 
 def test_cyclic_vs_noncyclic_conventions(tmp_path):
@@ -344,6 +368,12 @@ def test_exit_on_dimension_below_one(tmp_path, capsys, command, extra):
     assert "config error" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("grid", ["nan", "nan,0.1", "0.1,inf"])
+def test_exit_on_non_finite_curve_grid(tmp_path, capsys, grid):
+    assert main(["curve", "--grid", grid]) == 2
+    assert "p must lie in [0, 1]" in capsys.readouterr().err
+
+
 @pytest.mark.parametrize("command", ["count", "indentropy"])
 @pytest.mark.parametrize("eps", ["nan", "inf"])
 def test_exit_on_non_finite_eps_flag(tmp_path, capsys, command, eps):
@@ -430,7 +460,8 @@ def test_report_flags_capacity_nonconvergence(tmp_path):
     assert rc == 4
     lines = text.strip().splitlines()
     assert f"quantity,capacity_1d,{fields['capacity']}" in lines
-    assert sum(s.startswith("edge,") for s in lines) == 3
+    # a ternary system: the binary prior bound's edge is left out
+    assert sum(s.startswith("edge,") for s in lines) == 2
     assert lines[-2].startswith("concentration_monotone,")
     assert lines[-1] == ("# capacity_1d did not converge: duality gap "
                          + fields["duality_gap"])

@@ -111,6 +111,8 @@ def test_curve_rejects_bad_p():
         curve_optimum_01p(-0.1)
     with pytest.raises(ValidationError):
         curve_optimum_01p(1.5)
+    with pytest.raises(ValidationError):
+        curve_optimum_01p(math.nan)
 
 
 # ---------------------------------------------------------------------------
@@ -924,6 +926,12 @@ def test_hind_com_rejects_soft_rows():
         hind_com_fixed_n(rll_constraint(2, 0.05), 4)
 
 
+@pytest.mark.parametrize("side", [0, -1, 2.5])
+def test_hind_com_rejects_bad_sides(side):
+    with pytest.raises(ValidationError, match="side"):
+        hind_com_fixed_n(rll_constraint(1, 0.0), side)
+
+
 # ---------------------------------------------------------------------------
 # The assembled report
 # ---------------------------------------------------------------------------
@@ -954,6 +962,11 @@ def test_bound_report_curve_reference():
     rep_free = hind_bound_report(rll_constraint(1, 1.5), 1, eps_list=(0.0,),
                                  sides=(2, 3), restarts=2, seed=0)
     assert rep_free.curve_reference is None and rep_free.best.value == 1.0
+
+
+def test_bound_report_rejects_empty_eps_list():
+    with pytest.raises(ValidationError, match="eps_list"):
+        hind_bound_report(rll_constraint(1, 0.05), 2, eps_list=(), sides=(2,))
 
 
 def test_bound_report_filters_short_sides():

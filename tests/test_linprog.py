@@ -4,6 +4,7 @@ import itertools
 import numpy as np
 import pytest
 
+from semicap import linprog
 from semicap.linprog import solve_lp
 
 
@@ -39,6 +40,45 @@ def test_infeasible_detected():
 def test_unbounded_detected():
     res = solve_lp(np.array([-1.0]))  # min -x, x >= 0 free upward
     assert res.status == "unbounded"
+
+
+def test_no_rows_nonnegative_cost_is_origin():
+    res = solve_lp(np.array([0.0, 2.0]))
+    assert res.ok
+    assert res.value == 0.0
+    assert res.x.tolist() == [0.0, 0.0]
+
+
+def test_unbounded_with_rows():
+    # min -x0  s.t.  x0 - x1 <= 1: x0 = 1 + x1 grows without bound
+    res = solve_lp(np.array([-1.0, 0.0]),
+                   a_ub=np.array([[1.0, -1.0]]), b_ub=np.array([1.0]))
+    assert res.status == "unbounded"
+    assert res.x is None and res.value is None
+
+
+def test_iteration_limit(monkeypatch):
+    # every phase checks optimality before its first pivot, so one allowed
+    # pivot cannot finish an LP whose phase 1 needs one
+    monkeypatch.setattr(linprog, "_MAX_PIVOTS", 1)
+    res = solve_lp(np.array([-1.0, -1.0]),
+                   a_ub=np.array([[1.0, 1.0]]), b_ub=np.array([1.0]))
+    assert res.status == "iteration_limit"
+    assert not res.ok
+
+
+def test_duplicated_equality_row_is_dropped():
+    # the copy is redundant: phase 1 leaves an artificial on a row with no
+    # structural entry, which is dropped, and the optimum is unchanged
+    c = np.array([1.0, 0.0, 0.0])
+    row = np.array([[1.0, 1.0, 1.0]])
+    alone = solve_lp(c, a_ub=np.array([[1.0, -2.0, 0.0]]), b_ub=np.array([0.0]),
+                     a_eq=row, b_eq=np.array([1.0]))
+    twice = solve_lp(c, a_ub=np.array([[1.0, -2.0, 0.0]]), b_ub=np.array([0.0]),
+                     a_eq=np.vstack([row, row]), b_eq=np.array([1.0, 1.0]))
+    assert alone.ok and twice.ok
+    assert twice.value == alone.value
+    assert twice.x.tolist() == alone.x.tolist()
 
 
 def test_negative_rhs_handled():

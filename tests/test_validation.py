@@ -455,6 +455,19 @@ def test_hasse_broken_chain_raises(monkeypatch):
                      restarts=2)
 
 
+def test_hasse_leaves_the_binary_prior_bound_out_on_larger_alphabets():
+    # 1 + d(cap1 - 1) bounds binary systems only: at q = 3 it reads 1.90,
+    # above this system's cap1 = 1.45, and the chain must not report it
+    gamma = fully_constrained(Alphabet.of_size(3), Shape.segment(2), [(2, 2)])
+    rep = hasse_report(gamma, 2, hind_sides=(2, 3), count_sides=(4,), restarts=2)
+    names = [q.name for q in rep.quantities]
+    assert names == ["hind", "hind_lift", "capacity_1d", "best_lower_bound"]
+    assert [e[0] for e in rep.edges] == ["hind <= capacity_1d", "lift preserves rate"]
+    assert all(holds for _, holds, _ in rep.edges)
+    assert rep.value("best_lower_bound") == rep.value("hind")
+    assert rep.value("hind") <= rep.value("capacity_1d") == pytest.approx(1.45, abs=1e-3)
+
+
 def test_hasse_keeps_the_capacity_certificate():
     rep = hasse_report(rll_constraint(1, 0.0), 2, hind_sides=(2,), count_sides=(4,),
                        restarts=2)
