@@ -66,6 +66,13 @@ __all__ = [
 _HARD_TOL = 1e-15
 # Row violation a returned measure may add to that of the start point.
 _MIX_TOL = 1e-13
+# Perron roots of two components this close (relative) count as tied, and
+# `_tilted` then takes the component whose measure lies least far outside
+# the rows.
+_ROOT_TIE = 1e-12
+# A Hessian eigenvalue at most this fraction of the largest counts as flat
+# in `_newton_steps`, which then follows the slope along it.
+_FLAT_CURV = 1e-9
 
 
 @dataclass(frozen=True, eq=False)
@@ -131,8 +138,8 @@ def _tilted(c: np.ndarray, b: np.ndarray, slack: np.ndarray, below: np.ndarray,
         eta /= eta.sum()
         g = b - c @ eta
         far = float(np.max(np.maximum(-g - slack, g - below), initial=0.0))
-        if best is None or root > best[0] * (1 + 1e-12) or (
-                root >= best[0] * (1 - 1e-12) and far < best[1]):
+        if best is None or root > best[0] * (1 + _ROOT_TIE) or (
+                root >= best[0] * (1 - _ROOT_TIE) and far < best[1]):
             best = (root, far, eta, r)
         rho = max(rho, root)
     root, _, eta, r = best
@@ -420,7 +427,7 @@ def _newton_steps(hess, g, lam, bounded):
     if rest.size:
         curv, vecs = np.linalg.eigh(hess[rest])
         gv = (vecs.transpose(0, 2, 1) @ g[rest][:, :, None])[:, :, 0]
-        flat = curv <= 1e-9 * curv[:, -1:]
+        flat = curv <= _FLAT_CURV * curv[:, -1:]
         s = (-vecs @ np.where(flat, 0.0, gv / np.where(flat, 1.0, curv))[:, :, None])[:, :, 0]
         slope = (vecs @ np.where(flat, gv, 0.0)[:, :, None])[:, :, 0]
         hits = bounded & (slope > 0.0)

@@ -19,6 +19,17 @@ optimiser exploits:
   hard-constraint sweeps would instead stall on a continuum of
   non-stationary fixed points (any split of the budget across sites is
   axis-wise optimal), which is why the multiplier is global.
+  At each multiplier the site updates run as Gauss-Seidel sweeps, which
+  converge only linearly, until a start's largest site move falls below a
+  switch; Newton steps on the simultaneous (Jacobi) update's residual, with
+  its exact Jacobian from a pair-gather table, then finish that start, and
+  a start that fails them (the move does not shrink tenfold in a step, a
+  step leaves the open simplex, the matrix is singular, or the end point is
+  a saddle of the Lagrangian, which the sweeps would leave) resumes the
+  sweeps from where it switched, bit for bit as plain sweeps.  A
+  Newton-finished start is a fixed point that can differ in the last bits
+  from where plain sweeps would have stopped, by up to about 1e-12 where
+  the sweeps crawl, since they stop on a small move, not at the point.
   The starts run as one batch: each site update and each root-search step
   acts on every start still searching at once, from gather tables built
   once per model, while each start keeps its own multiplier, bracket,
@@ -104,6 +115,13 @@ _FEAS_SLACK = 1e-12
 _SWEEP_STOP = 1e-13
 _HARD_SWEEPS = 400
 _FIXED_POINT_SWEEPS = 300
+# A fixed-multiplier start hands over from sweeps to Newton steps once no
+# site moved by this much in a sweep.
+_NEWTON_SWITCH = 1e-3
+# Newton steps a start may take before it falls back to sweeps.
+_NEWTON_STEPS = 8
+# Each Newton step must shrink a start's largest Jacobi move by this factor.
+_NEWTON_FALL = 0.1
 # Shared-multiplier root search: it stops once the bracket is this narrow
 # relative to the multiplier, or once the feasible side is this close below
 # the cap, or after this many fixed-point solves.
@@ -163,7 +181,8 @@ class _WindowModel:
     """Accounting for the averaged window statistics of a 1-D product
     measure: each constraint row is affine in one site's distribution, and
     `site_gathers` and `terms` give that affine form on a stack of row sets,
-    the one copy of it both solvers read."""
+    the one copy of it both solvers read; `site_pairs` and `jacobian` give
+    its derivatives in the other sites, for the Newton steps."""
 
     def __init__(self, gamma: ConstraintSet, side: int):
         self.k = _require_window(gamma, "hind_fixed_n")
@@ -174,6 +193,7 @@ class _WindowModel:
         self.q = gamma.alphabet.size
         self.table = placements(gamma.shape, side)
         self._gathers = {}
+        self._pairs = {}
 
     def site_gathers(self, coeffs: np.ndarray) -> list:
         """Per site v, one coefficient row's affine form const + lin . p_v
@@ -231,6 +251,57 @@ class _WindowModel:
                 prods *= flat.take(col, axis=1)
         return np.add.accumulate(prods[:, :, None] * weights, axis=1)[:, -1] / self.side
 
+    def site_pairs(self, coeffs: np.ndarray) -> tuple:
+        """The derivatives of `site_gathers`' linear terms as one pair
+        gather, built once per row (windows of two cells or more): every
+        (window, pattern) pair of site v's linear gather adds, for each of
+        its cells c = site*q + symbol, its weight row times the product of
+        its other cells to d lin_v / d p[c].  The pairs of each (v, c) are
+        one group, padded with zero weights to a common width; the table
+        holds the groups' flat keys v*n*q + c, their other cells (one index
+        column per cell) and their weights.  `jacobian` evaluates it."""
+        key = np.asarray(coeffs, dtype=np.float64).tobytes()
+        table = self._pairs.get(key)
+        if table is None:
+            nq = self.side * self.q
+            keys, others, weights = [], [], []
+            for v, ((cols, w), _) in enumerate(self.site_gathers(coeffs)):
+                idx = np.stack(cols, axis=1)
+                for j in range(idx.shape[1]):
+                    keys.append(v * nq + idx[:, j])
+                    others.append(np.delete(idx, j, axis=1))
+                    weights.append(w)
+            keys = np.concatenate(keys)
+            order = np.argsort(keys, kind="stable")
+            groups, first, counts = np.unique(keys[order], return_index=True,
+                                              return_counts=True)
+            at = (np.repeat(np.arange(len(groups)), counts),
+                  np.arange(len(order)) - np.repeat(first, counts))
+            idx = np.zeros((len(groups), counts.max(), self.k - 2), dtype=np.intp)
+            idx[at] = np.concatenate(others)[order]
+            pad = np.zeros((len(groups), counts.max(), self.q))
+            pad[at] = np.concatenate(weights)[order]
+            table = self._pairs[key] = (groups, tuple(idx.transpose(2, 0, 1)), pad)
+        return table
+
+    def jacobian(self, flat: np.ndarray, table) -> np.ndarray:
+        """`site_pairs` on a stack of row sets flattened to (S, n*q): the
+        derivatives d lin_v[s] / d p[c] as (S, n*q, n*q), row v*q + s and
+        column c.  Each group's pairs are added one after another, as in
+        `terms`, so each start's matrix does not depend on the stack."""
+        groups, cols, weights = table
+        n, q = self.side, self.q
+        if cols:
+            prods = flat.take(cols[0], axis=1)
+            for col in cols[1:]:
+                prods *= flat.take(col, axis=1)
+        else:
+            prods = np.ones((len(flat),) + weights.shape[:2])
+        jac = np.zeros((len(flat), n * n * q, q))
+        jac[:, groups] = np.add.accumulate(prods[..., None] * weights, axis=2)[:, :, -1]
+        return jac.reshape(-1, n, n * q, q).transpose(0, 1, 3, 2).reshape(
+            -1, n * q, n * q) / n
+
 
 def _entropy_sums(stack: np.ndarray) -> np.ndarray:
     """Total site entropy of each row set of a stack (S, n, q), added site
@@ -276,15 +347,13 @@ def _sweep_hard(model: _WindowModel, rows: np.ndarray, bounds_eff: list[float],
     return rows
 
 
-def _lagrangian_fixed_point(model: _WindowModel, rows: np.ndarray,
-                            coeffs: np.ndarray, lam: np.ndarray) -> np.ndarray:
-    """Cyclic softmax site updates at fixed shared multipliers, on a stack
-    of starts: `rows` (S, n, q) is updated in place and returned, and
-    `lam` holds one multiplier per start.  Each start leaves the stack
-    after the sweep in which none of its sites moved by `_SWEEP_STOP`."""
-    gathers = [lin for lin, _ in model.site_gathers(coeffs)]
-    live = np.arange(len(rows))
-    for _ in range(_FIXED_POINT_SWEEPS):
+def _sweeps(model: _WindowModel, gathers: list, rows: np.ndarray, lam: np.ndarray,
+            live: np.ndarray, budget: int, switch: float, made: np.ndarray) -> None:
+    """Up to `budget` cyclic softmax sweeps on the starts `live` of a stack.
+    A start leaves after the sweep in which none of its sites moved by
+    `switch` (at least `_SWEEP_STOP`); a start that leaves having moved by
+    `_SWEEP_STOP` or more gets the number of that sweep in `made`."""
+    for sweep in range(1, budget + 1):
         sub = rows[live]
         before = sub.copy()
         flat = sub.reshape(len(live), -1)
@@ -297,9 +366,130 @@ def _lagrangian_fixed_point(model: _WindowModel, rows: np.ndarray,
         # largest move over the sweep
         delta = np.maximum.reduce(np.abs(sub - before), axis=(1, 2))
         rows[live] = sub
-        live = live[~(delta < _SWEEP_STOP)]
-        if not live.size:
+        settled = delta < switch
+        if settled.any():
+            made[live[settled & ~(delta < _SWEEP_STOP)]] = sweep
+            live = live[~settled]
+            if not live.size:
+                break
+
+
+def _solve_stack(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """`np.linalg.solve` on a stack (S, m, m) by (S, m, 1), one matrix at a
+    time once some matrix is singular, whose solution is then NaN."""
+    try:
+        return np.linalg.solve(a, b)
+    except np.linalg.LinAlgError:
+        out = np.full(b.shape, np.nan)
+        for i in range(len(a)):
+            try:
+                out[i] = np.linalg.solve(a[i:i + 1], b[i:i + 1])[0]
+            except np.linalg.LinAlgError:
+                pass
+        return out
+
+
+def _local_max(jac: np.ndarray, x: np.ndarray, scale: np.ndarray, n: int,
+               q: int) -> np.ndarray:
+    """Whether each fixed point x of a stack (S, n*q) is a strict local
+    maximum of its start's Lagrangian sum_v H(p_v) - lam c . averaged(p)
+    on the product of simplices, `jac` being d lin / d x there and `scale`
+    -lam: its Hessian, -1/(x ln2) on the diagonal and -lam J off it, is
+    negative definite on the directions that keep each site's sum, taken
+    as the first q - 1 symbols minus the last (scaled by ln2).  The sweeps
+    ascend the Lagrangian one site at a time, so they settle only at such
+    points; Newton steps also find its saddles."""
+    m = n * q
+    hess = (scale * math.log(2.0))[:, None, None] * jac
+    hess[:, np.arange(m), np.arange(m)] -= 1.0 / x
+    hess = hess.reshape(-1, n, q, n, q)
+    hess = hess[:, :, :-1] - hess[:, :, -1:]
+    hess = (hess[..., :-1] - hess[..., -1:]).reshape(-1, n * (q - 1), n * (q - 1))
+    return np.linalg.eigvalsh(hess)[:, -1] < 0.0
+
+
+def _newton_finish(model: _WindowModel, rows: np.ndarray, coeffs: np.ndarray,
+                   lam: np.ndarray, starts: np.ndarray) -> np.ndarray:
+    """Newton steps on the Jacobi residual T(x) - x of the starts `starts`
+    of a stack, T updating every site from the same rows x: each start
+    whose largest move T(x) - x falls below `_SWEEP_STOP` at a local
+    maximum (`_local_max`) gets its x written to `rows`; returns the
+    others, whose rows are untouched.
+
+    The Jacobian is exact: d T_v / d lin_v = -lam ln2 (diag p_v - p_v p_v^T)
+    at p_v = T_v(x) times d lin_v / d x from `site_pairs`, whose matrix J
+    also gives lin = J x / (k - 1), each pair's product holding k - 1
+    cells.  A start fails once its largest move does not shrink by
+    `_NEWTON_FALL` in a step, a step leaves the open simplex or meets a
+    singular matrix, or after `_NEWTON_STEPS` steps."""
+    n, q, nq = model.side, model.q, model.side * model.q
+    table = model.site_pairs(coeffs)
+    x = rows[starts].reshape(len(starts), nq)
+    scale, prev = -lam[starts], np.full(len(starts), math.inf)
+    failed = []
+    for step in range(_NEWTON_STEPS + 1):
+        jac = model.jacobian(x, table)
+        lin = (jac @ x[:, :, None]).reshape(len(x), n, q) / (model.k - 1)
+        w = np.exp2(scale[:, None, None]
+                    * (lin - np.minimum.reduce(lin, axis=2, keepdims=True)))
+        p = w / np.add.reduce(w, axis=2, keepdims=True)
+        residual = x - p.reshape(-1, nq)
+        move = np.maximum.reduce(np.abs(residual), axis=1)
+        met = move < _SWEEP_STOP
+        done = met.copy()
+        if met.any():
+            done[met] = _local_max(jac[met], x[met], scale[met], n, q)
+            rows[starts[done]] = x[done].reshape(-1, n, q)
+        go = ~met & (move <= _NEWTON_FALL * prev) & (step < _NEWTON_STEPS)
+        failed.append(starts[~done & ~go])
+        if not go.any():
             break
+        jac, p, residual, x = jac[go].reshape(-1, n, q, nq), p[go], residual[go], x[go]
+        starts, scale, prev = starts[go], scale[go], move[go]
+        # d T / d x - I, row v*q + s: -lam ln2 p_vs (J_vs - sum_t p_vt J_vt)
+        mean = np.add.accumulate(p[..., None] * jac, axis=2)[:, :, -1:]
+        a = ((scale * math.log(2.0))[:, None, None, None] * p[..., None]
+             * (jac - mean)).reshape(-1, nq, nq)
+        a[:, np.arange(nq), np.arange(nq)] -= 1.0
+        x = x + _solve_stack(a, residual[:, :, None])[:, :, 0]
+        inside = np.minimum.reduce(x, axis=1) > 0.0   # also False on NaN
+        failed.append(starts[~inside])
+        x, starts, scale, prev = x[inside], starts[inside], scale[inside], prev[inside]
+    return np.concatenate(failed)
+
+
+def _lagrangian_fixed_point(model: _WindowModel, rows: np.ndarray,
+                            coeffs: np.ndarray, lam: np.ndarray) -> np.ndarray:
+    """The fixed point of the softmax site updates at fixed shared
+    multipliers, on a stack of starts: `rows` (S, n, q) is updated in place
+    and returned, and `lam` holds one multiplier per start.
+
+    Gauss-Seidel sweeps (`_sweeps`) run until a start's largest site move
+    falls below `_SWEEP_STOP`; such a start finishes exactly as plain
+    sweeps would.  A start whose move first falls below `_NEWTON_SWITCH` is
+    finished by Newton steps (`_newton_finish`), which converge
+    quadratically where the sweeps converge linearly.  Its rows are then a
+    local maximum whose simultaneous update moves no entry by
+    `_SWEEP_STOP`, and they can differ in the last bits from where plain
+    sweeps would have stopped: those stop once a sweep moves less than
+    `_SWEEP_STOP`, which where they crawl can leave them about 1e-12 short
+    of the fixed point.  A start that fails the Newton phase resumes the
+    sweeps from the rows it had at the switch, with its remaining budget,
+    so its rows are bit for bit those of plain sweeps.  Window-1 linear
+    terms are constant, so one sweep reaches the fixed point: those starts
+    make that sweep only and never switch."""
+    gathers = [lin for lin, _ in model.site_gathers(coeffs)]
+    # window-1 linear terms are constant: one sweep reaches the fixed point
+    budget, switch = ((_FIXED_POINT_SWEEPS, _NEWTON_SWITCH) if model.k > 1
+                      else (1, _SWEEP_STOP))
+    made = np.zeros(len(rows), dtype=np.intp)
+    _sweeps(model, gathers, rows, lam, np.arange(len(rows)), budget, switch, made)
+    handed = np.flatnonzero(made)
+    if handed.size:
+        failed = _newton_finish(model, rows, coeffs, lam, handed)
+        for m in np.unique(made[failed]).tolist():
+            _sweeps(model, gathers, rows, lam, failed[made[failed] == m],
+                    _FIXED_POINT_SWEEPS - m, _SWEEP_STOP, made)
     return rows
 
 
@@ -545,6 +735,7 @@ def axial_lift(mu: SiteProductMeasure, dim: int) -> SiteProductMeasure:
     """
     if mu.dim != 1:
         raise ValidationError("axial_lift expects a 1-D measure")
+    dim = _whole(dim, "dimension")
     if dim < 1:
         raise ValidationError("dimension must be >= 1")
     n = mu.side
@@ -699,10 +890,11 @@ def hind_bound_report(gamma: ConstraintSet, dim: int,
                       restarts: int = 20, seed: int = 0) -> IndependenceReport:
     """Run the fixed-n optimiser over a grid of (eps, side), lift the best
     certified measure to `dim` dimensions, and assemble the lower bound."""
+    dim = _whole(dim, "dimension")
     eps_list = tuple(float(e) for e in eps_list)
     if not eps_list:
         raise ValidationError("eps_list must not be empty")
-    sides = tuple(n for n in (int(n) for n in sides) if n >= len(gamma.shape))
+    sides = tuple(n for n in (_whole(n, "side") for n in sides) if n >= len(gamma.shape))
     if not sides:
         raise ValidationError("every requested side is shorter than the window")
     rows = []

@@ -25,6 +25,9 @@ __all__ = ["LPResult", "solve_lp", "FEASIBILITY_TOL"]
 FEASIBILITY_TOL = 1e-9
 # Pivots each simplex phase may take before it reports "iteration_limit".
 _MAX_PIVOTS = 20000
+# Ratio-test ratios this close count as tied, and Bland's rule then takes
+# the row whose basic variable has the least index.
+_RATIO_TIE = 1e-12
 
 
 @dataclass(frozen=True)
@@ -62,8 +65,8 @@ def _simplex(tableau: np.ndarray, basis: np.ndarray, ncols: int) -> str:
         row = -1
         for r in np.flatnonzero(tableau[:-1, col] > FEASIBILITY_TOL).tolist():
             ratio = tableau[r, -1] / tableau[r, col]
-            if ratio < best_ratio - 1e-12 or (
-                abs(ratio - best_ratio) <= 1e-12
+            if ratio < best_ratio - _RATIO_TIE or (
+                abs(ratio - best_ratio) <= _RATIO_TIE
                 and (row < 0 or basis[r] < basis[row])
             ):
                 best_ratio = ratio
