@@ -23,8 +23,8 @@ optimiser exploits:
   converge only linearly, until a start's largest site move falls below a
   switch; Newton steps on the simultaneous (Jacobi) update's residual, with
   its exact Jacobian from a pair-gather table, then finish that start, and
-  a start that fails them (the move does not shrink tenfold in a step, a
-  step leaves the open simplex, the matrix is singular, or the end point is
+  a start that fails them (the move does not shrink tenfold in a step, the
+  rows leave the open simplex, the matrix is singular, or the end point is
   a saddle of the Lagrangian, which the sweeps would leave) resumes the
   sweeps from where it switched, bit for bit as plain sweeps.  A
   Newton-finished start is a fixed point that can differ in the last bits
@@ -419,15 +419,21 @@ def _newton_finish(model: _WindowModel, rows: np.ndarray, coeffs: np.ndarray,
     The Jacobian is exact: d T_v / d lin_v = -lam ln2 (diag p_v - p_v p_v^T)
     at p_v = T_v(x) times d lin_v / d x from `site_pairs`, whose matrix J
     also gives lin = J x / (k - 1), each pair's product holding k - 1
-    cells.  A start fails once its largest move does not shrink by
-    `_NEWTON_FALL` in a step, a step leaves the open simplex or meets a
-    singular matrix, or after `_NEWTON_STEPS` steps."""
+    cells.  A start fails when its rows lie outside the open simplex (at
+    the switch, or after a step, also a step from a singular matrix), once
+    its largest move does not shrink by `_NEWTON_FALL` in a step, or after
+    `_NEWTON_STEPS` steps."""
     n, q, nq = model.side, model.q, model.side * model.q
     table = model.site_pairs(coeffs)
     x = rows[starts].reshape(len(starts), nq)
     scale, prev = -lam[starts], np.full(len(starts), math.inf)
     failed = []
     for step in range(_NEWTON_STEPS + 1):
+        inside = np.minimum.reduce(x, axis=1) > 0.0   # also False on NaN
+        failed.append(starts[~inside])
+        x, starts, scale, prev = x[inside], starts[inside], scale[inside], prev[inside]
+        if not len(x):
+            break
         jac = model.jacobian(x, table)
         lin = (jac @ x[:, :, None]).reshape(len(x), n, q) / (model.k - 1)
         w = np.exp2(scale[:, None, None]
@@ -452,9 +458,6 @@ def _newton_finish(model: _WindowModel, rows: np.ndarray, coeffs: np.ndarray,
              * (jac - mean)).reshape(-1, nq, nq)
         a[:, np.arange(nq), np.arange(nq)] -= 1.0
         x = x + _solve_stack(a, residual[:, :, None])[:, :, 0]
-        inside = np.minimum.reduce(x, axis=1) > 0.0   # also False on NaN
-        failed.append(starts[~inside])
-        x, starts, scale, prev = x[inside], starts[inside], scale[inside], prev[inside]
     return np.concatenate(failed)
 
 

@@ -631,6 +631,19 @@ def test_solve_stack_marks_singular_matrices():
         assert np.array_equal(got[i], np.linalg.solve(a[i:i + 1], b[i:i + 1])[0])
 
 
+def test_newton_finish_rejects_rows_off_the_open_simplex():
+    # a start handed over with a zero entry fails at once, its rows
+    # untouched, while a start inside the simplex finishes beside it
+    gamma = rll_constraint(1, 0.1)
+    model, coeffs = _WindowModel(gamma, 3), gamma.cap[0]
+    rows = np.array([[[1.0, 0.0], [0.5, 0.5], [0.5, 0.5]],
+                     [[0.6, 0.4], [0.5, 0.5], [0.6, 0.4]]])
+    before = rows.copy()
+    failed = indentropy._newton_finish(model, rows, coeffs, np.ones(2), np.arange(2))
+    assert failed.tolist() == [0] and np.array_equal(rows[0], before[0])
+    assert not np.array_equal(rows[1], before[1])
+
+
 def _site_coeffs(model, rows, v, coeffs):
     """Reference per-site affine form of one coefficient row, summed window
     by window then pattern by pattern: c . averaged(rows) = const + lin . p_v."""
