@@ -490,7 +490,7 @@ def _lagrangian_fixed_point(model: _WindowModel, rows: np.ndarray,
     handed = np.flatnonzero(made)
     if handed.size:
         failed = _newton_finish(model, rows, coeffs, lam, handed)
-        for m in np.unique(made[failed]).tolist():
+        for m in sorted(set(made[failed].tolist())):
             _sweeps(model, gathers, rows, lam, failed[made[failed] == m],
                     _FIXED_POINT_SWEEPS - m, _SWEEP_STOP, made)
     return rows
