@@ -40,6 +40,7 @@ from semicap.lattice_core import (
     Shape,
     ValidationError,
     _entropy_vec,
+    _whole,
 )
 from semicap.linprog import solve_lp
 from semicap.scs_model import ConstraintSet, EmptySystemError, _checks, count_admissible
@@ -114,9 +115,8 @@ def _tilted(c: np.ndarray, b: np.ndarray, slack: np.ndarray, below: np.ndarray,
             allowed: np.ndarray, comps, lam: np.ndarray, q: int, k: int):
     """log2 of the spectral radius of the tilted de Bruijn matrix A_lam
     (k >= 2), block diagonal over `comps`, and the Perron Markov window
-    measure of a largest root's component (of tied roots, the least far
-    outside -slack <= b - c . eta <= below), with the transition data
-    behind it."""
+    measure eta of a largest root's component (of tied roots, the least far
+    outside -slack <= b - c . eta <= below)."""
     e = lam @ c
     # A_lam scaled by 2^top, so the largest weight is 1 whatever the sign of
     # lam; off `allowed`, 2^(top - e) may overflow and is never formed
@@ -140,10 +140,9 @@ def _tilted(c: np.ndarray, b: np.ndarray, slack: np.ndarray, below: np.ndarray,
         far = float(np.max(np.maximum(-g - slack, g - below), initial=0.0))
         if best is None or root > best[0] * (1 + _ROOT_TIE) or (
                 root >= best[0] * (1 - _ROOT_TIE) and far < best[1]):
-            best = (root, far, eta, r)
+            best = (root, far, eta)
         rho = max(rho, root)
-    root, _, eta, r = best
-    return math.log2(rho) - top, eta, (w, r, root)
+    return math.log2(rho) - top, best[2]
 
 
 def _perron(a: np.ndarray):
@@ -172,23 +171,6 @@ def _perron(a: np.ndarray):
     return float(l @ a @ r) / float(l @ r), r, l
 
 
-def _hessian(c: np.ndarray, eta: np.ndarray, trans, q: int, k: int) -> np.ndarray:
-    """Hessian of log2 rho(A_lam) (k >= 2): ln 2 times the asymptotic
-    covariance of the rows along the Perron chain."""
-    f = c - (c @ eta)[:, None]
-    w, r, rho = trans
-    s = q ** (k - 1)
-    x = np.nonzero(eta > 0.0)[0]
-    u, v = x // q, x % s
-    # window chain on the support: x -> y when suffix(x) == prefix(y)
-    p = (v[:, None] == u[None, :]) * (w[x] * r[v] / (rho * r[u]))[None, :]
-    pi = eta[x]
-    f = f[:, x]
-    y = np.linalg.solve(np.eye(len(x)) - p + pi[None, :], f.T)
-    cross = (f * pi) @ y
-    return LOG2 * (cross + cross.T - (f * pi) @ f.T)
-
-
 def pressure_dual(coeffs, bounds, equal, q: int, k: int, start: np.ndarray,
                   lam=None, *, max_iter: int, gap_tol: float) -> GibbsDual:
     """Maximise the conditional entropy of a shift-invariant measure on
@@ -202,18 +184,19 @@ def pressure_dual(coeffs, bounds, equal, q: int, k: int, start: np.ndarray,
     k = 1 is the one-state case, entropy maximisation on the simplex.
 
     Every row is first shifted to a zero minimum coefficient (exact, since
-    the mass is 1); a row left with bound 0 is hard and removes the
-    patterns it charges, and windows on no cycle go too.  Damped projected
-    Newton with the exact Hessian then runs from `lam` (warm start, one
-    entry per row) until the certificate closes: the Perron measure at lam
-    meets every row and its conditional entropy, D(lam) - lam . grad D(lam),
-    is within gap_tol of D(lam), which bounds every feasible entropy from
-    above.  If the budget runs out first, the Perron measure is mixed with
-    the feasible `start` just enough to meet the rows, and `start` itself is
-    returned when it is better.  `converged` needs the bound within gap_tol
-    of the value on both sides: a bound below the value certifies nothing.
-    Raises EmptySystemError when the hard rows leave no shift-invariant
-    pattern, or a row cannot be met on the windows they leave.
+    the mass is 1); a row left with bound 0 is hard and removes the patterns
+    it charges, and windows on no cycle go too.  Damped projected Newton,
+    its exact Hessian read off the Perron measure (`_hessians`), then runs
+    from `lam` (warm start, one entry per row) until the certificate closes:
+    the Perron measure at lam meets every row and its conditional entropy,
+    D(lam) - lam . grad D(lam), is within gap_tol of D(lam), which bounds
+    every feasible entropy from above.  If the budget runs out first, the
+    Perron measure is mixed with the feasible `start` just enough to meet
+    the rows, and `start` itself is returned when it is better.  `converged`
+    needs the bound within gap_tol of the value on both sides: a bound below
+    the value certifies nothing.  Raises EmptySystemError when the hard rows
+    leave no shift-invariant pattern, or a row cannot be met on the windows
+    they leave.
 
     This runs the engine behind `_slice_duals` on a stack of one slice:
     capacity and the site slices of `indentropy` share one solver.
@@ -253,8 +236,8 @@ def _duals(lins, rhs, equal, starts, lam, q, k, max_iter, gap_tol):
     multipliers.  The slices share the loop, not the arithmetic: each
     product runs with a single slice's operand shapes, so the slices are
     grouped by their soft rows and each Newton step by its free rows, and
-    each slice keeps its own line search, stop and fall-back.  Windows
-    k >= 2 run one slice at a time through `_tilted` and `_hessian`."""
+    each slice keeps its own line search, stop and fall-back.  For k >= 2,
+    `_tilted` runs one slice at a time (each has its own components)."""
     low = lins.min(axis=2)
     c = lins - low[:, :, None]
     b = rhs - low
@@ -306,7 +289,6 @@ def _soft_duals(c, b, equal, allowed, comps, start, lam, q, k, max_iter, gap_tol
         return ((-g <= slack) & (g <= below)).all(axis=1)
 
     def dual(lam):
-        trans = np.empty(len(c), dtype=object)
         if k == 1:   # one state: the spectral radius is the total weight
             e = (lam[:, None, :] @ c)[:, 0]
             top = e.min(axis=1, where=allowed, initial=np.inf)
@@ -317,10 +299,10 @@ def _soft_duals(c, b, equal, allowed, comps, start, lam, q, k, max_iter, gap_tol
         else:
             log_rho, eta = np.zeros(len(c)), np.zeros(start.shape)
             for i in range(len(c)):
-                log_rho[i], eta[i], trans[i] = _tilted(c[i], b[i], slack[i], below[i],
-                                                       allowed[i], comps[i], lam[i], q, k)
+                log_rho[i], eta[i] = _tilted(c[i], b[i], slack[i], below[i], allowed[i],
+                                             comps[i], lam[i], q, k)
         bound = log_rho + _dots(lam, b)
-        return lam, bound, eta, b - (c @ eta[:, :, None])[:, :, 0], trans   # g = grad D
+        return lam, bound, eta, b - (c @ eta[:, :, None])[:, :, 0]   # g = grad D
 
     def kkt(lam, g):   # size of the projected gradient
         x = np.where((lam > floor) | (g < 0.0), g, 0.0)
@@ -336,12 +318,12 @@ def _soft_duals(c, b, equal, allowed, comps, start, lam, q, k, max_iter, gap_tol
     live = np.ones(len(c), dtype=bool)
     its = np.zeros(len(c), dtype=int)
     while True:
-        lam, bound, eta, g, trans = state
+        lam, bound, eta, g = state
         its += live
         live &= ~(inside(g) & (_dots(lam, g) <= gap_tol)) & (its < max_iter)
         if not live.any():
             break
-        d = _newton_dirs(c, eta, trans, g, lam, floor, live, q, k)
+        d = _newton_dirs(c, eta, g, lam, floor, live, q, k)
         step, todo, accepted = np.ones(len(c)), live.copy(), None
         for _ in range(60):
             trial = dual(np.maximum(lam + step[:, None] * d, floor))
@@ -363,7 +345,7 @@ def _soft_duals(c, b, equal, allowed, comps, start, lam, q, k, max_iter, gap_tol
         live &= ~todo & ~(accepted[0] == lam).all(axis=1)
         state = keep(live, accepted, state)
 
-    lam, bound, mu, g, _ = state
+    lam, bound, mu, g = state
     out = ~inside(g)
     if out.any():
         # largest t in [0, 1] with t*eta + (1-t)*start within slack of every row
@@ -383,32 +365,48 @@ def _soft_duals(c, b, equal, allowed, comps, start, lam, q, k, max_iter, gap_tol
     return mu, lam, value, bound, its
 
 
-def _newton_dirs(c, eta, trans, g, lam, floor, live, q, k):
+def _newton_dirs(c, eta, g, lam, floor, live, q, k):
     """The Newton direction of D for each `live` slice (0 for the others),
     on the slice's free rows (lam above its floor, or g < 0): the slices
     grouped by that set so that each step sees a single slice's operand
     shapes."""
     free = (lam > floor) | (g < 0.0)
     if live.all() and free.all():   # one group: every slice, every row
-        return _newton_steps(_hessians(c, eta, trans, q, k), g, lam, floor == 0.0)
+        return _newton_steps(_hessians(c, eta, q, k), g, lam, floor == 0.0)
     keys = free @ (1 << np.arange(lam.shape[1]))
     d = np.zeros_like(lam)
     for key in set(keys[live].tolist()):
         at = np.flatnonzero(live & (keys == key))
         rows = np.flatnonzero(free[at[0]])
         pick = at[:, None], rows   # C-ordered like c[free]
-        d[pick] = _newton_steps(_hessians(c[pick], eta[at], trans[at], q, k), g[pick],
-                                lam[pick], floor[rows] == 0.0)
+        d[pick] = _newton_steps(_hessians(c[pick], eta[at], q, k), g[pick], lam[pick],
+                                floor[rows] == 0.0)
     return d
 
 
-def _hessians(c, eta, trans, q, k):
-    """The Hessian of log2 rho(A_lam) for each slice of a stack: the
-    covariance of the rows under eta when k = 1, else `_hessian`."""
+def _hessians(c, eta, q, k):
+    """The Hessian of log2 rho(A_lam) for each slice of a stack: ln 2 times
+    the asymptotic covariance of the rows along the Perron chain, which eta
+    alone fixes.  For k = 1 it is the covariance under eta; for k >= 2 the
+    chain moves from state u to the suffix of window x = u.a with
+    probability eta_x / pi_u = w_x r_v / (rho r_u) (pi the prefix law), and
+    with f the centred rows and (I - Q + 1 pi^T) Z = E[f | state] it is
+    Cov_eta(f) + C + C^T, C = sum_x eta_x f_x Z(suffix x)^T.  Each product
+    and solve sees one slice, so each slice is its own call's bit for bit."""
     if k == 1:
         f = c - c @ eta[:, :, None]
         return LOG2 * ((f * eta[:, None, :]) @ f.transpose(0, 2, 1))
-    return np.array([_hessian(*slice_, q, k) for slice_ in zip(c, eta, trans)])
+    (n, r, _), s, x = c.shape, q ** (k - 1), np.arange(q ** k)
+    f = c - c @ eta[:, :, None]
+    pi = eta.reshape(n, s, q).sum(axis=2)
+    move = np.divide(eta, pi[:, x // q], out=np.zeros_like(eta), where=eta > 0.0)
+    m = np.eye(s) + pi[:, None, :]   # I - Q + 1 pi^T
+    m[:, x // q, x % s] -= move
+    g = (f * move[:, None, :]).reshape(n, r, s, q).sum(axis=3)
+    z = np.linalg.solve(m, g.transpose(0, 2, 1))   # (S, states, R)
+    fe = f * eta[:, None, :]
+    cross = fe.reshape(n, r, q, s).sum(axis=2) @ z   # C, its windows summed by suffix
+    return LOG2 * (fe @ f.transpose(0, 2, 1) + cross + cross.transpose(0, 2, 1))
 
 
 def _newton_steps(hess, g, lam, bounded):
@@ -625,6 +623,7 @@ def elimeysch_lower_bound(cap1: float, dim: int) -> DimensionBound:
     """Prior-work lower bound 1 + d*(cap1 - 1) on the d-dimensional axial
     capacity of a binary system with 1-D capacity cap1; degenerates (goes
     negative) once d exceeds 1/(1 - cap1)."""
+    dim = _whole(dim, "dimension")
     if dim < 1:
         raise ValidationError("dimension must be >= 1")
     value = 1.0 + dim * (cap1 - 1.0)

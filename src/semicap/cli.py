@@ -234,9 +234,9 @@ def _cmd_indentropy(args) -> tuple[_Table, int]:
     eps = _eps(args)
     eps_list = (eps,) if eps is not None else cfg.eps_list
     sides = _parse_sides(args, default=[2, 3, 4, 5, 6])
-    restarts = cfg.solver.restarts if cfg.solver.restarts is not None else 20
-    report = hind_bound_report(cfg.factor(), cfg.dimension, eps_list, sides,
-                               restarts=restarts, seed=seed)
+    restarts = {} if cfg.solver.restarts is None else {"restarts": cfg.solver.restarts}
+    report = hind_bound_report(cfg.factor(), cfg.dimension, eps_list, sides, seed=seed,
+                               **restarts)
     table = _Table("indentropy", cfg.sha256, seed, args.format)
     table.header("record", "eps", "n", "value", "feasible", "distance")
     for r in report.rows:
@@ -286,11 +286,11 @@ def _cmd_report(args) -> tuple[_Table, int]:
     cfg = SystemConfig.load(args.config)
     seed = _seed(args, cfg.solver.seed)
     dim = _dim(args, cfg.dimension)
-    restarts = cfg.solver.restarts if cfg.solver.restarts is not None else 10
+    restarts = {} if cfg.solver.restarts is None else {"restarts": cfg.solver.restarts}
     table = _Table("report", cfg.sha256, seed, args.format)
     table.header("record", "name", "value")
     try:
-        hasse = hasse_report(cfg.factor(), dim, restarts=restarts, seed=seed)
+        hasse = hasse_report(cfg.factor(), dim, seed=seed, **restarts)
     except (EmptySystemError, UncertifiedError):
         raise
     except ValidationError as exc:

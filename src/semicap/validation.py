@@ -385,9 +385,10 @@ def cyclic_vs_noncyclic(gamma: ConstraintSet, sides: Sequence[int], *,
     normalised gap should shrink as the side grows — both facts are
     reported per row.
     """
+    dim = _whole(dim, "dimension")
     system = gamma if dim == 1 else axial_product(gamma, dim, mode)
     rows = []
-    for n in sorted(int(n) for n in sides):
+    for n in sorted(_whole(n, "side") for n in sides):
         cyc = count_admissible(n, system, 0.0)
         noncyc = count_admissible_noncyclic(n, system, convention=convention)
         cells = n ** dim

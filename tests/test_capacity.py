@@ -4,9 +4,12 @@ import math
 import numpy as np
 import pytest
 
-from semicap.lattice_core import Alphabet, Shape, ValidationError
+from semicap.lattice_core import LOG2, Alphabet, Shape, ValidationError
 from semicap.capacity import (
+    _cycle_components,
+    _hessians,
     _slice_duals,
+    _tilted,
     capacity_1d,
     elimeysch_lower_bound,
     internal_capacity_sequence,
@@ -268,6 +271,116 @@ def test_slice_duals_match_pressure_dual_per_start():
     assert raised and stopped_short and fell_back and hard
 
 
+def _window_form_hessian(c, eta, q, k):
+    """The Hessian of log2 rho(A_lam) through the window chain on the
+    support of eta: x -> y when suffix(x) == prefix(y), with probability
+    eta_y / pi(prefix y), pi the prefix law; ln 2 times the asymptotic
+    covariance of the rows c from the fundamental solve over windows."""
+    s = q ** (k - 1)
+    x = np.flatnonzero(eta > 0.0)
+    pi = eta.reshape(s, q).sum(axis=1)
+    f = (c - (c @ eta)[:, None])[:, x]
+    p = (x[:, None] % s == x[None, :] // q) * (eta[x] / pi[x // q])[None, :]
+    y = np.linalg.solve(np.eye(len(x)) - p + eta[x][None, :], f.T)
+    cross = (f * eta[x]) @ y
+    return LOG2 * (cross + cross.T - (f * eta[x]) @ f.T)
+
+
+def _random_slice(rng, q, k, r):
+    """Rows, multipliers, windows and components of a random tilted slice:
+    a hard row removes the windows it charges, an `==` row's multiplier may
+    be negative, and at q = 4 every other slice keeps {0, 1} and {2, 3}
+    apart, which splits the graph into two components."""
+    x = np.arange(q ** k)
+    allowed = rng.random(q ** k) >= rng.uniform(0.0, 0.4)
+    if q == 4 and rng.random() < 0.5:
+        allowed &= (x // q ** (k - 1) >= 2) == (x % q >= 2)
+    allowed, comps = _cycle_components(allowed, q, k)
+    c = rng.random((r, q ** k)) * (rng.random((r, q ** k)) < 0.8)
+    lam = rng.uniform(-10.0, 30.0, r)   # negative on `==` rows
+    return c, lam, allowed, comps
+
+
+def test_state_level_hessian_matches_window_chain():
+    """`_hessians` (k >= 2) against the window-chain form on the same Perron
+    measures, on random stacks; each slice of a stack whose supports differ
+    equals its own one-slice call bit for bit."""
+    rng = np.random.default_rng(29)
+    split = 0
+    for _ in range(300):
+        q = int(rng.integers(2, 5))
+        k = int(rng.integers(2, 5 if q == 2 else 4))
+        r, size = int(rng.integers(1, 4)), int(rng.integers(1, 6))
+        cs, etas = [], []
+        while len(cs) < size:
+            c, lam, allowed, comps = _random_slice(rng, q, k, r)
+            if not comps:
+                continue
+            b, slack = c.mean(axis=1), np.full(r, 1e-13)
+            cs.append(c)
+            etas.append(_tilted(c, b, slack, slack, allowed, comps, lam, q, k)[1])
+            split += len(comps) > 1
+        c, eta = np.array(cs), np.array(etas)
+        hess = _hessians(c, eta, q, k)
+        for i in range(size):
+            want = _window_form_hessian(c[i], eta[i], q, k)
+            assert np.abs(hess[i] - want).max() <= 1e-13
+            assert np.array_equal(hess[i], _hessians(c[i:i + 1], eta[i:i + 1], q, k)[0])
+    assert split
+
+
+def test_state_level_hessian_is_the_derivative_of_the_mean():
+    """The Hessian of log2 rho(A_lam) is the derivative of its gradient
+    -c . eta(lam); central differences of that gradient, eta taken from
+    numpy's eigenvectors of the tilted matrix, agree with `_hessians`."""
+    rng = np.random.default_rng(31)
+    checked = 0
+    while checked < 40:
+        q = int(rng.integers(2, 4))
+        k = int(rng.integers(2, 4))
+        c, lam, allowed, comps = _random_slice(rng, q, k, int(rng.integers(1, 4)))
+        # one component, not a lone cycle (whose Hessian is 0: no relative scale)
+        if len(comps) != 1 or allowed.sum() == len(comps[0]):
+            continue
+        lam /= 3.0   # keep eta(lam) well above rounding on every window
+        s, x, st = q ** (k - 1), np.arange(q ** k), comps[0]
+
+        def eta_at(lam):
+            w = np.where(allowed, np.exp2(-(lam @ c)), 0.0)
+            a = np.zeros((s, s))
+            a[x // q, x % s] = w
+            vecs = []
+            for m in (a[np.ix_(st, st)], a[np.ix_(st, st)].T):
+                vals, v = np.linalg.eig(m)
+                vecs.append(np.zeros(s))
+                vecs[-1][st] = np.abs(v[:, np.argmax(vals.real)].real)
+            r, l = vecs
+            eta = l[x // q] * w * r[x % s]
+            return eta / eta.sum()
+
+        hess = _hessians(c[None], eta_at(lam)[None], q, k)[0]
+        h, diff = 1e-5, np.zeros_like(hess)
+        for j in range(len(lam)):
+            step = h * np.eye(len(lam))[j]
+            diff[:, j] = -(c @ (eta_at(lam + step) - eta_at(lam - step))) / (2 * h)
+        assert np.abs(diff - hess).max() <= 1e-6 * np.abs(hess).max()
+        checked += 1
+
+
+def test_capacity_product_alphabet_oracle():
+    """q = 2^j symbols read as bit 0 and j - 1 free bits: capping the
+    windows whose two symbols both have bit 0 set caps 11 in the bit-0
+    sequence, so the capacity is that of rll(1, p) plus j - 1."""
+    for j, p in ((2, 0.1), (3, 0.05), (4, 0.1), (5, 0.02)):
+        q = 2 ** j
+        row = tuple(float(a & b & 1) for a in range(q) for b in range(q))
+        gamma = ConstraintSet(Alphabet.of_size(q), Shape.segment(2), (LinearConstraint(row, p),))
+        res = capacity_1d(gamma)
+        assert res.converged
+        assert res.value == pytest.approx(capacity_1d(rll_constraint(1, p)).value + (j - 1),
+                                          abs=1e-12)
+
+
 def test_capacity_soft_cap_value():
     for gamma, value in ((rll_constraint(2, 0.05), 0.97593506545),
                          (rll_constraint(1, 0.1), 0.93227315407),
@@ -331,6 +444,13 @@ def test_dimension_interpolation_bound():
     assert deep.degenerate and deep.value < 0
     assert not elimeysch_lower_bound(0.976, 41).degenerate
     assert elimeysch_lower_bound(1.0, 7).value == pytest.approx(1.0)
+
+
+@pytest.mark.parametrize("dim", [2.5, 0])
+def test_dimension_bound_rejects_fractional_and_small_dimensions(dim):
+    # a fractional dimension is not read as a bound for d = 2.5
+    with pytest.raises(ValidationError, match="dimension"):
+        elimeysch_lower_bound(0.9, dim)
 
 
 def test_capacity_rejects_non_window_shapes():

@@ -540,3 +540,11 @@ def test_cyclic_vs_noncyclic_two_dimensional():
 def test_cyclic_vs_noncyclic_requires_hard_rows():
     with pytest.raises(ValidationError):
         cyclic_vs_noncyclic(rll_constraint(2, 0.05), (4, 5))
+
+
+@pytest.mark.parametrize("sides, dim", [([4.5, 5], 1), ([3], 1.5)])
+def test_cyclic_vs_noncyclic_rejects_fractional_sides_and_dimension(sides, dim):
+    # a side of 4.5 is not counted as 4, and a dimension of 1.5 fails as bad
+    # input, not as a TypeError inside the axial product
+    with pytest.raises(ValidationError, match="side|dimension"):
+        cyclic_vs_noncyclic(rll_constraint(1, 0.0), sides, dim=dim)
