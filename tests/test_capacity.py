@@ -289,7 +289,7 @@ def _window_form_hessian(c, eta, q, k):
 def _random_slice(rng, q, k, r):
     """Rows, multipliers, windows and components of a random tilted slice:
     a hard row removes the windows it charges, an `==` row's multiplier may
-    be negative, and at q = 4 every other slice keeps {0, 1} and {2, 3}
+    be negative, and at q = 4 about half the slices keep {0, 1} and {2, 3}
     apart, which splits the graph into two components."""
     x = np.arange(q ** k)
     allowed = rng.random(q ** k) >= rng.uniform(0.0, 0.4)
@@ -342,7 +342,9 @@ def test_state_level_hessian_is_the_derivative_of_the_mean():
         # one component, not a lone cycle (whose Hessian is 0: no relative scale)
         if len(comps) != 1 or allowed.sum() == len(comps[0]):
             continue
-        lam /= 3.0   # keep eta(lam) well above rounding on every window
+        # central differences resolve entries down to about eps / h = 1e-11;
+        # smaller multipliers keep the Hessian well above that
+        lam /= 3.0
         s, x, st = q ** (k - 1), np.arange(q ** k), comps[0]
 
         def eta_at(lam):
