@@ -27,6 +27,7 @@ Bruijn transfer matrix, via power iteration.
 """
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass
 from typing import Iterable, Sequence
@@ -71,6 +72,9 @@ _MIX_TOL = 1e-13
 # `_tilted` then takes the component whose measure lies least far outside
 # the rows.
 _ROOT_TIE = 1e-12
+# Newton steps `_perron` takes between restarts from a Collatz-Wielandt
+# bound.
+_PERRON_RESTART = 500
 # A Hessian eigenvalue at most this fraction of the largest counts as flat
 # in `_newton_steps`, which then follows the slope along it.
 _FLAT_CURV = 1e-9
@@ -156,15 +160,24 @@ def _perron(a: np.ndarray):
     (zI - A)^-1 >= 0 is dominated by r l^T / (z - rho), so applying it
     twice to the ones vector (inverse iteration) gives both vectors to
     working precision.
+
+    Far above rho each step shrinks z by only about z / len(a), so every
+    `_PERRON_RESTART` steps z restarts from the Collatz-Wielandt bound
+    max_i (A r)_i / r_i >= rho, with r = (zI - A)^-2 1 > 0 near the Perron
+    vector, widened by the same 1.001.
     """
     eye = np.eye(len(a))
     z = 1.001 * min(a.sum(axis=0).max(), a.sum(axis=1).max())   # > rho
-    for _ in range(500):
+    for n in itertools.count(1):
         res = np.linalg.solve(z * eye - a, eye)
         step = 1.0 / np.trace(res)
         if step <= 1e-10 * z:
             break
-        z -= 0.999 * step
+        if n % _PERRON_RESTART:
+            z -= 0.999 * step
+        else:
+            r = res @ res.sum(axis=1)
+            z = min(z, 1.001 * float((a @ r / r).max()))
     r, l = res.sum(axis=1), res.sum(axis=0)
     r, l = res @ (r / r.max()), (l / l.max()) @ res
     r, l = r / r.max(), l / l.max()

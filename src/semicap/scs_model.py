@@ -415,6 +415,19 @@ def _counts_admissible(counts: np.ndarray, total: int, gamma: ConstraintSet,
 # In 1-D this is the de Bruijn transfer matrix with the head kept for the
 # wrap, in 2-D the row-profile transfer.
 #
+# A cyclic count in d >= 2 merges states once, after the first slab: the
+# first n^(d-1) cells, row 0 in 2-D.  When the frontier there is exactly
+# the slab in cell order, each state is replaced by the least of its
+# slab's cyclic shifts along the other axes, and merged states' words add.
+# This is exact.  Such a shift, applied to whole arrays, maps admissible
+# arrays one-to-one onto admissible arrays, since every check's placements
+# are cyclic and only permute.  The statistics gathered so far come from
+# the placements lying wholly inside the slab, which the shift permutes
+# too; so a state and its shift have equally many admissible completions.
+# The merge divides every later layer by up to n^(d-1).  A 1-D slab is one
+# cell.  `first_word` and a given prefix keep every head, as the least
+# word needs them.
+#
 # Many states share a frontier, so a layer groups them by it:
 # {frontier: {statistics: words}}.  The next frontier and the increments
 # depend on the frontier and the symbol alone, so one tuple extension, one
@@ -499,7 +512,9 @@ class _Transfer:
 
     A layer is {frontier: {statistics: words}}.  `count` sums the words of
     the accepted final states; `first_word` decodes the least first prefix
-    among them."""
+    among them.  `slab` is the first slab's cell count when the frontier
+    after it is exactly that slab, so that `count` merges its shifts; else
+    0."""
 
     def __init__(self, side: int, system, eps: float = 0.0, cyclic: bool = True,
                  convention: str = "tile"):
@@ -559,6 +574,8 @@ class _Transfer:
         # entries.
         self.steps: list[tuple] = []
         deltas: dict = {}                  # one table per sequence of checks
+        self.slab = 0
+        slab = side ** (self.dim - 1) if cyclic and self.dim > 1 and side > 1 else 0
         frontier: list[int] = []
         last = last.tolist()
         for t in range(ncells):
@@ -571,6 +588,8 @@ class _Transfer:
             if len(frontier) * math.log2(self.q) > MAX_STATE_BITS:
                 raise SizeGuardError(f"transfer frontier holds {len(frontier)} cells, "
                                      f"above {MAX_STATE_BITS} bits")
+            if t == slab - 1 and frontier == list(range(slab)):
+                self.slab = slab
 
     def _delta(self, ks: tuple, seen: tuple) -> tuple:
         """The statistic increments of one step's completed placements, of
@@ -588,13 +607,25 @@ class _Transfer:
         caps = self.caps
         return tuple((s, w, caps[s]) for s, w in inc.items() if w)
 
+    @functools.cached_property
+    def _shifts(self) -> list[itemgetter]:
+        """The cyclic shifts of the first slab, a (d-1)-cube, as itemgetters
+        over its cells in order; the first is the identity."""
+        axes = (self.side,) * (self.dim - 1)
+        cells = np.arange(self.slab).reshape(axes)
+        return [_getter(tuple(np.roll(cells, v, axis=tuple(range(len(axes)))).ravel().tolist()))
+                for v in np.ndindex(*axes)]
+
     def _transfer(self, prefix: Sequence[int] = (), coded: bool = False) -> tuple[dict, dict]:
         """The final layer {frontier: {statistics: words}} and, when `coded`,
         each final state's first prefix, the least word reaching it, as a
-        base-q integer {(frontier, statistics): code}."""
+        base-q integer {(frontier, statistics): code}.  Otherwise, with no
+        prefix, each state after the first slab is its least shift."""
         layer: dict = {(): {self.zero: 1}}
         code = {((), self.zero): 0}
         q, limit = self.q, 1 << MAX_STATE_BITS
+        merge = self.slab - 1 if self.slab and not (coded or prefix) else -1
+        shifts = self._shifts if merge >= 0 else ()
         for t, (reads, keep, ks, deltas) in enumerate(self.steps):
             syms = (prefix[t],) if t < len(prefix) else range(q)
             nxt: dict = {}
@@ -608,6 +639,8 @@ class _Transfer:
                     if delta is None:
                         delta = deltas[seen] = self._delta(ks, seen)
                     succ = keep(ext)
+                    if t == merge:
+                        succ = min([shift(succ) for shift in shifts])
                     target = nxt.get(succ)
                     if target is None:
                         target = {}

@@ -5,9 +5,11 @@ import numpy as np
 import pytest
 
 from semicap.lattice_core import LOG2, Alphabet, Shape, ValidationError
+from semicap import capacity
 from semicap.capacity import (
     _cycle_components,
     _hessians,
+    _perron,
     _slice_duals,
     _tilted,
     capacity_1d,
@@ -327,6 +329,30 @@ def test_state_level_hessian_matches_window_chain():
             assert np.abs(hess[i] - want).max() <= 1e-13
             assert np.array_equal(hess[i], _hessians(c[i:i + 1], eta[i:i + 1], q, k)[0])
     assert split
+
+
+def test_perron_root_past_the_newton_cap(monkeypatch):
+    """A tilted q = 4, k = 4 slice whose Perron root lies so far below its
+    row and column sums that Newton's descent from them needs more than
+    `_PERRON_RESTART` steps: `_perron` restarts from a Collatz-Wielandt
+    bound and returns numpy's spectral radius and its Perron vectors."""
+    rng = np.random.default_rng(29)
+    c, lam, allowed, comps = _random_slice(rng, 4, 4, int(rng.integers(1, 4)))
+    e = lam @ c
+    w = np.exp2(e.min(where=allowed, initial=np.inf) - e, out=np.zeros(len(e)), where=allowed)
+    x = np.arange(4 ** 4)
+    a = np.zeros((64, 64))
+    a[x // 4, x % 64] = w
+    block = a[np.ix_(comps[0], comps[0])]
+    solves, solve = [], np.linalg.solve
+    monkeypatch.setattr(capacity.np.linalg, "solve", lambda *args: solves.append(0) or solve(*args))
+    root, r, l = _perron(block)
+    monkeypatch.undo()
+    assert len(solves) > capacity._PERRON_RESTART
+    want = np.abs(np.linalg.eigvals(block)).max()
+    assert abs(root - want) <= 1e-10 * want
+    assert np.abs(block @ r - root * r).max() <= 1e-10 * root
+    assert np.abs(l @ block - root * l).max() <= 1e-10 * root
 
 
 def test_state_level_hessian_is_the_derivative_of_the_mean():

@@ -298,6 +298,67 @@ def test_pruned_counter_matches_exhaustive_random():
         done += 1
 
 
+def _random_factor(rng, q, window):
+    """A random 1-D factor over q symbols: a forbidden set, a 0/1 cap, or
+    (binary, window 2) one or two general `<=` rows, whose relaxed test
+    needs the distance LP."""
+    m = q ** window
+    kind = int(rng.integers(0, 3 if (q, window) == (2, 2) else 2))
+    if kind == 2:
+        rows = [LinearConstraint(rng.choice([0.0, 0.5, 1.0], size=m),
+                                 round(float(rng.uniform(0.2, 0.7)), 2))
+                for _ in range(int(rng.integers(1, 3)))]
+    else:
+        ind = np.zeros(m)
+        ind[rng.choice(m, size=int(rng.integers(1, max(2, m // 3))), replace=False)] = 1.0
+        bound = 0.0 if kind == 0 else float(rng.choice([0.1, 0.2, 0.25, 0.3, 0.5]))
+        rows = [LinearConstraint(ind, bound, "==" if kind == 0 else "<=")]
+    return ConstraintSet(Alphabet.of_size(q), Shape.segment(window), tuple(rows))
+
+
+def test_slab_shift_merge_matches_exhaustive(monkeypatch):
+    # cyclic d >= 2 counts merge the states after the first slab (row 0 in
+    # 2-D, the first n^(d-1) cells in general) under its cyclic shifts;
+    # `count_exhaustive` does not use the transfer.  Per geometry (dim, q,
+    # n), mode and eps: a window-2 and a window-3 system, and one with a
+    # window-1 factor: a strict product with window 1 along one random axis,
+    # or a weak product of window 1, where the merge applies only if the
+    # first slab is still read after it
+    rng = np.random.default_rng(2804)
+    merged = skipped = nonzero = 0
+    for dim, q, n in ((2, 2, 3), (2, 2, 4), (2, 3, 3), (3, 2, 2), (3, 3, 2)):
+        for mode in ("strict", "weak"):
+            for eps in (0.0, 0.05):
+                for variant in ("window 2", "window 3", "window 1"):
+                    if variant == "window 1" and mode == "strict":
+                        windows = [int(w) for w in rng.integers(2, 4, size=dim)]
+                        windows[int(rng.integers(0, dim))] = 1
+                    else:
+                        windows = [int(variant[-1])] * dim
+                    if mode == "weak":
+                        system = axial_product(_random_factor(rng, q, windows[0]), dim, "weak")
+                    else:
+                        system = AxialSystem(tuple(_random_factor(rng, q, w) for w in windows),
+                                             dim, "strict")
+                    slab = scs_model._Transfer(n, system, eps).slab
+                    merged += slab == n ** (dim - 1)
+                    skipped += slab == 0
+                    want = count_exhaustive(n, system, eps)
+                    assert count_admissible(n, system, eps) == want, \
+                        f"dim {dim} q {q} n {n} {mode} eps {eps} windows {windows}"
+                    nonzero += want > 0
+    assert merged + skipped == 60 and merged >= 40 and skipped >= 5 and nonzero >= 40
+    # a count whose unmerged layers outgrow a lowered state limit: the
+    # coded transfer behind `find_admissible_word` still keeps every head
+    # and trips the guard; the merged count stays under it
+    weak = axial_product(rll_constraint(1, 0.2), 2, "weak")
+    want = count_exhaustive(4, weak)
+    monkeypatch.setattr(scs_model, "MAX_STATE_BITS", 9)
+    with pytest.raises(SizeGuardError, match="states"):
+        find_admissible_word(4, weak)
+    assert count_admissible(4, weak) == want == 26_615
+
+
 def test_count_monotone_in_eps():
     g = rll_constraint(2, 0.05)
     counts = [count_admissible(6, g, e) for e in (0.0, 0.02, 0.1, 0.95)]
@@ -482,12 +543,15 @@ def test_count_exceeds_int64():
 def test_two_dimensional_counts_pinned():
     # n = 5: values the word-by-word search confirmed in minutes; weak
     # n = 6 and strict n = 7: values `_row_transfer_count` confirmed, but
-    # in 10 and 14 s on a 2-core machine, too slow to rerun here
+    # in 10 and 14 s on a 2-core machine, too slow to rerun here; weak
+    # n = 7: the value the counter gave before it merged the first row's
+    # shifts, in 3.2-5.1 s
     factor = rll_constraint(1, 0.1)
     assert count_admissible(5, axial_product(factor, 2, "strict")) == 1_128_256
     assert count_admissible(5, axial_product(factor, 2, "weak")) == 2_632_486
     assert count_admissible(6, axial_product(factor, 2, "weak")) == 2_290_551_592
     assert count_admissible(7, axial_product(factor, 2, "strict")) == 2_101_278_955_329
+    assert count_admissible(7, axial_product(factor, 2, "weak")) == 5_921_614_769_309
     hard_squares = axial_product(rll_constraint(1, 0.0), 2)
     assert count_admissible(6, hard_squares) == 2_406_862
 
@@ -564,6 +628,14 @@ def test_two_dimensional_counts_match_row_transfer_oracle():
     hard_squares = axial_product(rll_constraint(1, 0.0), 2)
     assert _row_transfer_count(5, 0, lambda a, b: a == b == 0) == 25_531
     assert _hard_square_count(5, cyclic=True) == count_admissible(5, hard_squares) == 25_531
+    # hard squares up to n = 8; their row-transfer entries stay below 47^8,
+    # exact in int64 at n = 8 too, and the object-matrix oracle, whose
+    # products grow as 2^(3n), stops at n = 7
+    for n, want in ((6, 2_406_862), (7, 464_483_559), (8, 213_256_442_503)):
+        assert _row_transfer_count(n, 0, lambda a, b: a == b == 0) == want
+        assert count_admissible(n, hard_squares) == want
+        if n <= 7:
+            assert _hard_square_count(n, cyclic=True) == want
     assert (_hard_square_count(4, cyclic=False)
             == count_admissible_noncyclic(4, hard_squares) == 1_234)
 
