@@ -425,8 +425,8 @@ def _counts_admissible(counts: np.ndarray, total: int, gamma: ConstraintSet,
 # the placements lying wholly inside the slab, which the shift permutes
 # too; so a state and its shift have equally many admissible completions.
 # The merge divides every later layer by up to n^(d-1).  A 1-D slab is one
-# cell.  `first_word` and a given prefix keep every head, as the least
-# word needs them.
+# cell.  A given prefix fixes slab cells, which breaks the symmetry, and
+# `first_word` keeps every head.
 #
 # Many states share a frontier, so a layer groups them by it:
 # {frontier: {statistics: words}}.  The next frontier and the increments
@@ -607,7 +607,6 @@ class _Transfer:
         caps = self.caps
         return tuple((s, w, caps[s]) for s, w in inc.items() if w)
 
-    @functools.cached_property
     def _shifts(self) -> list[itemgetter]:
         """The cyclic shifts of the first slab, a (d-1)-cube, as itemgetters
         over its cells in order; the first is the identity."""
@@ -625,7 +624,7 @@ class _Transfer:
         code = {((), self.zero): 0}
         q, limit = self.q, 1 << MAX_STATE_BITS
         merge = self.slab - 1 if self.slab and not (coded or prefix) else -1
-        shifts = self._shifts if merge >= 0 else ()
+        shifts = self._shifts() if merge >= 0 else ()
         for t, (reads, keep, ks, deltas) in enumerate(self.steps):
             syms = (prefix[t],) if t < len(prefix) else range(q)
             nxt: dict = {}
