@@ -365,7 +365,10 @@ def _checks(system) -> list[tuple[list[Shape], ConstraintSet]]:
 def is_admissible(word: Word, system, eps: float = 0.0) -> bool:
     """Does the word's empirical distribution lie within TV distance eps of
     the system?  At eps = 0 the test is exact (integer counts, rational
-    comparisons); for eps > 0 distances are computed to LP tolerance."""
+    comparisons); for eps > 0 each distance is the float distance LP's (or
+    a single cap's closed form), accepted within eps + FEASIBILITY_TOL.
+    The transfer counter settles most relaxed types exactly instead
+    (`_Transfer._accepts`); this test does not, so it checks the counter."""
     eps = _checked_eps(eps)
     for shapes, gamma in _checks(system):
         counts = sum(empirical_counts(word, s) for s in shapes)
@@ -400,8 +403,12 @@ def _counts_admissible(counts: np.ndarray, total: int, gamma: ConstraintSet,
 # partial totals already rule out; the precise admissibility condition is
 # tested once per final state, where the statistics are the full counts.
 # At eps > 0 a type is first tested against Γ's own rows, unrelaxed, in
-# exact integers: a type inside Γ is at distance 0, and only the types
-# outside Γ get the distance LP.
+# exact integers: a type inside Γ is at distance 0.  When Γ's rows are all
+# `<=` and share a sink pattern at every row's minimum, a type outside Γ
+# is settled by exact lower and upper bounds on the transport that brings
+# it into Γ (`_transport_bounds`); with one row violated they meet at the
+# exact distance.  Only the types those bounds leave open, or that they do
+# not apply to, get the float distance LP, or a single cap's closed form.
 #
 # What a step does is fixed by the cells and shapes alone, so it is built
 # once, before any state is seen.  Writing a symbol at cell t extends the
@@ -469,9 +476,72 @@ def _scale_row(coeffs: np.ndarray, bound: Fraction, scale: int, sense: str,
     if eps and prunable:
         # the leaf test accepts distance <= eps + FEASIBILITY_TOL, so the prune
         # budget must be relaxed by at least that much to stay conservative
-        eps_frac = Fraction(float(eps)) + Fraction(FEASIBILITY_TOL)
-        budget += eps_frac * _ball_reach(weights, equal) * scale
+        budget += _eps_threshold(eps) * _ball_reach(weights, equal) * scale
     return _Row(weights, budget, prunable, sense)
+
+
+def _eps_threshold(eps: float) -> Fraction:
+    """The exact TV radius a relaxed type is accepted within: eps widened by
+    the LP's `FEASIBILITY_TOL`, as the leaf test `<= eps + FEASIBILITY_TOL`
+    widens it.  The prune budgets and the transport verdict both read it."""
+    return Fraction(float(eps)) + Fraction(FEASIBILITY_TOL)
+
+
+def _gain_orders(gamma: ConstraintSet, exact: list[_Row]) -> list | None:
+    """Per exact row, the patterns that gain over a common sink z, largest
+    gain first, as (gain, pattern) pairs: gain w_j - w_z > 0, where z is a
+    pattern at the minimum weight of every row.  None when the transport
+    bound does not apply: an `==` row, no common sink, or Γ a single cap,
+    whose closed-form distance costs nothing."""
+    if gamma.cap is not None or any(row.sense != "<=" for row in exact):
+        return None
+    lows = [min(row.weights) for row in exact]
+    if not any(all(row.weights[z] == lo for row, lo in zip(exact, lows))
+               for z in range(gamma.npatterns)):
+        return None
+    return [sorted(((w - lo, j) for j, w in enumerate(row.weights) if w > lo),
+                   key=lambda gj: -gj[0])
+            for row, lo in zip(exact, lows)]
+
+
+def _transport_bounds(counts: Sequence[int], exact: list[_Row],
+                      orders: list) -> tuple[Fraction, Fraction] | None:
+    """Exact lower and upper bounds, in counts (TV distance times the
+    placements), on the distance from a type to Γ's all-`<=` rows `exact`
+    with common-sink gain `orders` (`_gain_orders`); None when some row is
+    not met by moving all its gaining counts to the sink: no distribution
+    meets that row, and the distance LP reports Γ empty.
+
+    Each violated row r has an excess E_r over its budget, and a fractional
+    knapsack takes d_j <= N_j counts from the largest gains first until
+    sum d_j g_rj >= E_r, D_r in all.  Any point of Γ at distance δ removes
+    mass δ, which lowers row r by at most the removed mass times its gains,
+    so δ >= D_r for every r: the lower bound is max_r D_r.  Moving
+    max_r d_j^(r) counts of each pattern j to the sink raises no row and
+    meets every one, so that plan's total is the upper bound.  With one
+    violated row the two are equal, and exact."""
+    lower = Fraction(0)
+    moved: dict[int, Fraction] = {}
+    for row, order in zip(exact, orders):
+        excess = sum(w * c for w, c in zip(row.weights, counts)) - row.budget
+        if excess <= 0:
+            continue
+        total = Fraction(0)
+        for gain, j in order:
+            have = counts[j]
+            if not have:
+                continue
+            take = have if gain * have < excess else excess / gain
+            excess -= gain * take
+            total += take
+            if take > moved.get(j, 0):
+                moved[j] = take
+            if excess <= 0:
+                break
+        if excess > 0:
+            return None
+        lower = max(lower, total)
+    return lower, sum(moved.values(), Fraction(0))
 
 
 def _row_holds(row: _Row, lhs: int) -> bool:
@@ -533,8 +603,10 @@ class _Transfer:
         # (slot, increment) pairs one placement of the check adds.  Each
         # type keeps its check's rows at eps = 0, the exact test of Γ itself.
         self.rows: list[tuple[int, _Row]] = []
-        # (first slot, placements, factor, exact rows)
-        self.types: list[tuple[int, int, ConstraintSet, list[_Row]]] = []
+        # (first slot, placements, factor, exact rows, gain orders, radius
+        # in counts)
+        self.types: list[tuple[int, int, ConstraintSet, list[_Row], list | None,
+                               Fraction]] = []
         self.caps: list = []                                   # per slot: prune cap
         last = np.full(ncells, -1, dtype=np.int64)             # last step reading each cell
         done: list[list] = [[] for _ in range(ncells)]         # per step: (check, cells) completed
@@ -557,7 +629,9 @@ class _Transfer:
             if self.eps:
                 exact = [_scale_row(con.coeffs, _decimal(con.bound), nplace, con.sense, 0.0)
                          for con in gamma.constraints]
-                self.types.append((len(self.caps), nplace, gamma, exact))
+                self.types.append((len(self.caps), nplace, gamma, exact,
+                                   _gain_orders(gamma, exact),
+                                   _eps_threshold(self.eps) * nplace))
                 for i in range(gamma.npatterns):
                     charge[i].append((len(self.caps) + i, 1))
                 self.caps += [math.inf] * gamma.npatterns
@@ -666,23 +740,39 @@ class _Transfer:
         return layer, code
 
     def _accepts(self, stats: tuple, seen: dict) -> bool:
-        """The exact admissibility test on one final state's statistics.  At
-        eps > 0 a type inside Γ (every exact row holds) is at distance 0;
-        only the others go on to the distance LP."""
+        """The admissibility test on one final state's statistics, exact at
+        eps = 0.  At eps > 0 a type inside Γ (every exact row holds) is at
+        distance 0.  A type outside it is settled by the exact transport
+        bounds (`_transport_bounds`) against the radius `_eps_threshold`:
+        accepted when the upper bound is within it, rejected when the
+        lower bound exceeds it.  Only the types those bounds leave open, or
+        that they do not apply to, go on to the distance LP."""
         if not self.eps:
             return all(_row_holds(row, stats[slot]) for slot, row in self.rows)
-        for first, nplace, gamma, exact in self.types:
+        for first, nplace, gamma, exact, orders, radius in self.types:
             counts = stats[first:first + gamma.npatterns]
             ok = seen.get((first, counts))
             if ok is None:
-                ok = seen[first, counts] = all(
-                    _row_holds(row, sum(w * c for w, c in zip(row.weights, counts)))
-                    for row in exact
-                ) or _counts_admissible(
-                    np.array(counts, dtype=np.int64), nplace, gamma, self.eps)
+                ok = seen[first, counts] = self._type_admissible(
+                    counts, nplace, gamma, exact, orders, radius)
             if not ok:
                 return False
         return True
+
+    def _type_admissible(self, counts: tuple, nplace: int, gamma: ConstraintSet,
+                         exact: list[_Row], orders: list | None, radius: Fraction) -> bool:
+        """Whether one type lies within the radius of Γ, at eps > 0."""
+        if all(_row_holds(row, sum(w * c for w, c in zip(row.weights, counts)))
+               for row in exact):
+            return True
+        bounds = _transport_bounds(counts, exact, orders) if orders is not None else None
+        if bounds is not None:
+            lower, upper = bounds
+            if upper <= radius:
+                return True
+            if lower > radius:
+                return False
+        return _counts_admissible(np.array(counts, dtype=np.int64), nplace, gamma, self.eps)
 
     def count(self) -> int:
         seen: dict = {}
@@ -745,7 +835,8 @@ def count_exhaustive(side: int, system, eps: float = 0.0) -> int:
     It does not use the transfer counter: each block of words is counted
     against each check's placement table by `_pattern_counts` (as
     `empirical_counts` counts one word), and `is_admissible`'s test runs
-    once per distinct count vector of a check.
+    once per distinct count vector of a check.  Its eps > 0 verdicts stay
+    on the distance LP, so they check the counter's transport bounds.
     """
     eps, side = _checked_eps(eps), _whole(side, "side")
     if side < 1:

@@ -1,6 +1,7 @@
 """Constraint sets, distances, admissibility, and exact counting."""
 import itertools
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -31,6 +32,7 @@ from semicap.scs_model import (
     tv_distance_to_set,
 )
 from semicap.indentropy import hind_fixed_n
+from semicap.linprog import FEASIBILITY_TOL
 
 BIN = Alphabet.binary()
 
@@ -402,9 +404,16 @@ def test_relaxed_screen_matches_exhaustive():
                     (system, n, eps)
 
 
+# Opposite rows: mu(11) - mu(00) <= 0, mu(00) - mu(11) <= 0 and mu(11) <= 0.1.
+# The first two rows are lowest at different patterns, so no pattern is a
+# common sink and the transport bound does not apply.
+GAMMA_OPPOSITE = _rows(([-1, 0, 0, 1], 0.0), ([1, 0, 0, -1], 0.0), ([0, 0, 0, 1], 0.1))
+
+
 def test_relaxed_count_solves_lp_only_outside_gamma(monkeypatch):
-    # types inside Γ settle in exact integers; only the few outside it
-    # reach the distance LP
+    # types inside Γ settle in exact integers and the types outside it by
+    # the exact transport bounds, so the benchmark's polytopes reach no
+    # distance LP; rows with no common sink still do
     calls = [0]
     solve = scs_model.solve_lp
 
@@ -416,7 +425,129 @@ def test_relaxed_count_solves_lp_only_outside_gamma(monkeypatch):
     assert count_admissible(12, GAMMA_W3, 0.02) == 1412
     assert calls[0] == 0
     assert count_admissible(12, GAMMA_W2, 0.02) == 1382
-    assert 0 < calls[0] <= 5
+    assert calls[0] == 0
+    assert scs_model._Transfer(12, GAMMA_OPPOSITE, 0.02).types[0][4] is None
+    assert count_admissible(10, GAMMA_OPPOSITE, 0.02) == 42
+    assert 0 < calls[0]
+    assert count_admissible(12, GAMMA_OPPOSITE, 0.02) == 62
+    for n, want in ((10, 42), (12, 62)):
+        assert count_exhaustive(n, GAMMA_OPPOSITE, 0.02) == want
+
+
+def _sink_system(rng):
+    """A random all-`<=` system over binary windows of 2 or 3 cells, with 1
+    to 3 rows that share a random sink pattern and admit it, and that is
+    not a single cap."""
+    while True:
+        window = int(rng.integers(2, 4))
+        m = 2 ** window
+        sink = int(rng.integers(0, m))
+        rows = []
+        for _ in range(int(rng.integers(1, 4))):
+            c = rng.choice([-1.0, -0.5, 0.0, 0.5, 1.0, 1.5, 2.0], size=m)
+            c[sink] = c.min()
+            if c.max() > c.min():
+                bound = round(float(c.min() + rng.uniform(0.05, 0.7) * (c.max() - c.min())), 2)
+                rows.append(LinearConstraint(c, bound))
+        gamma = ConstraintSet(BIN, Shape.segment(window), tuple(rows))
+        if rows and gamma.cap is None:
+            return gamma
+
+
+def test_transport_bound_brackets_the_lp_distance(monkeypatch):
+    # on all-`<=` rows with a common sink the exact transport bounds hold
+    # the LP distance, are exact where they meet, decide every type they
+    # settle as the LP does, and leave every count as the exhaustive
+    # counter finds it
+    rng = np.random.default_rng(2906)
+    fallbacks = [0]
+    admissible = scs_model._counts_admissible
+
+    def counted(*args):
+        fallbacks[0] += 1
+        return admissible(*args)
+
+    monkeypatch.setattr(scs_model, "_counts_admissible", counted)
+    settled = meets = outside = 0
+    for _ in range(60):
+        gamma = _sink_system(rng)
+        n = int(rng.integers(6, 10))
+        for eps in (0.01, 0.02, 0.05):
+            transfer = scs_model._Transfer(n, gamma, eps)
+            first, nplace, _, exact, orders, _ = transfer.types[0]
+            assert nplace == n and orders is not None
+            for _ in range(8):
+                counts = tuple(rng.multinomial(n, rng.dirichlet(np.ones(gamma.npatterns)))
+                               .tolist())
+                lp = scs_model._probs_distance(np.array(counts) / n, gamma)
+                bounds = scs_model._transport_bounds(counts, exact, orders)
+                assert bounds is not None
+                lower, upper = (float(b / n) for b in bounds)
+                assert lower - 1e-12 <= lp <= upper + 1e-12, (gamma, counts)
+                outside += bounds[1] > 0
+                if bounds[0] == bounds[1]:
+                    meets += 1
+                    assert abs(lp - lower) <= 1e-12
+                stats = list(transfer.zero)
+                stats[first:first + len(counts)] = counts
+                before = fallbacks[0]
+                verdict = transfer._accepts(tuple(stats), {})
+                settled += fallbacks[0] == before
+                assert verdict == (lp <= eps + FEASIBILITY_TOL), (gamma, counts, eps)
+            side = int(rng.integers(5, 8))
+            assert count_admissible(side, gamma, eps) == count_exhaustive(side, gamma, eps), \
+                (gamma, side, eps)
+    assert settled >= 1400 and outside >= 1000 and meets >= 700
+
+
+def test_transport_bounds_that_straddle_the_radius_fall_back_to_the_lp(monkeypatch):
+    # two violated rows: on {mu(01) <= .05, mu(10) <= .05} the lower bound is
+    # below the distance, and on {mu(01) + mu(11) <= .4, mu(10) + mu(11) <= .4}
+    # the upper bound is above it, since the knapsacks take 01 and 10 where
+    # moving one 11 to 00 meets both rows; a radius between the bounds
+    # must reach the LP, and its verdict stands
+    fallbacks = [0]
+    admissible = scs_model._counts_admissible
+
+    def counted(*args):
+        fallbacks[0] += 1
+        return admissible(*args)
+
+    monkeypatch.setattr(scs_model, "_counts_admissible", counted)
+    apart = _rows(([0, 1, 0, 0], 0.05), ([0, 0, 1, 0], 0.05))
+    shared = _rows(([0, 1, 0, 1], 0.4), ([0, 0, 1, 1], 0.4))
+    for gamma, counts, bounds, lp, cases in (
+            (apart, (6, 2, 2, 0), (Fraction(3, 2), 3), 0.3,
+             ((0.1, False, False), (0.2, True, False), (0.35, False, True))),
+            (shared, (4, 1, 1, 4), (1, 2), 0.1,
+             ((0.05, False, False), (0.15, True, True), (0.25, False, True)))):
+        assert scs_model._probs_distance(np.array(counts) / 10, gamma) == pytest.approx(lp)
+        for eps, falls_back, verdict in cases:
+            transfer = scs_model._Transfer(10, gamma, eps)
+            first, _, _, exact, orders, _ = transfer.types[0]
+            assert scs_model._transport_bounds(counts, exact, orders) == bounds
+            stats = list(transfer.zero)
+            stats[first:first + len(counts)] = counts
+            before = fallbacks[0]
+            assert transfer._accepts(tuple(stats), {}) is verdict, (gamma, eps)
+            assert fallbacks[0] - before == falls_back, (gamma, eps)
+            for side in (8, 10):
+                assert count_admissible(side, gamma, eps) == count_exhaustive(side, gamma, eps)
+
+
+def test_prune_and_verdict_read_one_threshold():
+    # the prune budget of a relaxed row and the transport verdict's radius
+    # are both widened by `_eps_threshold`
+    for eps in (0.01, 0.02, 0.3):
+        thr = scs_model._eps_threshold(eps)
+        assert thr == Fraction(float(eps)) + Fraction(FEASIBILITY_TOL)
+        for gamma in (GAMMA_W2, GAMMA_W3):
+            transfer = scs_model._Transfer(12, gamma, eps)
+            exact = transfer.types[0][3]
+            assert transfer.types[0][5] == thr * 12
+            for (_, row), base in zip(transfer.rows, exact):
+                reach = scs_model._ball_reach(row.weights, False)
+                assert row.budget == base.budget + thr * reach * 12
 
 
 def test_strict_subset_of_weak():
