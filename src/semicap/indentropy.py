@@ -14,11 +14,18 @@ optimiser exploits:
 * for a single mass-cap system (`ConstraintSet.cap`, however written) the
   constraint carries one KKT multiplier shared by all sites; sites are
   updated in closed form (a Gibbs/softmax step) at fixed multiplier, and
-  the multiplier is the root of the cap's excess, bracketed by doubling
-  and found by safeguarded (Illinois) regula falsi — per-site
+  the multiplier is the root of the cap's excess — per-site
   hard-constraint sweeps would instead stall on a continuum of
   non-stationary fixed points (any split of the budget across sites is
   axis-wise optimal), which is why the multiplier is global.
+  Doubling the multiplier from 1 brackets the root, each fixed point
+  starting from the one before.  From the bracket's feasible end,
+  bordered Newton steps (Keller, 1977) then solve the fixed point and the
+  cap's equation together, the multiplier one more unknown, and converge
+  quadratically.  Window-1 systems, and a start those steps do not finish
+  on the feasible side, narrow the bracket by safeguarded (Illinois)
+  regula falsi instead, bit for bit as if no bordered step had been
+  tried.
   At each multiplier the site updates run as Gauss-Seidel sweeps, which
   converge only linearly, until a start's largest site move falls below a
   switch; Newton steps on the simultaneous (Jacobi) update's residual, with
@@ -122,9 +129,10 @@ _NEWTON_SWITCH = 1e-3
 _NEWTON_STEPS = 8
 # Each Newton step must shrink a start's largest Jacobi move by this factor.
 _NEWTON_FALL = 0.1
-# Shared-multiplier root search: it stops once the bracket is this narrow
-# relative to the multiplier, or once the feasible side is this close below
-# the cap, or after this many fixed-point solves.
+# Shared-multiplier root search: a start stops once its bracket is this
+# narrow relative to the multiplier, or once its feasible side is this close
+# below the cap (bordered Newton steps aim at the middle of that window), or
+# after this many Illinois steps.
 _ROOT_RTOL = 1e-12
 _ROOT_ATOL = 1e-14
 _ROOT_ITER = 80
@@ -408,8 +416,15 @@ def _local_max(jac: np.ndarray, x: np.ndarray, scale: np.ndarray, n: int,
     return np.linalg.eigvalsh(hess)[:, -1] < 0.0
 
 
+def _cap_values(model: _WindowModel, coeffs: np.ndarray, stack: np.ndarray) -> np.ndarray:
+    """Per start of a stack (S, n, q), the dot product `coeffs @ law` that
+    a start alone would take."""
+    return (coeffs @ _window_law(stack, model.table)[:, :, None])[:, 0]
+
+
 def _newton_finish(model: _WindowModel, rows: np.ndarray, coeffs: np.ndarray,
-                   lam: np.ndarray, starts: np.ndarray) -> np.ndarray:
+                   lam: np.ndarray, starts: np.ndarray,
+                   bound: float | None = None) -> np.ndarray:
     """Newton steps on the Jacobi residual T(x) - x of the starts `starts`
     of a stack, T updating every site from the same rows x: each start
     whose largest move T(x) - x falls below `_SWEEP_STOP` at a local
@@ -422,14 +437,30 @@ def _newton_finish(model: _WindowModel, rows: np.ndarray, coeffs: np.ndarray,
     cells.  A start fails when its rows lie outside the open simplex (at
     the switch, or after a step, also a step from a singular matrix), once
     its largest move does not shrink by `_NEWTON_FALL` in a step, or after
-    `_NEWTON_STEPS` steps."""
+    `_NEWTON_STEPS` steps.
+
+    With a `bound`, the steps are bordered (Keller, 1977): each start's
+    multiplier is one more unknown, and the cap's value c . averaged(x) one
+    more equation, aimed at the middle of the window [bound - _ROOT_ATOL,
+    bound] that `_optimize_single_cap`'s stop accepts.  The matrix d T / d x
+    - I gets d T / d lam = -ln2 p_v (lin_v - p_v . lin_v) as a last column
+    and the cap's gradient, lin, as a last row.  A start then finishes only
+    with its value in that window, and gets its multiplier written to
+    `lam`; its move includes the cap's distance from the window's middle,
+    and it also fails once its multiplier is not positive.  The move after
+    its first step is not held to the shrink test: that step leaves a fixed
+    point whose one residual was the cap's, and trades it for a Jacobi
+    residual of about the same size."""
     n, q, nq = model.side, model.q, model.side * model.q
+    bordered = bound is not None
     table = model.site_pairs(coeffs)
     x = rows[starts].reshape(len(starts), nq)
     scale, prev = -lam[starts], np.full(len(starts), math.inf)
     failed = []
     for step in range(_NEWTON_STEPS + 1):
         inside = np.minimum.reduce(x, axis=1) > 0.0   # also False on NaN
+        if bordered:
+            inside &= scale < 0.0
         failed.append(starts[~inside])
         x, starts, scale, prev = x[inside], starts[inside], scale[inside], prev[inside]
         if not len(x):
@@ -442,11 +473,19 @@ def _newton_finish(model: _WindowModel, rows: np.ndarray, coeffs: np.ndarray,
         residual = x - p.reshape(-1, nq)
         move = np.maximum.reduce(np.abs(residual), axis=1)
         met = move < _SWEEP_STOP
+        if bordered:
+            below = bound - _cap_values(model, coeffs, x.reshape(-1, n, q))
+            excess = 0.5 * _ROOT_ATOL - below
+            move = np.maximum(move, np.abs(excess))
+            met &= (0.0 <= below) & (below <= _ROOT_ATOL)
         done = met.copy()
         if met.any():
             done[met] = _local_max(jac[met], x[met], scale[met], n, q)
             rows[starts[done]] = x[done].reshape(-1, n, q)
-        go = ~met & (move <= _NEWTON_FALL * prev) & (step < _NEWTON_STEPS)
+            if bordered:
+                lam[starts[done]] = -scale[done]
+        shrunk = (move <= _NEWTON_FALL * prev) | (bordered and step == 1)
+        go = ~met & shrunk & (step < _NEWTON_STEPS)
         failed.append(starts[~done & ~go])
         if not go.any():
             break
@@ -457,7 +496,18 @@ def _newton_finish(model: _WindowModel, rows: np.ndarray, coeffs: np.ndarray,
         a = ((scale * math.log(2.0))[:, None, None, None] * p[..., None]
              * (jac - mean)).reshape(-1, nq, nq)
         a[:, np.arange(nq), np.arange(nq)] -= 1.0
-        x = x + _solve_stack(a, residual[:, :, None])[:, :, 0]
+        if not bordered:
+            x = x + _solve_stack(a, residual[:, :, None])[:, :, 0]
+            continue
+        lin = lin[go]
+        tilt = lin - np.add.accumulate(p * lin, axis=2)[:, :, -1:]
+        border = np.zeros((len(x), nq + 1, nq + 1))
+        border[:, :nq, :nq] = a
+        border[:, :nq, nq] = -math.log(2.0) * (p * tilt).reshape(-1, nq)
+        border[:, nq, :nq] = lin.reshape(-1, nq)
+        rhs = np.concatenate([residual, -excess[go, None]], axis=1)
+        delta = _solve_stack(border, rhs[:, :, None])[:, :, 0]
+        x, scale = x + delta[:, :nq], scale - delta[:, nq]
     return np.concatenate(failed)
 
 
@@ -502,16 +552,21 @@ def _optimize_single_cap(model: _WindowModel, starts: np.ndarray,
     stack of starts (S, n, q); returns one row set per start.
 
     Each start's multiplier is the root of g(lam) = c . averaged(rows_lam)
-    - bound, rows_lam being the fixed point at lam.  Doubling brackets it,
-    then Illinois regula falsi (Dowell & Jarratt, BIT 11, 1971) narrows the
-    bracket, bisecting whenever the secant point leaves it; the rows on the
-    feasible side of the bracket are returned, or the (feasible) start
-    itself when doubling finds no feasible side.  Every start keeps its own
-    bracket, stopping tests and result; the starts only share the loop, each
-    fixed-point solve taking the starts still searching.
+    - bound, rows_lam being the fixed point at lam.  Doubling from lam = 1
+    brackets it, each solve starting from the last one's rows.  Windows of
+    two cells or more then take bordered Newton steps on (rows, lam) from
+    the bracket's feasible end (`_newton_finish` with the bound): a start
+    they finish stops at a fixed point and local maximum, its value no more
+    than `_ROOT_ATOL` below the cap.  Every other start takes Illinois
+    regula falsi steps (Dowell & Jarratt, BIT 11, 1971) from its bracket,
+    bisecting whenever the secant point leaves it, exactly as if it had
+    taken no bordered step.  The rows on the feasible side are returned, or
+    the (feasible) start itself when doubling finds no feasible side.
+    Every start keeps its own bracket, stopping tests and result; the
+    starts only share the loops, each step taking the starts still
+    searching.
     """
-    # per start, the dot product `coeffs @ law` that a start alone would take
-    value_at = lambda stack: (coeffs @ _window_law(stack, model.table)[:, :, None])[:, 0]
+    value_at = lambda stack: _cap_values(model, coeffs, stack)
     solve = lambda stack, lam: _lagrangian_fixed_point(model, stack, coeffs, lam)
     result = solve(starts.copy(), np.zeros(len(starts)))
     v0 = value_at(result)
@@ -537,7 +592,13 @@ def _optimize_single_cap(model: _WindowModel, starts: np.ndarray,
     best_feasible, residual = rows_hi, -g_hi
     best_feasible[g_hi > 0] = starts[live[g_hi > 0]]
     moved = np.zeros(len(live), dtype=np.int8)  # +1 after hi moved, -1 after lo
-    searching = np.ones(len(live), dtype=bool)
+    searching = ~((hi - lo <= _ROOT_RTOL * hi) | (residual <= _ROOT_ATOL))
+    if model.k > 1:
+        # bordered Newton steps from the feasible side: a start they finish
+        # stops with its rows and multiplier, the others keep their brackets
+        at = np.flatnonzero(searching)
+        searching[at] = False
+        searching[_newton_finish(model, best_feasible, coeffs, hi, at, bound_eff)] = True
     for _ in range(_ROOT_ITER):
         searching &= ~((hi - lo <= _ROOT_RTOL * hi) | (residual <= _ROOT_ATOL))
         at = np.flatnonzero(searching)

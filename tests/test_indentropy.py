@@ -308,9 +308,11 @@ def test_hind_window2_matches_curve_to_nine_digits():
 
 
 def test_hind_single_cap_solves_per_start(monkeypatch):
-    # the multiplier search converges superlinearly (13 fixed-point solves
-    # per start here); bisecting to double precision takes about 85.  The
-    # starts share each batched solve, so a call counts its live starts.
+    # the multiplier search makes 5 fixed-point solves per start here: lam
+    # = 0 and four doublings, after which bordered Newton steps on (rows,
+    # lam), which are no solve, finish every start.  Illinois steps from the
+    # bracket took 12, and bisecting to double precision takes about 85.
+    # The starts share each batched solve, so a call counts its live starts.
     calls = 0
     solve = indentropy._lagrangian_fixed_point
 
@@ -322,7 +324,7 @@ def test_hind_single_cap_solves_per_start(monkeypatch):
     monkeypatch.setattr(indentropy, "_lagrangian_fixed_point", counted)
     res = hind_fixed_n(rll_constraint(2, 0.05), 3, restarts=20, seed=0)
     assert res.feasible and res.restarts == 22
-    assert calls <= 25 * res.restarts
+    assert calls <= 6 * res.restarts
 
 
 _TRI = Alphabet.of_size(3)
@@ -336,6 +338,7 @@ _CAP_CASES = (  # (alphabet, window, side, capped patterns, cap, slack?)
     (_TRI, 1, 3, [2], 0.9, True),
     (_TRI, 2, 3, [8], 0.03, False),
     (_TRI, 3, 3, [13, 26], 0.01, False),
+    (BIN, 2, 2, [0, 3], 0.01, False),
 )
 
 
@@ -354,22 +357,33 @@ def _cap_cases():
 
 def test_hind_batch_matches_single_starts(monkeypatch):
     # the batched ascent runs every start as a stack of one would: the same
-    # rows, and the same fixed-point solves (inputs and number) per start;
-    # at the window-3 cap 0.11 the starts stop after different numbers of
-    # solves, so the stack's live set shrinks unevenly
-    solves = []
-    solve = indentropy._lagrangian_fixed_point
+    # rows, and the same fixed-point solves (inputs and number) per start.
+    # At the window-2 cap mu(00) + mu(11) <= 0.01 on two sites, two starts'
+    # doubling stops at lam = 8 and bordered Newton steps finish them, while
+    # three go on to lam = 16, where the steps leave the simplex, and fall
+    # back to Illinois steps: the stack's live set shrinks unevenly, and
+    # across both paths
+    solves, bordered = [], []
+    solve, newton = indentropy._lagrangian_fixed_point, indentropy._newton_finish
 
     def recorded(model, rows, coeffs, lam):
         solves.extend(zip(rows.copy(), lam.copy()))
         return solve(model, rows, coeffs, lam)
 
+    def finish(model, rows, coeffs, lam, starts, bound=None):
+        failed = newton(model, rows, coeffs, lam, starts, bound)
+        if bound is not None:
+            bordered.append(0 < len(failed) < len(starts))
+        return failed
+
     monkeypatch.setattr(indentropy, "_lagrangian_fixed_point", recorded)
+    monkeypatch.setattr(indentropy, "_newton_finish", finish)
     uneven = []
     for (alphabet, k, side, capped, bound, slack), model, coeffs, starts in _cap_cases():
         solves.clear()
+        bordered.clear()
         batch = indentropy._optimize_single_cap(model, starts, coeffs, bound)
-        unmatched, counts = list(solves), set()
+        split, unmatched, counts = any(bordered), list(solves), set()
         for i in range(len(starts)):
             solves.clear()
             alone = indentropy._optimize_single_cap(model, starts[i:i + 1], coeffs, bound)
@@ -383,8 +397,131 @@ def test_hind_batch_matches_single_starts(monkeypatch):
                 assert twin is not None, (k, side, i, lam)
                 del unmatched[twin]
         assert not unmatched, (k, side)
-        uneven.append(len(counts) > 1)
-    assert any(uneven)
+        uneven.append(split and len(counts) > 1)
+    assert uneven[-1]
+
+
+def _bordered_cases():
+    """The single caps of `_cap_cases` with windows of two cells or more,
+    then the benchmark's three single caps (rll(2, .05) at n = 3, rll(1,
+    .1) at n = 2, and at n = 4 with eps .01), each with five seeded random
+    starts: the model, coefficient row, effective cap and starts."""
+    for (_, k, _, _, bound, _), model, coeffs, starts in _cap_cases():
+        if k > 1:
+            yield model, coeffs, bound, starts
+    rng = np.random.default_rng(30)
+    for gamma, side, eps in ((rll_constraint(2, 0.05), 3, 0.0),
+                             (rll_constraint(1, 0.1), 2, 0.0),
+                             (rll_constraint(1, 0.1), 4, 0.01)):
+        coeffs, bound = gamma.cap
+        yield (_WindowModel(gamma, side), coeffs, bound + eps,
+               rng.dirichlet(np.ones(2), size=(5, side)))
+
+
+def test_bordered_finish_ends_at_a_capped_fixed_point(monkeypatch):
+    # each start that bordered Newton steps finish is a fixed point at the
+    # multiplier they found (one reference sweep moves no entry by more
+    # than 1e-12), a local maximum of its Lagrangian there, and meets the
+    # cap; the ascent returns its rows
+    finished = []
+    newton = indentropy._newton_finish
+
+    def recorded(model, rows, coeffs, lam, starts, bound=None):
+        failed = newton(model, rows, coeffs, lam, starts, bound)
+        if bound is not None:
+            done = np.setdiff1d(starts, failed)
+            finished.append((rows[done].copy(), lam[done].copy()))
+        return failed
+
+    monkeypatch.setattr(indentropy, "_newton_finish", recorded)
+    total = 0
+    for model, coeffs, bound, starts in _bordered_cases():
+        finished.clear()
+        result = indentropy._optimize_single_cap(model, starts, coeffs, bound)
+        for rows, lam in finished:   # none at a slack cap
+            if not len(rows):
+                continue
+            once, _ = _fixed_point_per_site(model, rows.copy(), coeffs, lam, sweeps=1)
+            assert np.abs(once - rows).max() <= 1e-12, (model.k, bound)
+            flat = rows.reshape(len(rows), -1)
+            jac = model.jacobian(flat, model.site_pairs(coeffs))
+            assert indentropy._local_max(jac, flat, -lam, model.side, model.q).all()
+            for r in rows:
+                assert coeffs @ _window_law(r[None], model.table)[0] <= bound
+                assert any(np.array_equal(r, got) for got in result)
+            total += len(rows)
+    assert total >= 30
+
+
+def _bracket_search(model, starts, coeffs, bound_eff):
+    """Reference root search: the doubling, then Illinois steps from every
+    start's bracket, as `_optimize_single_cap` takes them for a start that
+    bordered Newton steps do not finish."""
+    value_at = lambda stack: (coeffs @ _window_law(stack, model.table)[:, :, None])[:, 0]
+    solve = lambda stack, lam: indentropy._lagrangian_fixed_point(model, stack, coeffs, lam)
+    result = solve(starts.copy(), np.zeros(len(starts)))
+    v0 = value_at(result)
+    live = np.flatnonzero(~(v0 <= bound_eff + indentropy._CAP_SLACK))
+    if not live.size:
+        return result
+    lo, hi = np.zeros(len(live)), np.ones(len(live))
+    g_lo = v0[live] - bound_eff
+    rows_hi = solve(starts[live], hi)
+    g_hi = value_at(rows_hi) - bound_eff
+    for _ in range(60):
+        up = np.flatnonzero(g_hi > 0)
+        if not up.size:
+            break
+        lo[up], g_lo[up], hi[up] = hi[up], g_hi[up], hi[up] * 2.0
+        rows_hi[up] = solve(rows_hi[up], hi[up])
+        g_hi[up] = value_at(rows_hi[up]) - bound_eff
+    best_feasible, residual = rows_hi, -g_hi
+    best_feasible[g_hi > 0] = starts[live[g_hi > 0]]
+    moved = np.zeros(len(live), dtype=np.int8)
+    searching = np.ones(len(live), dtype=bool)
+    for _ in range(indentropy._ROOT_ITER):
+        searching &= ~((hi - lo <= indentropy._ROOT_RTOL * hi)
+                       | (residual <= indentropy._ROOT_ATOL))
+        at = np.flatnonzero(searching)
+        if not at.size:
+            break
+        lam = (lo[at] * g_hi[at] - hi[at] * g_lo[at]) / (g_hi[at] - g_lo[at])
+        outside = ~((lo[at] < lam) & (lam < hi[at]))
+        lam[outside] = 0.5 * (lo[at] + hi[at])[outside]
+        rows_lam = solve(best_feasible[at], lam)
+        g = value_at(rows_lam) - bound_eff
+        above = g > 0
+        up, down = at[above], at[~above]
+        lo[up], g_lo[up] = lam[above], g[above]
+        g_hi[up[moved[up] < 0]] *= 0.5
+        moved[up] = -1
+        hi[down], g_hi[down] = lam[~above], g[~above]
+        best_feasible[down], residual[down] = rows_lam[~above], -g[~above]
+        g_lo[down[moved[down] > 0]] *= 0.5
+        moved[down] = 1
+    result[live] = best_feasible
+    return result
+
+
+def test_bordered_finish_falls_back_to_the_bracket_search(monkeypatch):
+    # with every bordered solve NaN, each start leaves the bordered steps
+    # after one step and takes Illinois steps from its bracket: the ascent
+    # returns the reference search's rows bit for bit
+    solve, bordered, failed = indentropy._solve_stack, [], []
+
+    def no_border(a, b):
+        if a.shape[-1] == bordered[-1]:
+            failed.append(len(a))
+            return np.full(b.shape, np.nan)
+        return solve(a, b)
+
+    monkeypatch.setattr(indentropy, "_solve_stack", no_border)
+    for model, coeffs, bound, starts in _bordered_cases():
+        bordered.append(model.side * model.q + 1)   # d T / d x - I has n*q rows
+        got = indentropy._optimize_single_cap(model, starts, coeffs, bound)
+        want = _bracket_search(model, starts, coeffs, bound)
+        assert np.array_equal(got, want), (model.k, model.side, bound)
+    assert sum(failed) >= 40
 
 
 _TWO_ROWS = ConstraintSet(BIN, Shape.segment(2), (
