@@ -338,7 +338,9 @@ _CAP_CASES = (  # (alphabet, window, side, capped patterns, cap, slack?)
     (_TRI, 1, 3, [2], 0.9, True),
     (_TRI, 2, 3, [8], 0.03, False),
     (_TRI, 3, 3, [13, 26], 0.01, False),
-    (BIN, 2, 2, [0, 3], 0.01, False),
+    (BIN, 2, 2, [0, 3], 0.01, False),   # starts take both root-search paths
+    (BIN, 2, 2, [0, 3], 0.2, False),    # a bordered step takes lam so far
+                                        # below 0 that exp2 would overflow
 )
 
 
@@ -360,9 +362,9 @@ def test_hind_batch_matches_single_starts(monkeypatch):
     # rows, and the same fixed-point solves (inputs and number) per start.
     # At the window-2 cap mu(00) + mu(11) <= 0.01 on two sites, two starts'
     # doubling stops at lam = 8 and bordered Newton steps finish them, while
-    # three go on to lam = 16, where the steps leave the simplex, and fall
-    # back to Illinois steps: the stack's live set shrinks unevenly, and
-    # across both paths
+    # three go on to lam = 16, whose first bordered step sends lam below 0,
+    # and fall back to Illinois steps: the stack's live set shrinks
+    # unevenly, and across both paths
     solves, bordered = [], []
     solve, newton = indentropy._lagrangian_fixed_point, indentropy._newton_finish
 
@@ -378,7 +380,7 @@ def test_hind_batch_matches_single_starts(monkeypatch):
 
     monkeypatch.setattr(indentropy, "_lagrangian_fixed_point", recorded)
     monkeypatch.setattr(indentropy, "_newton_finish", finish)
-    uneven = []
+    uneven = {}
     for (alphabet, k, side, capped, bound, slack), model, coeffs, starts in _cap_cases():
         solves.clear()
         bordered.clear()
@@ -397,8 +399,8 @@ def test_hind_batch_matches_single_starts(monkeypatch):
                 assert twin is not None, (k, side, i, lam)
                 del unmatched[twin]
         assert not unmatched, (k, side)
-        uneven.append(split and len(counts) > 1)
-    assert uneven[-1]
+        uneven[k, side, bound] = split and len(counts) > 1
+    assert uneven[2, 2, 0.01]
 
 
 def _bordered_cases():
