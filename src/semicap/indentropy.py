@@ -592,11 +592,13 @@ def _optimize_single_cap(model: _WindowModel, starts: np.ndarray,
     best_feasible, residual = rows_hi, -g_hi
     best_feasible[g_hi > 0] = starts[live[g_hi > 0]]
     moved = np.zeros(len(live), dtype=np.int8)  # +1 after hi moved, -1 after lo
-    searching = ~((hi - lo <= _ROOT_RTOL * hi) | (residual <= _ROOT_ATOL))
+    searching = np.ones(len(live), dtype=bool)
     if model.k > 1:
-        # bordered Newton steps from the feasible side: a start they finish
-        # stops with its rows and multiplier, the others keep their brackets
-        at = np.flatnonzero(searching)
+        # bordered Newton steps from the feasible side, for the starts not
+        # yet close below the cap (no bracket is narrow yet): a start they
+        # finish stops with its rows and multiplier, the others keep their
+        # brackets
+        at = np.flatnonzero(residual > _ROOT_ATOL)
         searching[at] = False
         searching[_newton_finish(model, best_feasible, coeffs, hi, at, bound_eff)] = True
     for _ in range(_ROOT_ITER):
