@@ -11,21 +11,24 @@ bounds on axial capacities.  The problem is nonconvex (the constraint is
 multilinear in the sites), but each site enters affinely, which the
 optimiser exploits:
 
-* for a single mass-cap system (`ConstraintSet.cap`, however written) the
-  constraint carries one KKT multiplier shared by all sites; sites are
-  updated in closed form (a Gibbs/softmax step) at fixed multiplier, and
-  the multiplier is the root of the cap's excess — per-site
-  hard-constraint sweeps would instead stall on a continuum of
+* a uniform measure that meets the rows is the optimum, and so, for a
+  cap on a one-cell window, which reads only the sites' mean law, is the
+  i.i.d. measure with the relaxed cap's mass spread evenly (H is concave);
+* for any other single mass-cap system (`ConstraintSet.cap`, however
+  written) the constraint carries one KKT multiplier shared by all sites;
+  sites are updated in closed form (a Gibbs/softmax step) at fixed
+  multiplier, and the multiplier is the root of the cap's excess —
+  per-site hard-constraint sweeps would instead stall on a continuum of
   non-stationary fixed points (any split of the budget across sites is
-  axis-wise optimal), which is why the multiplier is global.
-  Doubling the multiplier from 1 brackets the root, each fixed point
+  axis-wise optimal), which is why the multiplier is global.  The cap
+  binds, since the uniform rows (the fixed point at multiplier 0) break
+  it.  Doubling the multiplier from 1 brackets the root, each fixed point
   starting from the one before.  From the bracket's feasible end,
   bordered Newton steps (Keller, 1977) then solve the fixed point and the
   cap's equation together, the multiplier one more unknown, and converge
-  quadratically.  Window-1 systems, and a start those steps do not finish
-  on the feasible side, narrow the bracket by safeguarded (Illinois)
-  regula falsi instead, bit for bit as if no bordered step had been
-  tried.
+  quadratically.  A start those steps do not finish on the feasible side
+  narrows the bracket by safeguarded (Illinois) regula falsi instead, bit
+  for bit as if no bordered step had been tried.
   At each multiplier the site updates run as Gauss-Seidel sweeps, which
   converge only linearly, until a start's largest site move falls below a
   switch; Newton steps on the simultaneous (Jacobi) update's residual, with
@@ -65,7 +68,6 @@ every filling avoiding the forbidden patterns.
 """
 from __future__ import annotations
 
-import itertools
 import math
 from dataclasses import dataclass
 from typing import Sequence
@@ -136,8 +138,6 @@ _NEWTON_FALL = 0.1
 _ROOT_RTOL = 1e-12
 _ROOT_ATOL = 1e-14
 _ROOT_ITER = 80
-# A cap this close above the unconstrained optimum's value counts as slack.
-_CAP_SLACK = 1e-15
 # Site-slice dual: iteration budget and certificate.
 _SLICE_ITER = 100
 _SLICE_GAP = 1e-12
@@ -528,15 +528,12 @@ def _lagrangian_fixed_point(model: _WindowModel, rows: np.ndarray,
     `_SWEEP_STOP`, which where they crawl can leave them about 1e-12 short
     of the fixed point.  A start that fails the Newton phase resumes the
     sweeps from the rows it had at the switch, with its remaining budget,
-    so its rows are bit for bit those of plain sweeps.  Window-1 linear
-    terms are constant, so one sweep reaches the fixed point: those starts
-    make that sweep only and never switch."""
+    so its rows are bit for bit those of plain sweeps.  The window has two
+    cells or more (`hind_fixed_n` solves one-cell caps in closed form)."""
     gathers = [lin for lin, _ in model.site_gathers(coeffs)]
-    # window-1 linear terms are constant: one sweep reaches the fixed point
-    budget, switch = ((_FIXED_POINT_SWEEPS, _NEWTON_SWITCH) if model.k > 1
-                      else (1, _SWEEP_STOP))
     made = np.zeros(len(rows), dtype=np.intp)
-    _sweeps(model, gathers, rows, lam, np.arange(len(rows)), budget, switch, made)
+    _sweeps(model, gathers, rows, lam, np.arange(len(rows)), _FIXED_POINT_SWEEPS,
+            _NEWTON_SWITCH, made)
     handed = np.flatnonzero(made)
     if handed.size:
         failed = _newton_finish(model, rows, coeffs, lam, handed)
@@ -548,36 +545,31 @@ def _lagrangian_fixed_point(model: _WindowModel, rows: np.ndarray,
 
 def _optimize_single_cap(model: _WindowModel, starts: np.ndarray,
                          coeffs: np.ndarray, bound_eff: float) -> np.ndarray:
-    """Shared-multiplier ascent for a single mass-cap constraint, run on a
-    stack of starts (S, n, q); returns one row set per start.
+    """Shared-multiplier ascent for a single mass-cap constraint that the
+    uniform rows break, on a window of two cells or more, run on a stack
+    of starts (S, n, q); returns one row set per start.
 
     Each start's multiplier is the root of g(lam) = c . averaged(rows_lam)
-    - bound, rows_lam being the fixed point at lam.  Doubling from lam = 1
-    brackets it, each solve starting from the last one's rows.  Windows of
-    two cells or more then take bordered Newton steps on (rows, lam) from
-    the bracket's feasible end (`_newton_finish` with the bound): a start
-    they finish stops at a fixed point and local maximum, its value no more
-    than `_ROOT_ATOL` below the cap.  Every other start takes Illinois
-    regula falsi steps (Dowell & Jarratt, BIT 11, 1971) from its bracket,
-    bisecting whenever the secant point leaves it, exactly as if it had
-    taken no bordered step.  The rows on the feasible side are returned, or
-    the (feasible) start itself when doubling finds no feasible side.
-    Every start keeps its own bracket, stopping tests and result; the
-    starts only share the loops, each step taking the starts still
-    searching.
+    - bound, rows_lam being the fixed point at lam; at lam = 0 that is the
+    uniform rows, so g(0) > 0.  Doubling from lam = 1 brackets the root,
+    each solve starting from the last one's rows.  Bordered Newton steps on
+    (rows, lam) then start from the bracket's feasible end (`_newton_finish`
+    with the bound): a start they finish stops at a fixed point and local
+    maximum, its value no more than `_ROOT_ATOL` below the cap.  Every
+    other start takes Illinois regula falsi steps (Dowell & Jarratt, BIT
+    11, 1971) from its bracket, bisecting whenever the secant point leaves
+    it, exactly as if it had taken no bordered step.  The rows on the
+    feasible side are returned, or the (feasible) start itself when
+    doubling finds no feasible side.  Every start keeps its own bracket,
+    stopping tests and result; the starts only share the loops, each step
+    taking the starts still searching.
     """
     value_at = lambda stack: _cap_values(model, coeffs, stack)
     solve = lambda stack, lam: _lagrangian_fixed_point(model, stack, coeffs, lam)
-    result = solve(starts.copy(), np.zeros(len(starts)))
-    v0 = value_at(result)
-    # the starts whose cap binds at the unconstrained optimum; the others
-    # return it
-    live = np.flatnonzero(~(v0 <= bound_eff + _CAP_SLACK))
-    if not live.size:
-        return result
-    lo, hi = np.zeros(len(live)), np.ones(len(live))
-    g_lo = v0[live] - bound_eff
-    rows_hi = solve(starts[live], hi)
+    uniform = np.full((1, model.side, model.q), 1.0 / model.q)
+    lo, hi = np.zeros(len(starts)), np.ones(len(starts))
+    g_lo = np.repeat(value_at(uniform) - bound_eff, len(starts))
+    rows_hi = solve(starts.copy(), hi)
     g_hi = value_at(rows_hi) - bound_eff
     for _ in range(60):
         up = np.flatnonzero(g_hi > 0)
@@ -590,17 +582,14 @@ def _optimize_single_cap(model: _WindowModel, starts: np.ndarray,
     # whose doubling found no feasible side keeps its rows and, its residual
     # being negative, stops.  g_lo and g_hi get Illinois-scaled
     best_feasible, residual = rows_hi, -g_hi
-    best_feasible[g_hi > 0] = starts[live[g_hi > 0]]
-    moved = np.zeros(len(live), dtype=np.int8)  # +1 after hi moved, -1 after lo
-    searching = np.ones(len(live), dtype=bool)
-    if model.k > 1:
-        # bordered Newton steps from the feasible side, for the starts not
-        # yet close below the cap (no bracket is narrow yet): a start they
-        # finish stops with its rows and multiplier, the others keep their
-        # brackets
-        at = np.flatnonzero(residual > _ROOT_ATOL)
-        searching[at] = False
-        searching[_newton_finish(model, best_feasible, coeffs, hi, at, bound_eff)] = True
+    best_feasible[g_hi > 0] = starts[g_hi > 0]
+    moved = np.zeros(len(starts), dtype=np.int8)  # +1 after hi moved, -1 after lo
+    # bordered Newton steps from the feasible side, for the starts not yet
+    # close below the cap (no bracket is narrow yet): a start they finish
+    # stops with its rows and multiplier, the others keep their brackets
+    searching = np.zeros(len(starts), dtype=bool)
+    at = np.flatnonzero(residual > _ROOT_ATOL)
+    searching[_newton_finish(model, best_feasible, coeffs, hi, at, bound_eff)] = True
     for _ in range(_ROOT_ITER):
         searching &= ~((hi - lo <= _ROOT_RTOL * hi) | (residual <= _ROOT_ATOL))
         at = np.flatnonzero(searching)
@@ -620,8 +609,7 @@ def _optimize_single_cap(model: _WindowModel, starts: np.ndarray,
         best_feasible[down], residual[down] = rows_lam[~above], -g[~above]
         g_lo[down[moved[down] > 0]] *= 0.5
         moved[down] = 1
-    result[live] = best_feasible
-    return result
+    return best_feasible
 
 
 def hind_fixed_n(gamma: ConstraintSet, side: int, eps: float = 0.0, *,
@@ -629,11 +617,13 @@ def hind_fixed_n(gamma: ConstraintSet, side: int, eps: float = 0.0, *,
     """Best entropy rate of a length-`side` cyclic product measure whose
     averaged window distribution lies within TV distance eps of Γ.
 
-    Returns the best local optimum over `restarts` random starts plus the
-    i.i.d. and period-2 warm starts, or the best screened start where that
-    is better.  The optimisers read a row c . mu == b as c . mu <= b, plus
-    -c . mu <= -b when c can fall below b, and relax each row c . mu <= b
-    to c . mu <= b + eps * reach, reach being max c - min c
+    A uniform measure that meets the relaxed rows, and for a one-cell cap
+    the i.i.d. closed form, are returned as they are, as one start each.
+    Otherwise returns the best local optimum over `restarts` random starts
+    plus the i.i.d. and period-2 warm starts, or the best screened start
+    where that is better.  The optimisers read a row c . mu == b as c . mu
+    <= b, plus -c . mu <= -b when c can fall below b, and relax each row
+    c . mu <= b to c . mu <= b + eps * reach, reach being max c - min c
     (`_ball_reach`): the most c . mu can rise within TV distance eps of the
     row.  Every point of the eps-ball around Γ meets these rows; points
     that meet them but lie outside the ball are dropped by the distance
@@ -673,16 +663,41 @@ def hind_fixed_n(gamma: ConstraintSet, side: int, eps: float = 0.0, *,
         return np.array([feasible_law(avg) for avg in _window_law(stack, model.table)],
                         dtype=bool)
 
+    def certified(stack, runs: int) -> HindResult:
+        """The first row set of a stack with the highest entropy among those
+        that meet the relaxed rows, and its LP certificate."""
+        best_rows, best_val = None, -math.inf
+        vals = _entropy_sums(stack) / n
+        for rows, avg, val in zip(stack, _window_law(stack, model.table), vals):
+            if val > best_val and feasible_law(avg):
+                best_val, best_rows = float(val), rows
+        if best_rows is None:
+            return HindResult(-math.inf, None, side, eps, False, math.inf, runs)
+        measure = SiteProductMeasure(gamma.alphabet, 1, side, best_rows)
+        distance = tv_distance_to_set(averaged_marginal(measure, gamma.shape), gamma)
+        return HindResult(best_val, measure, side, eps, distance <= eps + _CERT_TOL,
+                          distance, runs)
+
+    uniform = np.full((1, n, q), 1.0 / q)
+    if screen(uniform)[0]:
+        return certified(uniform, 1)
+    if cap is not None and model.k == 1:
+        # the cap reads only the sites' mean law, and entropy is concave:
+        # the optimum is i.i.d., the relaxed cap's mass spread evenly over
+        # the capped symbols and the rest evenly over the others
+        capped = cap[0] > 0.0
+        law = np.where(capped, bounds_eff[0] / capped.sum(),
+                       (1.0 - bounds_eff[0]) / (~capped).sum())
+        return certified(np.tile(law, (1, n, 1)), 1)
+
     # deterministic anchor: point mass on an admissible word
     w0 = find_admissible_word(side, gamma, eps)
-    uniform = np.full((1, n, q), 1.0 / q)
     # the random starts in one draw, the stream of `restarts` draws of n
     # rows; only a draw needs the generator, and with it numpy.random
     rand = (np.random.default_rng(seed).dirichlet(np.ones(q), size=(restarts, n))
             if restarts else np.zeros((0, n, q)))
-    screened = [uniform] if screen(uniform)[0] else []
     if w0 is None:
-        screened.append(rand[screen(rand)])
+        starts = rand[screen(rand)]
     else:
         # move the anchor toward each target (every site, the even sites,
         # every site of each random start), halving each start's mixing
@@ -692,18 +707,16 @@ def hind_fixed_n(gamma: ConstraintSet, side: int, eps: float = 0.0, *,
         targets = np.concatenate([uniform, uniform, rand])
         sites = np.ones(targets.shape[:2] + (1,), dtype=bool)
         sites[1, 1::2] = False
-        mixed = np.repeat(anchor[None], len(targets), axis=0)
+        starts = np.repeat(anchor[None], len(targets), axis=0)
         pending, t = np.arange(len(targets)), 1.0
         for _ in range(40):
             rows = np.where(sites[pending], (1.0 - t) * anchor + t * targets[pending], anchor)
             ok = screen(rows)
-            mixed[pending[ok]] = rows[ok]
+            starts[pending[ok]] = rows[ok]
             pending = pending[~ok]
             if not pending.size:
                 break
             t *= 0.5
-        screened.append(mixed)
-    starts = np.concatenate(screened)
 
     if not len(starts):
         return HindResult(-math.inf, None, side, eps, False, math.inf, 0)
@@ -712,26 +725,10 @@ def hind_fixed_n(gamma: ConstraintSet, side: int, eps: float = 0.0, *,
     if cap is not None and bounds_eff[0] > _FEAS_SLACK:
         # single positive cap: the shared-multiplier ascent, then the polish
         stack = _optimize_single_cap(model, stack, cap[0], bounds_eff[0])
-    if cap is None or cap[1] < math.inf:   # no polish when no row binds
-        stack = _sweep_hard(model, stack, bounds_eff, coeff_list)
+    stack = _sweep_hard(model, stack, bounds_eff, coeff_list)
     # the screened starts stay candidates, after the optimised rows so that
     # those win ties: a polish can leave every start outside the eps-ball
-    stack = np.concatenate([stack, starts])
-    best_rows, best_val = None, -math.inf
-    vals = _entropy_sums(stack) / n
-    for rows, avg, val in zip(stack, _window_law(stack, model.table), vals):
-        if val > best_val and feasible_law(avg):
-            best_val, best_rows = float(val), rows
-
-    if best_rows is None:
-        return HindResult(-math.inf, None, side, eps, False, math.inf, len(starts))
-
-    measure = SiteProductMeasure(gamma.alphabet, 1, side, best_rows)
-    avg = averaged_marginal(measure, gamma.shape)
-    distance = tv_distance_to_set(avg, gamma)
-    feasible = distance <= eps + _CERT_TOL
-    return HindResult(best_val, measure, side, eps, feasible, distance,
-                      len(starts))
+    return certified(np.concatenate([stack, starts]), len(starts))
 
 
 # ---------------------------------------------------------------------------
@@ -805,10 +802,7 @@ def axial_lift(mu: SiteProductMeasure, dim: int) -> SiteProductMeasure:
     if dim < 1:
         raise ValidationError("dimension must be >= 1")
     n = mu.side
-    ncells = n ** dim
-    rows = np.empty((ncells, mu.alphabet.size))
-    for i, v in enumerate(itertools.product(range(n), repeat=dim)):
-        rows[i] = mu.site_dists[sum(v) % n]
+    rows = mu.site_dists[np.indices((n,) * dim).sum(axis=0).reshape(-1) % n]
     return SiteProductMeasure(mu.alphabet, dim, n, rows)
 
 
@@ -894,7 +888,6 @@ def hind_com_fixed_n(gamma: ConstraintSet, side: int) -> HindComResult:
 
     masks = np.zeros(ncells, dtype=np.int64)
     best = {"count": 0, "cells": None}
-    log_q = math.log2(q)
 
     def window_safe(cells: list[int]) -> bool:
         for pat in forbidden:
@@ -971,7 +964,11 @@ def hind_bound_report(gamma: ConstraintSet, dim: int,
     if not certified:
         raise UncertifiedError(f"no certified product measure found at eps = "
                                f"{min(eps_list):g} on sides {list(sides)}")
-    best = max(certified, key=lambda r: r.value)
+    # sides whose values differ in the last bits tie, and the smallest
+    # wins: which of them rounds highest is no property of the system
+    top = max(r.value for r in certified)
+    best = min((r for r in certified if r.value >= top - 4 * math.ulp(top)),
+               key=lambda r: r.side)
     lift = axial_lift(best.measure, dim)
     lift_rate = product_entropy(lift) / (best.side ** dim)
     curve_ref = None

@@ -287,6 +287,62 @@ def test_hind_empty_system_is_one_bit():
     assert res.feasible and res.value == 1.0
 
 
+def _no_word_search(monkeypatch):
+    """Count the calls of `find_admissible_word` that `hind_fixed_n` makes."""
+    calls = []
+    find = indentropy.find_admissible_word
+    monkeypatch.setattr(indentropy, "find_admissible_word",
+                        lambda *args: calls.append(args) or find(*args))
+    return calls
+
+
+def test_hind_uniform_optimum_is_returned_as_is(monkeypatch):
+    # a uniform measure that meets the rows maximises every site's entropy:
+    # it is the result, one start, with no word search and no optimiser
+    calls = _no_word_search(monkeypatch)
+    free = ConstraintSet(BIN, Shape.segment(2), (
+        LinearConstraint(np.array([1.0, 0.0, 0.0, 0.0]), 1.0),))
+    tri = np.zeros(9)
+    tri[[4, 8]] = 1.0   # mu(11) + mu(22) <= 0.3, above the uniform 2/9
+    tri_cap = ConstraintSet(_TRI, Shape.segment(2), (LinearConstraint(tri, 0.3),))
+    for gamma, side in ((rll_constraint(3, 0.1), 4), (free, 2), (free, 3),
+                        (rll_constraint(1, 0.3), 3), (tri_cap, 3)):
+        q = gamma.alphabet.size
+        for eps in (0.0, 0.01):
+            res = hind_fixed_n(gamma, side, eps, restarts=4, seed=1)
+            assert res.feasible and res.restarts == 1 and res.distance == 0.0, (q, side)
+            assert np.array_equal(res.measure.site_dists, np.full((side, q), 1.0 / q))
+            assert abs(res.value - math.log2(q)) <= 1e-15, (q, side, eps)
+    assert not calls
+
+
+def test_hind_one_cell_cap_is_the_iid_closed_form(monkeypatch):
+    # a one-cell cap reads only the sites' mean law, so by concavity the
+    # optimum is i.i.d.: the relaxed cap's mass spread evenly over the
+    # capped symbols, the rest evenly over the others
+    calls = _no_word_search(monkeypatch)
+    caps = [(rll_constraint(0, p), [1]) for p in (0.0, 0.1, 0.3)]
+    for capped, bound in (([2], 0.2), ([1, 2], 0.3)):
+        c = np.zeros(3)
+        c[capped] = 1.0
+        caps.append((ConstraintSet(_TRI, Shape.segment(1), (LinearConstraint(c, bound),)),
+                     capped))
+    for gamma, capped in caps:
+        q, m = gamma.alphabet.size, len(capped)
+        for eps in (0.0, 0.01):
+            b = gamma.cap[1] + eps
+            want = -(1.0 - b) * math.log2((1.0 - b) / (q - m))
+            if b:
+                want -= b * math.log2(b / m)
+            law = [b / m if s in capped else (1.0 - b) / (q - m) for s in range(q)]
+            for side in range(1, 6):
+                res = hind_fixed_n(gamma, side, eps, restarts=3, seed=0)
+                assert res.feasible and res.restarts == 1, (q, capped, eps, side)
+                assert abs(res.value - want) <= 1e-15, (q, capped, eps, side)
+                assert np.allclose(res.measure.site_dists, law, rtol=0.0, atol=1e-15)
+    assert not calls
+
+
 @pytest.mark.parametrize("eps", [0.001, 0.01, 0.05])
 def test_hind_ascent_keeps_feasible_starts(eps):
     # forbidding 00 and 11 leaves the alternating words; the symmetric fixed
@@ -308,9 +364,10 @@ def test_hind_window2_matches_curve_to_nine_digits():
 
 
 def test_hind_single_cap_solves_per_start(monkeypatch):
-    # the multiplier search makes 5 fixed-point solves per start here: lam
-    # = 0 and four doublings, after which bordered Newton steps on (rows,
-    # lam), which are no solve, finish every start.  Illinois steps from the
+    # the multiplier search makes 4 fixed-point solves per start here, at
+    # lam = 1, 2, 4 and 8, after which bordered Newton steps on (rows, lam),
+    # which are no solve, finish every start (the fixed point at lam = 0 is
+    # the uniform rows, which takes no solve).  Illinois steps from the
     # bracket took 12, and bisecting to double precision takes about 85.
     # The starts share each batched solve, so a call counts its live starts.
     calls = 0
@@ -324,32 +381,29 @@ def test_hind_single_cap_solves_per_start(monkeypatch):
     monkeypatch.setattr(indentropy, "_lagrangian_fixed_point", counted)
     res = hind_fixed_n(rll_constraint(2, 0.05), 3, restarts=20, seed=0)
     assert res.feasible and res.restarts == 22
-    assert calls <= 6 * res.restarts
+    assert calls <= 5 * res.restarts
 
 
 _TRI = Alphabet.of_size(3)
-_CAP_CASES = (  # (alphabet, window, side, capped patterns, cap, slack?)
-    (BIN, 1, 3, [1], 0.2, False),
-    (BIN, 2, 4, [3], 0.1, False),
-    (BIN, 2, 3, [3], 0.6, True),
-    (BIN, 3, 4, [7], 0.11, False),
-    (BIN, 3, 5, [7], 0.11, False),
-    (BIN, 3, 4, [3, 6], 0.05, False),
-    (_TRI, 1, 3, [2], 0.9, True),
-    (_TRI, 2, 3, [8], 0.03, False),
-    (_TRI, 3, 3, [13, 26], 0.01, False),
-    (BIN, 2, 2, [0, 3], 0.01, False),   # starts take both root-search paths
-    (BIN, 2, 2, [0, 3], 0.2, False),    # a bordered step takes lam so far
-                                        # below 0 that exp2 would overflow
+_CAP_CASES = (  # (alphabet, window, side, capped patterns, cap)
+    (BIN, 2, 4, [3], 0.1),
+    (BIN, 3, 4, [7], 0.11),
+    (BIN, 3, 5, [7], 0.11),
+    (BIN, 3, 4, [3, 6], 0.05),
+    (_TRI, 2, 3, [8], 0.03),
+    (_TRI, 3, 3, [13, 26], 0.01),
+    (BIN, 2, 2, [0, 3], 0.01),   # starts take both root-search paths
+    (BIN, 2, 2, [0, 3], 0.2),    # a bordered step takes lam so far below 0
+                                 # that exp2 would overflow
 )
 
 
 def _cap_cases():
     """Each single-cap case of `_CAP_CASES` with its model, coefficient row
     and five seeded random starts."""
-    rng = np.random.default_rng(29)
+    rng = np.random.default_rng(30)
     for case in _CAP_CASES:
-        alphabet, k, side, capped, bound, _ = case
+        alphabet, k, side, capped, bound = case
         coeffs = np.zeros(alphabet.size ** k)
         coeffs[capped] = 1.0
         model = _WindowModel(ConstraintSet(alphabet, Shape.segment(k), (
@@ -360,11 +414,11 @@ def _cap_cases():
 def test_hind_batch_matches_single_starts(monkeypatch):
     # the batched ascent runs every start as a stack of one would: the same
     # rows, and the same fixed-point solves (inputs and number) per start.
-    # At the window-2 cap mu(00) + mu(11) <= 0.01 on two sites, two starts'
-    # doubling stops at lam = 8 and bordered Newton steps finish them, while
-    # three go on to lam = 16, whose first bordered step sends lam below 0,
-    # and fall back to Illinois steps: the stack's live set shrinks
-    # unevenly, and across both paths
+    # At the window-2 cap mu(00) + mu(11) <= 0.01 on two sites, one start's
+    # doubling stops at lam = 8 and bordered Newton steps finish it, while
+    # four go on to lam = 16, where the bordered steps fail, and fall back
+    # to Illinois steps: the stack's live set shrinks unevenly, and across
+    # both paths
     solves, bordered = [], []
     solve, newton = indentropy._lagrangian_fixed_point, indentropy._newton_finish
 
@@ -381,7 +435,7 @@ def test_hind_batch_matches_single_starts(monkeypatch):
     monkeypatch.setattr(indentropy, "_lagrangian_fixed_point", recorded)
     monkeypatch.setattr(indentropy, "_newton_finish", finish)
     uneven = {}
-    for (alphabet, k, side, capped, bound, slack), model, coeffs, starts in _cap_cases():
+    for (alphabet, k, side, capped, bound), model, coeffs, starts in _cap_cases():
         solves.clear()
         bordered.clear()
         batch = indentropy._optimize_single_cap(model, starts, coeffs, bound)
@@ -391,7 +445,6 @@ def test_hind_batch_matches_single_starts(monkeypatch):
             alone = indentropy._optimize_single_cap(model, starts[i:i + 1], coeffs, bound)
             # only per-start arithmetic: equal exactly, not just to 1e-15
             assert np.array_equal(batch[i], alone[0]), (k, side, i)
-            assert (len(solves) == 1) == slack, (k, side, i)
             counts.add(len(solves))
             for rows, lam in solves:
                 twin = next((j for j, (r, lm) in enumerate(unmatched)
@@ -404,13 +457,12 @@ def test_hind_batch_matches_single_starts(monkeypatch):
 
 
 def _bordered_cases():
-    """The single caps of `_cap_cases` with windows of two cells or more,
-    then the benchmark's three single caps (rll(2, .05) at n = 3, rll(1,
-    .1) at n = 2, and at n = 4 with eps .01), each with five seeded random
-    starts: the model, coefficient row, effective cap and starts."""
-    for (_, k, _, _, bound, _), model, coeffs, starts in _cap_cases():
-        if k > 1:
-            yield model, coeffs, bound, starts
+    """The single caps of `_cap_cases`, then the benchmark's three single
+    caps (rll(2, .05) at n = 3, rll(1, .1) at n = 2, and at n = 4 with eps
+    .01), each with five seeded random starts: the model, coefficient row,
+    effective cap and starts."""
+    for case, model, coeffs, starts in _cap_cases():
+        yield model, coeffs, case[4], starts
     rng = np.random.default_rng(30)
     for gamma, side, eps in ((rll_constraint(2, 0.05), 3, 0.0),
                              (rll_constraint(1, 0.1), 2, 0.0),
@@ -440,7 +492,7 @@ def test_bordered_finish_ends_at_a_capped_fixed_point(monkeypatch):
     for model, coeffs, bound, starts in _bordered_cases():
         finished.clear()
         result = indentropy._optimize_single_cap(model, starts, coeffs, bound)
-        for rows, lam in finished:   # none at a slack cap
+        for rows, lam in finished:
             if not len(rows):
                 continue
             once, _ = _fixed_point_per_site(model, rows.copy(), coeffs, lam, sweeps=1)
@@ -461,14 +513,10 @@ def _bracket_search(model, starts, coeffs, bound_eff):
     bordered Newton steps do not finish."""
     value_at = lambda stack: (coeffs @ _window_law(stack, model.table)[:, :, None])[:, 0]
     solve = lambda stack, lam: indentropy._lagrangian_fixed_point(model, stack, coeffs, lam)
-    result = solve(starts.copy(), np.zeros(len(starts)))
-    v0 = value_at(result)
-    live = np.flatnonzero(~(v0 <= bound_eff + indentropy._CAP_SLACK))
-    if not live.size:
-        return result
-    lo, hi = np.zeros(len(live)), np.ones(len(live))
-    g_lo = v0[live] - bound_eff
-    rows_hi = solve(starts[live], hi)
+    lo, hi = np.zeros(len(starts)), np.ones(len(starts))
+    # the fixed point at lam = 0 is the uniform rows
+    g_lo = value_at(np.full(starts.shape, 1.0 / model.q)) - bound_eff
+    rows_hi = solve(starts.copy(), hi)
     g_hi = value_at(rows_hi) - bound_eff
     for _ in range(60):
         up = np.flatnonzero(g_hi > 0)
@@ -478,9 +526,9 @@ def _bracket_search(model, starts, coeffs, bound_eff):
         rows_hi[up] = solve(rows_hi[up], hi[up])
         g_hi[up] = value_at(rows_hi[up]) - bound_eff
     best_feasible, residual = rows_hi, -g_hi
-    best_feasible[g_hi > 0] = starts[live[g_hi > 0]]
-    moved = np.zeros(len(live), dtype=np.int8)
-    searching = np.ones(len(live), dtype=bool)
+    best_feasible[g_hi > 0] = starts[g_hi > 0]
+    moved = np.zeros(len(starts), dtype=np.int8)
+    searching = np.ones(len(starts), dtype=bool)
     for _ in range(indentropy._ROOT_ITER):
         searching &= ~((hi - lo <= indentropy._ROOT_RTOL * hi)
                        | (residual <= indentropy._ROOT_ATOL))
@@ -501,8 +549,7 @@ def _bracket_search(model, starts, coeffs, bound_eff):
         best_feasible[down], residual[down] = rows_lam[~above], -g[~above]
         g_lo[down[moved[down] > 0]] *= 0.5
         moved[down] = 1
-    result[live] = best_feasible
-    return result
+    return best_feasible
 
 
 def test_bordered_finish_falls_back_to_the_bracket_search(monkeypatch):
@@ -573,11 +620,12 @@ def test_hind_rejects_bad_restarts_and_seed(kwargs):
 
 
 def _starts_per_start(gamma, side, eps, restarts, seed):
-    """Reference start building, start by start: the screened uniform rows,
-    then with an anchor word each target mixed in alone (every site, the
-    even sites, every site of each random start) with its weight halved
-    until the screen passes, else each random start that passes; one
-    `dirichlet(size=n)` draw per restart."""
+    """Reference start building, start by start, for a system that is no
+    one-cell cap and whose uniform rows fail the screen: with an anchor
+    word each target mixed in alone (every site, the even sites, every
+    site of each random start) with its weight halved until the screen
+    passes, else each random start that passes; one `dirichlet(size=n)`
+    draw per restart."""
     model = _WindowModel(gamma, side)
     n, q, cap = side, model.q, gamma.cap
     slack = indentropy._FEAS_SLACK
@@ -606,7 +654,8 @@ def _starts_per_start(gamma, side, eps, restarts, seed):
 
     rng = np.random.default_rng(seed)
     uniform = np.full((n, q), 1.0 / q)
-    starts = [uniform] if feasible(uniform) else []
+    assert not feasible(uniform)
+    starts = []
     word = find_admissible_word(side, gamma, eps)
     if word is None:
         for _ in range(restarts):
@@ -732,14 +781,10 @@ def _checked_fixed_point(monkeypatch, near):
 def test_fixed_point_matches_per_site_loop(monkeypatch):
     # every fixed-point solve of the single-cap ascents finishes as the
     # per-site reference loop or at a fixed point near it; where the
-    # reference stops at its budget the rows are its rows bit for bit; a
-    # window-1 system never leaves the sweeps (and builds no pair table)
+    # reference stops at its budget the rows are its rows bit for bit
     tally = _checked_fixed_point(monkeypatch, near=True)
     for case, model, coeffs, starts in _cap_cases():
-        differ = tally["differ"]
         indentropy._optimize_single_cap(model, starts, coeffs, case[4])
-        if model.k == 1:
-            assert tally["differ"] == differ and not model._pairs, case
     assert tally["solves"] > 2 * len(_CAP_CASES)
     assert tally["differ"] > 0 and tally["budget"] == tally["budget_ref"]
 
@@ -1181,6 +1226,23 @@ def test_bound_report_curve_reference():
     rep_free = hind_bound_report(rll_constraint(1, 1.5), 1, eps_list=(0.0,),
                                  sides=(2, 3), restarts=2, seed=0)
     assert rep_free.curve_reference is None and rep_free.best.value == 1.0
+
+
+def test_bound_report_ties_go_to_the_smallest_side(monkeypatch):
+    # rll(1, .1)'s sides 2-6 reach the same optimum, their values a few
+    # ulps apart: the smallest side is the best, not the one rounding up
+    rep = hind_bound_report(rll_constraint(1, 0.1), 1, eps_list=(0.0,), restarts=2, seed=0)
+    top = max(r.value for r in rep.rows)
+    assert all(r.value >= top - 4 * math.ulp(top) for r in rep.rows)
+    assert rep.best.side == 2
+    # 4 ulps is the tie: a side further below the top loses to it
+    u, measure = math.ulp(0.9), SiteProductMeasure(BIN, 1, 2, np.full((2, 2), 0.5))
+    values = {2: 0.9 + 8 * u, 3: 0.9, 4: 0.9 + 7 * u, 5: 0.9 + 12 * u, 6: 0.9 + 11 * u}
+    monkeypatch.setattr(indentropy, "hind_fixed_n", lambda gamma, n, eps, **kwargs:
+                        indentropy.HindResult(values[n], measure, n, eps, True, 0.0, 1))
+    for sides, best in (((2, 3, 4, 5, 6), 2), ((3, 4, 5, 6), 5), ((3, 4), 4), ((6, 5), 5)):
+        rep = hind_bound_report(rll_constraint(1, 0.1), 1, eps_list=(0.0,), sides=sides)
+        assert rep.best.side == best, sides
 
 
 def test_bound_report_rejects_empty_eps_list():
