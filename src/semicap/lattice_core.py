@@ -12,11 +12,14 @@ Pattern indexing is positional: the points of a shape are kept in sorted
 (lexicographic) order, and a pattern's index is its base-|Σ| value with the
 first point as the most significant digit; `pattern_from_index` inverts it.
 
-Where a shape's windows sit is decided in one place, the placement table
-of `placements`: one row per placement, holding the flat (row-major) cell
-indices of the shape's points in shape order.  Empirical counts, averaged
-marginals, the exact counter and the product-measure optimiser all read
-windows through it.
+A cyclic window at origin v reads the cells v + s mod side for the
+shape's points s.  The placement table of `placements` lists them: one
+row per placement, holding the flat (row-major) cell indices of the
+shape's points in shape order.  Averaged marginals, the exact counter
+and the product-measure optimiser read windows through it.  Pattern
+counts of words (`empirical_counts` and its stacked form
+`_pattern_counts`) read the same windows as slices of the words extended
+by wrap-around, one slice per shape point; tests pin them to the table.
 
 Empirical statistics are computed in exact integer/rational arithmetic
 (`fractions.Fraction` with denominator n^d); floating point enters only when
@@ -419,7 +422,8 @@ def empirical_counts(word: Word, shape: Shape) -> np.ndarray:
     shape : Shape
         Finite point set with the same dimension as the word.  Placements are
         indexed by all side^dim positions v, and every coordinate of v + s is
-        reduced mod side.
+        reduced mod side: the word is extended by wrap-around and each
+        shape point reads one slice of it (`_pattern_counts`).
 
     Returns
     -------
@@ -432,23 +436,45 @@ def empirical_counts(word: Word, shape: Shape) -> np.ndarray:
             f"shape dimension {shape.dim} != word dimension {word.dim}"
         )
     m = pattern_space_size(word.alphabet, shape)
-    return _pattern_counts(word.cells.reshape(1, -1),
-                           placements(shape, word.side), word.alphabet.size, m)[0]
+    return _pattern_counts(word.cells.reshape(1, -1), [shape], word.side,
+                           word.alphabet.size, m)[0]
 
 
-def _pattern_counts(cells: np.ndarray, table: np.ndarray, q: int,
+def _pattern_counts(cells: np.ndarray, shapes: Sequence[Shape], side: int, q: int,
                     m: int) -> np.ndarray:
-    """Counts of the m patterns that a placement table's rows read in each
-    row of a stack of flat cells (S, ncells), first point most significant,
-    as an (S, m) int64 array.  One `bincount` counts the whole stack: row
-    s's pattern indices are offset by s * m."""
-    idx = cells.take(table[:, 0], axis=1).astype(np.intp)
-    for col in table.T[1:]:
-        idx *= q
-        idx += cells.take(col, axis=1)
-    idx += np.arange(0, len(cells) * m, m)[:, None]
-    counts = np.bincount(idx.reshape(-1), minlength=len(cells) * m)
-    return counts.astype(np.int64, copy=False).reshape(len(cells), m)
+    """Counts of the m patterns of `shapes` (all of one size), summed over
+    the shapes, in each row of a stack of flat side^dim cubes (S, ncells),
+    over all cyclic placements, first point most significant, as an (S, m)
+    int64 array.
+
+    Each axis of the cubes is extended cyclically by the largest offset
+    (mod side) on it among the shapes' points, so the cell at v + s of
+    every placement v is the extended cube's slice at s mod side, and a
+    shape's pattern codes are built from one slice per point.  Codes take
+    the narrowest unsigned dtype holding S·m (bincount refuses uint64, so
+    intp beyond uint32), and one `bincount` counts the whole stack: row
+    s's codes are offset by s * m (m = q^k for shapes of k points)."""
+    s = len(cells)
+    dtype = np.min_scalar_type(max(s * m - 1, 0))
+    if dtype.itemsize > 4:
+        dtype = np.dtype(np.intp)
+    offsets = [[[c % side for c in p] for p in shape.points] for shape in shapes]
+    dim = len(offsets[0][0])
+    cube = cells.astype(dtype, copy=False).reshape((s,) + (side,) * dim)
+    for axis in range(1, dim + 1):
+        ext = max(p[axis - 1] for offs in offsets for p in offs)
+        head = cube[(slice(None),) * axis + (slice(0, ext),)]
+        cube = np.concatenate((cube, head), axis=axis)
+    rows = np.arange(s, dtype=dtype).reshape((s,) + (1,) * dim)
+    codes = np.empty((len(shapes), s) + (side,) * dim, dtype)
+    for code, offs in zip(codes, offsets):
+        # Horner from the row index: row s's codes end at s * q^k + pattern
+        code[...] = rows
+        for point in offs:
+            code *= q
+            code += cube[(slice(None),) + tuple(slice(c, c + side) for c in point)]
+    counts = np.bincount(codes.reshape(-1), minlength=s * m)
+    return counts.astype(np.int64, copy=False).reshape(s, m)
 
 
 def empirical_distribution(word: Word, shape: Shape) -> PatternDistribution:

@@ -833,10 +833,11 @@ def count_exhaustive(side: int, system, eps: float = 0.0) -> int:
     """Reference counter: enumerate every word and test admissibility.
 
     It does not use the transfer counter: each block of words is counted
-    against each check's placement table by `_pattern_counts` (as
-    `empirical_counts` counts one word), and `is_admissible`'s test runs
-    once per distinct count vector of a check.  Its eps > 0 verdicts stay
-    on the distance LP, so they check the counter's transport bounds.
+    over each check's shapes by `_pattern_counts`, one wrap-extended slice
+    per shape point (as `empirical_counts` counts one word), and
+    `is_admissible`'s test runs once per distinct count vector of a check.
+    Its eps > 0 verdicts stay on the distance LP, so they check the
+    counter's transport bounds.
     """
     eps, side = _checked_eps(eps), _whole(side, "side")
     if side < 1:
@@ -847,23 +848,22 @@ def count_exhaustive(side: int, system, eps: float = 0.0) -> int:
     nwords = q ** ncells
     if nwords > MAX_ENUMERATION:
         raise SizeGuardError("exhaustive enumeration too large")
-    # per check: all its placements and its verdicts
-    tests = [(np.vstack([placements(s, side) for s in shapes]), gamma, {})
-             for shapes, gamma in checks]
+    # per check: its shapes, its verdicts
+    tests = [(shapes, gamma, {}) for shapes, gamma in checks]
     digits = q ** np.arange(ncells - 1, -1, -1)  # cell 0 most significant
     count = 0
     for start in range(0, nwords, _ENUMERATION_BLOCK):
         index = np.arange(start, min(start + _ENUMERATION_BLOCK, nwords))
         words = index[:, None] // digits % q
         ok = np.ones(len(words), dtype=bool)
-        for table, gamma, seen in tests:
-            counts = _pattern_counts(words, table, q, gamma.npatterns)
+        for shapes, gamma, seen in tests:
+            counts = _pattern_counts(words, shapes, side, q, gamma.npatterns)
             vecs, inverse = np.unique(counts, axis=0, return_inverse=True)
             verdicts = []
             for vec in vecs:
                 key = vec.tobytes()
                 if key not in seen:
-                    seen[key] = _counts_admissible(vec, len(table), gamma, eps)
+                    seen[key] = _counts_admissible(vec, ncells * len(shapes), gamma, eps)
                 verdicts.append(seen[key])
             ok &= np.array(verdicts)[inverse.reshape(-1)]
         count += int(ok.sum())

@@ -33,7 +33,6 @@ from semicap.lattice_core import (
     averaged_marginal,
     cell_dtype,
     empirical_distribution,
-    placements,
 )
 from semicap.capacity import (
     CapacityResult,
@@ -194,18 +193,16 @@ def concentration_check(mu, gamma: ConstraintSet,
     Sides must be distinct multiples of the 1-D measure's side, at least
     the window (`SiteProductMeasure.tile`), and trials a whole number.
 
-    Each side tiles the measure, takes its site rows' inverse-CDF
-    thresholds and builds its placement table once.  It then scores the
-    trials in blocks of at most `_BLOCK_CELLS` cells (trials x side, and
-    one trial when the side alone is larger), so the temporaries stay small
-    whatever the number of trials.  A block draws all its words' cells in
-    one stacked SplitMix64 call (row t the cells of `sample_word` at trial
-    t's seed) and counts their patterns as integers over the table in one
-    `bincount`.  The counts divided by the side are the floats of
-    `empirical_distribution`'s exact fractions (both are below 2^53, so the
-    division rounds correctly).  Each word's distance, the closed form when
-    the system is a single cap (`ConstraintSet.cap`) or else the LP, equals
-    `tv_distance_to_set` of its empirical distribution bit for bit.
+    Each side tiles the measure and takes its site rows' inverse-CDF
+    thresholds once.  It then scores the trials in blocks of at most
+    `_BLOCK_CELLS` cells (trials x side, and one trial when the side alone
+    is larger), so the temporaries stay small whatever the number of
+    trials.  A block draws all its words' cells in one stacked SplitMix64
+    call (row t the cells of `sample_word` at trial t's seed) and counts
+    their patterns as integers in one `bincount`, each pattern code built
+    from one slice per window point of the words extended by wrap-around
+    (`_pattern_counts`), and scores them (`_count_distances`): a single
+    cap in one stacked step, any other system word by word.
 
     The base measure's own averaged statistics should sit strictly inside
     the smallest ball; if not, the report is flagged rather than refused.
@@ -247,7 +244,6 @@ def concentration_check(mu, gamma: ConstraintSet,
     fractions = np.zeros((len(eps_list), len(sides)))
     for j, n in enumerate(sides):
         thresholds = _thresholds(tiled[j])
-        table = placements(gamma.shape, n)
         block = max(1, _BLOCK_CELLS // n)
         for t in range(0, trials, block):
             # trial t' of side j draws the cells of
@@ -255,9 +251,9 @@ def concentration_check(mu, gamma: ConstraintSet,
             first = j * trials + t
             seeds = np.uint64(seed & _MASK64) ^ np.arange(
                 first, first + min(block, trials - t), dtype=np.uint64)
-            counts = _pattern_counts(_draw_cells(thresholds, seeds, dtype), table,
-                                     gamma.alphabet.size, gamma.npatterns)
-            dists = np.array([_probs_distance(row / n, gamma) for row in counts])
+            counts = _pattern_counts(_draw_cells(thresholds, seeds, dtype), [gamma.shape],
+                                     n, gamma.alphabet.size, gamma.npatterns)
+            dists = _count_distances(counts, n, gamma)
             fractions[:, j] += (dists[:, None] <= bars).sum(axis=0)
     fractions /= trials
 
@@ -269,6 +265,26 @@ def concentration_check(mu, gamma: ConstraintSet,
     )
     return ConcentrationReport(eps_list, sides, trials, seed, fractions,
                                base_distance, base_feasible, decay, monotone)
+
+
+def _count_distances(counts: np.ndarray, n: int, gamma: ConstraintSet) -> np.ndarray:
+    """`tv_distance_to_set` of the empirical distribution of each row of
+    pattern counts (S, m) over n placements.  A single cap
+    (`ConstraintSet.cap`, mass of A at most b) is one stacked step,
+    max(0, (counts @ ind) / n - b): the capped count is an exact integer
+    sum, so on a one-pattern cap each distance is the closed form of
+    `tv_distance_to_set` bit for bit.  On a cap of several patterns it is
+    the correctly rounded mass, which may differ from that form's sum of
+    rounded rates in the last bits, so an inside decision could change
+    only for a distance within those bits of eps + 1e-12.  Any other
+    system solves the distance LP on each row divided by n, the floats of
+    `empirical_distribution`'s exact fractions (both are below 2^53, so
+    the division rounds correctly), equal to `tv_distance_to_set` bit for
+    bit."""
+    if gamma.cap is None:
+        return np.array([_probs_distance(row / n, gamma) for row in counts])
+    ind, b = gamma.cap
+    return np.maximum(0.0, (counts @ ind) / n - b)
 
 
 # ---------------------------------------------------------------------------

@@ -257,6 +257,72 @@ def test_placements_reject_too_small_side():
     assert placements(Shape.segment(3), 2).tolist() == [[0, 1, 0], [1, 0, 1]]
 
 
+def _gather_counts(cells, shapes, side, q, m):
+    """Reference: each shape's placement table gathered from the flat
+    cells, one base-q code per placement, counted row by row and summed
+    over the shapes."""
+    out = np.zeros((len(cells), m), dtype=np.int64)
+    for shape in shapes:
+        table = placements(shape, side)
+        codes = np.zeros((len(cells), len(table)), dtype=np.int64)
+        for col in table.T:
+            codes = codes * q + cells.take(col, axis=1)
+        for row, code in zip(out, codes):
+            row += np.bincount(code, minlength=m)
+    return out
+
+
+def test_pattern_counts_match_placement_gather(monkeypatch):
+    code_dtypes, bincount = set(), np.bincount
+    def spy(x, *args, **kwargs):
+        code_dtypes.add(np.asarray(x).dtype)
+        return bincount(x, *args, **kwargs)
+    monkeypatch.setattr(np, "bincount", spy)
+    rng = np.random.default_rng(43)
+    cases = [
+        (1, 7, [Shape.segment(3)]),
+        (1, 5, [Shape([(-3,), (0,), (4,)])]),              # negative, wraps
+        (1, 3, [Shape([(2,), (7,), (-8,)])]),              # offsets beyond the side
+        (1, 2, [Shape.segment(3)]),                        # shape longer than the side
+        (1, 1, [Shape.segment(2)]),
+        (2, 4, [Shape([(0, 0), (1, 2), (-1, 1)])]),
+        (2, 2, [Shape.box(2, 2).translate((3, -5))]),
+        (2, 1, [Shape.box(2, 2)]),
+        (3, 3, [Shape([(0, 0, 0), (0, 1, -1), (4, 0, 2)])]),
+        (3, 2, [Shape.box(2, 3)]),
+        # a weak product's axis shapes, counted together
+        (2, 4, [Shape([(0, 0), (0, 1)]), Shape([(0, 0), (1, 0)])]),
+        (3, 3, [Shape([(0, 0, 0), (0, 0, 1)]), Shape([(0, 0, 0), (0, 1, 0)]),
+                Shape([(0, 0, 0), (1, 0, 0)])]),
+    ]
+    for q in (2, 3, 5):
+        for dim, side, shapes in cases:
+            m = q ** len(shapes[0])
+            if m > 1000:
+                continue
+            # stacks on both sides of 2^8 and 2^16 codes (S·m)
+            for s in {1, 7, 256 // m, 256 // m + 1, 2 ** 16 // m + 1} - {0}:
+                cells = rng.integers(0, q, (s, side ** dim)).astype(np.uint8)
+                got = lattice_core._pattern_counts(cells, shapes, side, q, m)
+                assert got.dtype == np.int64 and got.shape == (s, m)
+                assert np.array_equal(got, _gather_counts(cells, shapes, side, q, m)), \
+                    (q, dim, side, shapes, s)
+                assert (got.sum(axis=1) == side ** dim * len(shapes)).all()
+    # every narrow code dtype was counted (the reference counts int64)
+    assert {np.dtype(np.uint8), np.dtype(np.uint16), np.dtype(np.uint32)} <= code_dtypes
+
+
+def test_pattern_counts_wide_cells():
+    # int64 cells, as exhaustive enumeration and alphabets above 256 give
+    # them, count as their narrow form does
+    rng = np.random.default_rng(47)
+    shape = Shape([(0,), (5,)])
+    for q in (2, 300):
+        cells = rng.integers(0, q, (4, 6))
+        got = lattice_core._pattern_counts(cells, [shape], 6, q, q ** 2)
+        assert np.array_equal(got, _gather_counts(cells, [shape], 6, q, q ** 2))
+
+
 def _averaged_loop(mu, shape):
     """Reference: the placement-by-placement outer-product sum."""
     total = np.zeros(mu.alphabet.size ** len(shape))

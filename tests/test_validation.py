@@ -12,12 +12,14 @@ from semicap.lattice_core import (
     SiteProductMeasure,
     ValidationError,
     Word,
+    _pattern_counts,
     averaged_marginal,
     empirical_distribution,
 )
 from semicap.scs_model import (
     ConstraintSet,
     LinearConstraint,
+    _probs_distance,
     axial_product,
     count_admissible,
     count_exhaustive,
@@ -341,6 +343,11 @@ _CONCENTRATION_CASES = {
                     ConstraintSet(_TERNARY, Shape.segment(2), (LinearConstraint(
                         np.array([0.0, 0, 1, 0, 0, 1, 1, 0, 1]), 0.2),)),
                     [0.01, 0.04], [20, 60]),
+    # a cap on the four triples with two ones or more
+    "wide cap": (PeriodicProductMeasure.iid(BIN, [0.55, 0.45]),
+                 ConstraintSet(BIN, Shape.segment(3), (LinearConstraint(
+                     np.array([0.0, 0, 0, 1, 0, 1, 1, 1]), 0.4),)),
+                 [0.01, 0.04], [30, 90]),
 }
 
 
@@ -365,6 +372,37 @@ def test_concentration_matches_per_word_reference(case, seed, extra_side, trials
     assert rep.monotone_in_side == monotone
     # every case counts some words inside and some outside
     assert 0.0 < rep.fractions.mean() < 1.0
+
+
+def test_concentration_multi_pattern_cap_matches_reference():
+    # the stacked distance of a cap charging several patterns rounds its
+    # exact mass once, where the reference sums rounded rates, and still
+    # makes the same inside decisions over many words
+    mu, gamma, eps_list, sides = _CONCENTRATION_CASES["wide cap"]
+    assert gamma.cap[0].sum() == 4
+    rep = concentration_check(mu, gamma, eps_list, sides, 240, 9)
+    fractions, base_distance, monotone = _concentration_reference(
+        mu, gamma, eps_list, sides, 240, 9)
+    assert rep.fractions.tobytes() == fractions.tobytes()
+    assert rep.base_distance == base_distance
+    assert rep.monotone_in_side == monotone
+    assert 0.0 < rep.fractions.mean() < 1.0
+
+
+@pytest.mark.parametrize("k, p", [(0, 0.3), (1, 0.1), (2, 0.05), (2, 0.01), (3, 0.02)])
+def test_stacked_cap_distance_is_per_word_closed_form(k, p):
+    # on a one-pattern cap such as rll, each word's stacked distance is its
+    # own _probs_distance(row / n), bit for bit
+    gamma = rll_constraint(k, p)
+    for n, theta in ((30, 0.6), (97, 0.45), (300, 0.37)):
+        mu = PeriodicProductMeasure.iid(BIN, [1 - theta, theta]).tile(n)
+        cells = validation._draw_cells(validation._thresholds(mu),
+                                       np.arange(200, dtype=np.uint64), np.uint8)
+        counts = _pattern_counts(cells, [gamma.shape], n, 2, gamma.npatterns)
+        got = validation._count_distances(counts, n, gamma)
+        want = np.array([_probs_distance(row / n, gamma) for row in counts])
+        assert got.tobytes() == want.tobytes()
+        assert (got > 0).any()
 
 
 def test_concentration_cases_cover_distance_paths():
