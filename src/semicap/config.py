@@ -8,7 +8,7 @@ A system is described by an INI-style text with two sections::
     mode = strict           # strict | weak (axial products only)
     constraint = rll        # rll | forbidden | linear
     k = 2                   # rll: cap the frequency of k+1 consecutive ones
-    p = 0.05                # rll: the cap
+    p = 0.05                # rll: the cap, a decimal or a fraction such as 1/3
     eps = 0, 0.01           # finite, >= 0: relaxation radii offered to subcommands
 
     [solver]
@@ -26,6 +26,9 @@ A system is described by an INI-style text with two sections::
     #   linear =                 (one row per line: q^window coefficients,
     #     0 0 0 1 <= 0.05        a sense token <= or ==, then the bound)
 
+`p` and each `linear` token are read exactly, by `Fraction(text)`, so
+0.05 is 1/20 and 1/3 is one third; 1/0, nan, inf and 1e400 are refused.
+
 Unknown sections or keys are rejected, as are keys that do not belong to
 the chosen constraint kind; every default above is what an omitted key
 means.  `sha256` hashes the raw text, so emitted tables can name the exact
@@ -38,6 +41,7 @@ import hashlib
 import io
 import math
 from dataclasses import dataclass, field
+from fractions import Fraction
 
 from semicap.lattice_core import Alphabet, Shape, ValidationError
 from semicap.scs_model import (
@@ -84,7 +88,7 @@ def _get(section, key, cast, default=None, required=False):
     raw = section[key].strip()
     try:
         return cast(raw)
-    except (ValueError, TypeError) as exc:
+    except (ValueError, TypeError, ZeroDivisionError) as exc:
         raise ConfigError(f"bad value for '{key}': {raw!r}") from exc
 
 
@@ -190,7 +194,7 @@ class SystemConfig:
         alphabet = Alphabet.of_size(q)
         if kind == "rll":
             k = _get(sys_sec, "k", int, required=True)
-            p = _get(sys_sec, "p", float, required=True)
+            p = _get(sys_sec, "p", Fraction, required=True)
             if q != 2:
                 raise ConfigError("the rll family is binary; set alphabet = 2")
             try:
@@ -232,19 +236,12 @@ class SystemConfig:
                         f"linear row must be 'coeffs.. <=|== bound': {line!r}"
                     )
                 si = senses[0]
-                try:
-                    coeffs = tuple(float(t) for t in tokens[:si])
-                    bound = float(tokens[-1])
-                except ValueError as exc:
-                    raise ConfigError(f"bad number in row {line!r}") from exc
-                if len(coeffs) != m:
-                    raise ConfigError(
-                        f"row has {len(coeffs)} coefficients, expected {m}"
-                    )
-                try:
-                    rows.append(LinearConstraint(coeffs, bound, tokens[si]))
+                if si != m:
+                    raise ConfigError(f"row has {si} coefficients, expected {m}")
+                try:  # reads each token by Fraction(text)
+                    rows.append(LinearConstraint(tokens[:si], tokens[-1], tokens[si]))
                 except ValidationError as exc:
-                    raise ConfigError(f"{exc}: {line!r}") from exc
+                    raise ConfigError(f"bad number in row {line!r}: {exc}") from exc
             if not rows:
                 raise ConfigError("linear constraint list is empty")
             factor = ConstraintSet(alphabet, Shape.segment(window), rows)

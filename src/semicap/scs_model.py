@@ -17,7 +17,6 @@ word.
 """
 from __future__ import annotations
 
-import functools
 import math
 from bisect import bisect_left
 from dataclasses import dataclass, field
@@ -79,21 +78,40 @@ class EmptySystemError(ValidationError):
 # Constraint sets
 # ---------------------------------------------------------------------------
 
+def _rational(x) -> Fraction:
+    """`x` read exactly, by `LinearConstraint`'s rule.  NaN, infinities and
+    values past the float range (1e400) raise ValidationError."""
+    try:
+        if isinstance(x, np.integer):
+            x = int(x)
+        value = (Fraction(x) if isinstance(x, (str, int, Fraction))
+                 else Fraction(repr(float(x))))
+        float(value)   # raises OverflowError past the float range
+    except (ValueError, TypeError, ZeroDivisionError, OverflowError) as exc:
+        raise ValidationError(f"constraint data must be finite numbers, not {x!r:.40}") from exc
+    return value
+
+
 @dataclass(frozen=True, eq=False)
 class LinearConstraint:
-    """One linear condition  coeffs . mu  (<=|==)  bound  on a distribution."""
+    """One linear condition  coeffs . mu  (<=|==)  bound  on a distribution.
+
+    Each number is read once, here, as an exact `Fraction`: a `Fraction` or
+    int as it is, a string by `Fraction(text)` ("0.3" and "1/3" are exact),
+    a float as its shortest round-trip decimal (0.3 is 3/10, not the binary
+    `Fraction(0.3)`).  `coeffs` is an object array, so `coeffs @ floats`
+    is a float; `ConstraintSet` holds the float arrays for float readers."""
 
     coeffs: np.ndarray
-    bound: float
+    bound: Fraction
     sense: str = "<="
 
     def __post_init__(self) -> None:
-        coeffs = np.asarray(self.coeffs, dtype=np.float64)
         if self.sense not in ("<=", "=="):
             raise ValidationError(f"unknown constraint sense {self.sense!r}")
-        if not (np.isfinite(coeffs).all() and math.isfinite(self.bound)):
-            raise ValidationError("constraint coefficients and bound must be finite")
-        object.__setattr__(self, "coeffs", coeffs)
+        object.__setattr__(self, "coeffs",
+                           np.array([_rational(c) for c in self.coeffs], dtype=object))
+        object.__setattr__(self, "bound", _rational(self.bound))
 
 
 @dataclass(frozen=True, eq=False)
@@ -104,7 +122,8 @@ class ConstraintSet:
     The rows are also held as read-only arrays, built once: `coeffs`
     (rows x patterns), `bounds`, and `equal` (True on `==` rows), in the
     order of `constraints`.  Every float reader uses these (the LPs, the
-    pressure dual, `_meets_rows`); the exact tests read `constraints`.
+    pressure dual, `_meets_rows`); the exact tests read the `Fraction`
+    rows of `constraints`.
     Two more fields say once what the rows mean, however they are written
     (`_classify`): `forbidden`, the 0/1 indicator of the patterns Γ forbids
     when forbidding is all its rows do, else None; and `cap`, (indicator
@@ -203,12 +222,14 @@ class AxialSystem:
         return Shape(pts)
 
 
-def rll_constraint(k: int, p: float) -> ConstraintSet:
+def rll_constraint(k: int, p) -> ConstraintSet:
     """Binary system capping the frequency of the all-ones run of length k+1.
 
     Words are admissible (at slack 0) iff at most a p-fraction of the cyclic
     length-(k+1) windows read 1^(k+1); p = 0 recovers the hard run-length
     constraint, and any p >= 2^-(k+1) leaves the uniform measure inside.
+    `p` is read exactly, as `LinearConstraint` reads a bound, so one third
+    may be given as Fraction(1, 3) or "1/3".
     """
     if k < 0:
         raise ValidationError("k must be >= 0")
@@ -217,7 +238,7 @@ def rll_constraint(k: int, p: float) -> ConstraintSet:
     m = 2 ** (k + 1)
     coeffs = np.zeros(m)
     coeffs[m - 1] = 1.0  # the all-ones pattern has the top index
-    return ConstraintSet(alphabet, shape, (LinearConstraint(coeffs, float(p), "<="),))
+    return ConstraintSet(alphabet, shape, (LinearConstraint(coeffs, p, "<="),))
 
 
 def fully_constrained(
@@ -323,27 +344,11 @@ def _probs_distance(probs: np.ndarray, gamma: ConstraintSet) -> float:
 # Admissibility of a single word
 # ---------------------------------------------------------------------------
 
-@functools.lru_cache(maxsize=1 << 12)
-def _decimal(x) -> Fraction:
-    """A float bound or coefficient read as its shortest round-trip decimal,
-    so 0.3 means 3/10 (`Fraction(0.3)` is the binary float, below 3/10).
-    Every transfer reads its rows through here, so readings are cached;
-    equal floats read alike (0.0 and -0.0 both as 0)."""
-    return Fraction(repr(float(x)))
-
-
 def _exact_row_check(counts: Sequence[int], con: LinearConstraint, total: int) -> bool:
     """Exact rational test of `con` against integer pattern counts/total."""
-    lhs = Fraction(0)
-    for i, cnt in enumerate(counts):
-        if cnt:
-            c = con.coeffs[i]
-            if c:
-                lhs += _decimal(c) * int(cnt)
-    rhs = _decimal(con.bound) * total
-    if con.sense == "<=":
-        return lhs <= rhs
-    return lhs == rhs
+    lhs = sum(c * int(n) for c, n in zip(con.coeffs, counts) if n and c)
+    rhs = con.bound * total
+    return lhs <= rhs if con.sense == "<=" else lhs == rhs
 
 
 def _checks(system) -> list[tuple[list[Shape], ConstraintSet]]:
@@ -455,8 +460,7 @@ class _Row:
     sense: str                 # "<=" or "==": leaf semantics at eps = 0
 
 
-def _scale_row(coeffs: np.ndarray, bound: Fraction, scale: int, sense: str,
-               eps: float) -> _Row:
+def _scale_row(con: LinearConstraint, scale: int, eps: float) -> _Row:
     """Turn a constraint on (averaged) distributions into an integer-weight
     row on raw pattern counts.
 
@@ -466,25 +470,24 @@ def _scale_row(coeffs: np.ndarray, bound: Fraction, scale: int, sense: str,
     integer weights = c * common.  For eps > 0 the budget of a prunable row
     is relaxed by eps times the row's `_ball_reach`.
     """
-    fracs = {c: _decimal(c) for c in set(coeffs.tolist())}   # each distinct value once
-    common = math.lcm(*(f.denominator for f in fracs.values()))
-    scaled = {c: f.numerator * (common // f.denominator) for c, f in fracs.items()}
-    weights = [scaled[c] for c in coeffs.tolist()]
-    equal = sense == "=="
-    prunable = all(w >= 0 for w in weights) and (not equal or bound == 0)
-    budget = bound * scale * common
+    common = math.lcm(*(c.denominator for c in con.coeffs))
+    weights = [c.numerator * (common // c.denominator) for c in con.coeffs]
+    equal = con.sense == "=="
+    prunable = all(w >= 0 for w in weights) and (not equal or con.bound == 0)
+    budget = con.bound * scale * common
     if eps and prunable:
         # the leaf test accepts distance <= eps + FEASIBILITY_TOL, so the prune
         # budget must be relaxed by at least that much to stay conservative
         budget += _eps_threshold(eps) * _ball_reach(weights, equal) * scale
-    return _Row(weights, budget, prunable, sense)
+    return _Row(weights, budget, prunable, con.sense)
 
 
 def _eps_threshold(eps: float) -> Fraction:
-    """The exact TV radius a relaxed type is accepted within: eps widened by
-    the LP's `FEASIBILITY_TOL`, as the leaf test `<= eps + FEASIBILITY_TOL`
-    widens it.  The prune budgets and the transport verdict both read it."""
-    return Fraction(float(eps)) + Fraction(FEASIBILITY_TOL)
+    """The exact TV radius a relaxed type is accepted within: eps, read as
+    the rows are (`_rational`: 0.1 is 1/10), widened by the LP's
+    `FEASIBILITY_TOL`, as the leaf test `<= eps + FEASIBILITY_TOL` widens
+    it.  The prune budgets and the transport verdict both read it."""
+    return _rational(eps) + Fraction(FEASIBILITY_TOL)
 
 
 def _gain_orders(gamma: ConstraintSet, exact: list[_Row]) -> list | None:
@@ -617,8 +620,7 @@ class _Transfer:
             nplace = sum(len(tab) for tab in tables)
             charge: list[list[tuple[int, int]]] = [[] for _ in range(gamma.npatterns)]
             for con in gamma.constraints:
-                row = _scale_row(con.coeffs, _decimal(con.bound), nplace, con.sense,
-                                 self.eps)
+                row = _scale_row(con, nplace, self.eps)
                 if self.eps and not row.prunable:
                     continue
                 self.rows.append((len(self.caps), row))
@@ -627,8 +629,7 @@ class _Transfer:
                         charge[i].append((len(self.caps), w))
                 self.caps.append(math.floor(row.budget) if row.prunable else math.inf)
             if self.eps:
-                exact = [_scale_row(con.coeffs, _decimal(con.bound), nplace, con.sense, 0.0)
-                         for con in gamma.constraints]
+                exact = [_scale_row(con, nplace, 0.0) for con in gamma.constraints]
                 self.types.append((len(self.caps), nplace, gamma, exact,
                                    _gain_orders(gamma, exact),
                                    _eps_threshold(self.eps) * nplace))

@@ -9,6 +9,7 @@ import pytest
 
 from semicap import validation
 from semicap.cli import main
+from semicap.config import ConfigError, SystemConfig
 
 RLL_FREE = """\
 [system]
@@ -330,6 +331,49 @@ def test_exit_on_config_errors(tmp_path, capsys):
     assert main(["capacity", "--config", solver]) == 2
     err = capsys.readouterr().err
     assert "config error" in err
+
+
+def _sys(body, alphabet=2):
+    return f"[system]\nalphabet = {alphabet}\n{body}\n"
+
+
+_RLL = "constraint = rll\nk = 1\np = {}"
+_ROW = "constraint = linear\nwindow = 1\nlinear = {}"
+
+
+@pytest.mark.parametrize("text, message", [
+    (_sys("constraint = rll\nk = 1"), "missing required key 'p'"),
+    (_sys("constraint = rll\nk = one\np = 0.1"), "bad value for 'k'"),
+    (_sys("constraint = rll\nk = 1\np = 0.1\neps = ,"), "bad value for 'eps'"),
+    ("no section header\n", "unparseable configuration"),
+    (_sys(_RLL.format("0.1")) + "[extra]\n", "unknown sections"),
+    ("[solver]\nseed = 1\n", "missing [system] section"),
+    (_sys("constraint = magic"), "unknown constraint kind"),
+    (_sys(_RLL.format("0.1"), alphabet=1), "alphabet size must be at least 2"),
+    (_sys(_RLL.format("0.1") + "\ndimension = 0"), "dimension must be at least 1"),
+    (_sys(_RLL.format("0.1") + "\nmode = loose"), "mode must be strict or weak"),
+    (_sys(_RLL.format("0.1"), alphabet=3), "the rll family is binary"),
+    (_sys("constraint = forbidden\nforbidden = ,"), "forbidden list is empty"),
+    (_sys("constraint = forbidden\nforbidden = 11, 101"), "must share one length"),
+    (_sys("constraint = forbidden\nforbidden = 12"), "has symbols outside 0..1"),
+    (_sys("constraint = linear\nwindow = 0\nlinear = 0 1 <= 1"), "window must be at least 1"),
+    (_sys(_ROW.format("0 1 0.5")), "linear row must be"),
+    (_sys(_ROW.format("0 1 <= 0.5 <= 1")), "linear row must be"),
+    (_sys(_ROW.format("0 x <= 1")), "bad number in row"),
+    (_sys(_ROW.format("0 1 1 <= 1")), "row has 3 coefficients, expected 2"),
+    (_sys(_ROW.format("")), "linear constraint list is empty"),
+    # numbers are read by Fraction(text), which must still refuse these
+    *((_sys(_RLL.format(v)), f"bad value for 'p': {v!r}") for v in ("1/0", "nan", "inf")),
+    (_sys(_RLL.format("1e400")), "constraint data must be finite numbers"),
+    *((_sys(_ROW.format(row)), "bad number in row")
+      for v in ("1/0", "nan", "inf", "1e400") for row in (f"0 {v} <= 1", f"0 1 <= {v}")),
+])
+def test_parse_refuses_each_malformed_config(tmp_path, capsys, text, message):
+    with pytest.raises(ConfigError) as info:
+        SystemConfig.parse(text)
+    assert message in str(info.value)
+    assert main(["count", "--config", write(tmp_path, text), "--n", "3"]) == 2
+    assert message in capsys.readouterr().err
 
 
 @pytest.mark.parametrize("solver, command", [

@@ -50,8 +50,8 @@ def test_rll_constraint_structure():
     assert g.npatterns == 8
     (con,) = g.constraints
     assert con.sense == "<="
-    assert con.bound == 0.05
-    assert con.coeffs[7] == 1.0 and con.coeffs[:7].sum() == 0.0
+    assert con.bound == Fraction(1, 20)          # 0.05 read as its decimal
+    assert con.coeffs.tolist() == [Fraction(0)] * 7 + [Fraction(1)]
     # the row arrays, in row order, read-only
     mixed = ConstraintSet(BIN, Shape.segment(2), (
         LinearConstraint([0.0, 1.0, 1.0, 0.0], 0.5),
@@ -178,11 +178,13 @@ def _grid_distance(mu_probs, cons, denom=60):
     distributions with the given denominator."""
     best = np.inf
     m = len(mu_probs)
+    # float rows, read once: the grid has tens of thousands of points
+    rows = [(c.coeffs.astype(float), float(c.bound)) for c in cons]
     for comp in itertools.product(range(denom + 1), repeat=m - 1):
         if sum(comp) > denom:
             continue
         nu = np.array(comp + (denom - sum(comp),), dtype=float) / denom
-        if all(float(c.coeffs @ nu) <= c.bound + 1e-9 for c in cons):  # all "<="
+        if all(float(c @ nu) <= b + 1e-9 for c, b in rows):  # all "<="
             best = min(best, 0.5 * np.abs(nu - mu_probs).sum())
     return best
 
@@ -240,6 +242,36 @@ def test_decimal_caps_are_exact():
     gamma = rll_constraint(0, 0.3)
     assert is_admissible(w, gamma)
     assert gamma.contains(empirical_distribution(w, gamma.shape))
+
+
+@pytest.mark.parametrize("p, exact", [
+    (Fraction(1, 3), Fraction(1, 3)), (Fraction(2, 7), Fraction(2, 7)),
+    ("5/12", Fraction(5, 12)),
+    (0.3, Fraction(3, 10)), ("0.3", Fraction(3, 10)), (Fraction(3, 10), Fraction(3, 10)),
+], ids=["1/3", "2/7", "str 5/12", "float 0.3", "str 0.3", "3/10"])
+def test_rational_caps_are_exact(p, exact):
+    # mu(1) <= p admits the n-cycles with at most floor(p n) ones, whether p
+    # is a Fraction, a string or a decimal float; a float reading of 1/3
+    # falls below it and loses the words with exactly n/3 ones
+    gamma = rll_constraint(0, p)
+    for n in range(1, 13):
+        binomial = sum(math.comb(n, j) for j in range(math.floor(exact * n) + 1))
+        assert count_admissible(n, gamma) == binomial, n
+        assert count_exhaustive(n, gamma) == binomial, n
+        words = (Word(BIN, np.array(w)) for w in itertools.product((0, 1), repeat=n))
+        assert sum(is_admissible(w, gamma) for w in words) == binomial, n
+
+
+def test_rational_cap_on_pairs_matches_enumeration():
+    # rll(1, 1/3): at most a third of the cyclic pairs read 11, enumerated
+    # in fractions
+    gamma = rll_constraint(1, Fraction(1, 3))
+    for n, expect in ((3, 7), (6, 51), (9, 403)):
+        enumerated = sum(
+            Fraction(sum(w[i] & w[(i + 1) % n] for i in range(n)), n) <= Fraction(1, 3)
+            for w in itertools.product((0, 1), repeat=n))
+        assert enumerated == expect
+        assert count_admissible(n, gamma) == count_exhaustive(n, gamma) == expect
 
 
 def test_cyclic_counts_no_adjacent_ones():
@@ -537,10 +569,12 @@ def test_transport_bounds_that_straddle_the_radius_fall_back_to_the_lp(monkeypat
 
 def test_prune_and_verdict_read_one_threshold():
     # the prune budget of a relaxed row and the transport verdict's radius
-    # are both widened by `_eps_threshold`
-    for eps in (0.01, 0.02, 0.3):
+    # are both widened by `_eps_threshold`, which reads eps as its decimal,
+    # as the rows are read
+    for eps, decimal in ((0.01, Fraction(1, 100)), (0.02, Fraction(1, 50)),
+                         (0.3, Fraction(3, 10))):
         thr = scs_model._eps_threshold(eps)
-        assert thr == Fraction(float(eps)) + Fraction(FEASIBILITY_TOL)
+        assert thr == decimal + Fraction(FEASIBILITY_TOL)
         for gamma in (GAMMA_W2, GAMMA_W3):
             transfer = scs_model._Transfer(12, gamma, eps)
             exact = transfer.types[0][3]
