@@ -17,7 +17,8 @@ round-trip form — reparsing a table reproduces the values bit for bit.
 
 ``--seed`` takes an integer >= 0, ``--dim`` one >= 1 (`report` and
 `cyclic-vs-noncyclic`) and ``--eps`` a finite number >= 0 (`count` and
-`indentropy`); out-of-range values are configuration errors.
+`indentropy`), read exactly as the config's eps values are (1/50 is
+0.02); out-of-range values are configuration errors.
 
 Exit codes: 0 success; 2 configuration or usage error; 3 a size guard
 refused the computation; 4 numerical non-convergence, no certified
@@ -34,6 +35,7 @@ import csv
 import hashlib
 import json
 import sys
+from fractions import Fraction
 
 import numpy as np
 
@@ -45,7 +47,7 @@ from semicap.lattice_core import (
     ValidationError,
     pattern_from_index,
 )
-from semicap.scs_model import EmptySystemError
+from semicap.scs_model import EmptySystemError, _rational
 from semicap.validation import (
     concentration_check,
     cyclic_vs_noncyclic,
@@ -152,12 +154,18 @@ def _dim(args, default: int) -> int:
     return args.dim
 
 
-def _eps(args) -> float | None:
-    """The --eps flag, checked as the config's eps values are; None when
-    it is not given."""
-    if args.eps is not None and not (args.eps >= 0 and np.isfinite(args.eps)):
+def _eps(args) -> Fraction | None:
+    """The --eps flag, read and checked as the config's eps values are;
+    None when it is not given."""
+    if args.eps is None:
+        return None
+    try:
+        eps = _rational(args.eps)
+    except ValidationError:
+        eps = None
+    if eps is None or eps < 0:
         raise ConfigError("--eps must be finite and nonnegative")
-    return args.eps
+    return eps
 
 
 def _parse_sides(args, default: list[int] | None = None) -> list[int]:
@@ -356,7 +364,7 @@ def _build_parser() -> argparse.ArgumentParser:
     _add_common(sub)
     sub.add_argument("--n", type=int, default=None, help="single side")
     sub.add_argument("--n-range", default=None, metavar="LO:HI[:STEP]")
-    sub.add_argument("--eps", type=float, default=None,
+    sub.add_argument("--eps", default=None,
                      help="relaxation radius (default: first config value)")
     sub.set_defaults(run=_cmd_count)
 
@@ -368,7 +376,7 @@ def _build_parser() -> argparse.ArgumentParser:
     _add_common(sub)
     sub.add_argument("--n", type=int, default=None)
     sub.add_argument("--n-range", default=None, metavar="LO:HI[:STEP]")
-    sub.add_argument("--eps", type=float, default=None,
+    sub.add_argument("--eps", default=None,
                      help="single radius overriding the config list")
     sub.set_defaults(run=_cmd_indentropy)
 

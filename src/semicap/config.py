@@ -26,8 +26,9 @@ A system is described by an INI-style text with two sections::
     #   linear =                 (one row per line: q^window coefficients,
     #     0 0 0 1 <= 0.05        a sense token <= or ==, then the bound)
 
-`p` and each `linear` token are read exactly, by `Fraction(text)`, so
-0.05 is 1/20 and 1/3 is one third; 1/0, nan, inf and 1e400 are refused.
+`p`, each `linear` token and each eps are read exactly, by
+`Fraction(text)`, so 0.05 is 1/20 and 1/3 is one third; 1/0, nan, inf and
+1e400 are refused.
 
 Unknown sections or keys are rejected, as are keys that do not belong to
 the chosen constraint kind; every default above is what an omitted key
@@ -39,7 +40,6 @@ from __future__ import annotations
 import configparser
 import hashlib
 import io
-import math
 from dataclasses import dataclass, field
 from fractions import Fraction
 
@@ -47,6 +47,7 @@ from semicap.lattice_core import Alphabet, Shape, ValidationError
 from semicap.scs_model import (
     ConstraintSet,
     LinearConstraint,
+    _rational,
     axial_product,
     fully_constrained,
     rll_constraint,
@@ -92,11 +93,11 @@ def _get(section, key, cast, default=None, required=False):
         raise ConfigError(f"bad value for '{key}': {raw!r}") from exc
 
 
-def _float_list(raw: str) -> tuple[float, ...]:
+def _rational_list(raw: str) -> tuple[Fraction, ...]:
     parts = [p for chunk in raw.split(",") for p in chunk.split()]
     if not parts:
         raise ValueError("empty list")
-    return tuple(float(p) for p in parts)
+    return tuple(_rational(p) for p in parts)
 
 
 @dataclass(frozen=True, eq=False)
@@ -105,7 +106,7 @@ class SystemConfig:
 
     dimension: int
     mode: str
-    eps_list: tuple[float, ...]
+    eps_list: tuple[Fraction, ...]
     solver: SolverOptions
     sha256: str
     _factor: ConstraintSet = field(repr=False)
@@ -163,8 +164,8 @@ class SystemConfig:
         mode = _get(sys_sec, "mode", str, default="strict")
         if mode not in ("strict", "weak"):
             raise ConfigError("mode must be strict or weak")
-        eps_list = _get(sys_sec, "eps", _float_list, default=(0.0,))
-        if not all(e >= 0 and math.isfinite(e) for e in eps_list):
+        eps_list = _get(sys_sec, "eps", _rational_list, default=(Fraction(0),))
+        if not all(e >= 0 for e in eps_list):   # `_rational` refuses nan and inf
             raise ConfigError("eps values must be finite and nonnegative")
 
         solver = SolverOptions()

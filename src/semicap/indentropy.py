@@ -45,15 +45,17 @@ optimiser exploits:
   once per model, while each start keeps its own multiplier, bracket,
   stopping tests and result, exactly as if it ran alone;
 * zero-budget and multi-constraint systems fall back to per-site entropy
-  maximisation over the feasible slice, the one-state case of the
-  certified pressure dual in `capacity` (one multiplier per constraint,
-  warm-started from the site's previous solve), which also polishes the
-  ascent's result.  The same engine solves that dual for capacity and
-  for the slices.  These sweeps run on the same stack of starts: each
-  site's affine terms come from the same gather tables for every start
-  at once, one stacked call of the engine (`capacity._slice_duals`)
-  solves every start's slice, bit for bit as the start's own call would,
-  and each start keeps its own stop;
+  maximisation over the feasible slice, which also polishes the ascent's
+  result.  These sweeps run on the same stack of starts: each site's
+  affine terms come from the same gather tables for every start at once,
+  and each start keeps its own stop.  A binary slice is an interval for
+  x = p_v(1), so its maximiser is 1/2 clipped to that interval, in closed
+  form (`_binary_slices`; hard rows pin x to 0 or 1, as in the dual).
+  For q >= 3 the slice is the one-state case of the certified pressure
+  dual in `capacity` (one multiplier per constraint, warm-started from
+  the site's previous solve), the engine that also solves capacity's
+  dual: one stacked call (`capacity._slice_duals`) solves every start's
+  slice, bit for bit as the start's own call would;
 * everything is repeated from random restarts plus i.i.d. and period-2
   warm starts, and the winner is certified feasible by an LP distance
   check.  The starts are drawn and screened as one stack: the random rows
@@ -89,7 +91,7 @@ from semicap.lattice_core import (
     placements,
     product_entropy,
 )
-from semicap.capacity import _require_window, _slice_duals
+from semicap.capacity import _HARD_TOL, _require_window, _slice_duals
 from semicap.scs_model import (
     ConstraintSet,
     _ball_reach,
@@ -317,22 +319,52 @@ def _entropy_sums(stack: np.ndarray) -> np.ndarray:
     return np.add.accumulate(_entropy_vec(stack), axis=1)[:, -1] + 0.0
 
 
+def _binary_slices(lins: np.ndarray, rhs: np.ndarray, starts: np.ndarray) -> np.ndarray:
+    """The binary site slices max H(p) s.t. lins[i] . p <= rhs[i] (lins
+    (S, R, 2)) in closed form, slice by slice: with x = p(1) the slice is
+    an interval and its maximiser is 1/2 clipped to it.  Each row is shifted
+    to a zero minimum as in the pressure dual; one left with a bound of at
+    most `_HARD_TOL` is hard and forbids the symbols it charges, which pins
+    x to 0 or 1, and each soft row bounds x on one side.  A slice whose own
+    dual would raise (no symbol left, or a row that no symbol left meets)
+    and a slice whose soft rows leave an empty interval keep their starts
+    (S, 2)."""
+    low = lins.min(axis=2)
+    c = lins - low[:, :, None]
+    b = rhs - low
+    soft = b > _HARD_TOL
+    allowed = ~((c > _HARD_TOL) & ~soft[:, :, None]).any(axis=1)
+    meets = ((c <= (b + _HARD_TOL)[:, :, None]) & allowed[:, None, :]).any(axis=2)
+    # a soft row charging symbol 0 caps 1 - x at b / c0, one charging 1 caps
+    # x; only a charge above b binds, and b / c < 1 then cannot overflow
+    ratio = np.divide(b[:, :, None], c, out=np.full(c.shape, np.inf),
+                      where=soft[:, :, None] & (c > b[:, :, None]))
+    lo, hi = 1.0 - ratio[:, :, 0].min(axis=1), ratio[:, :, 1].min(axis=1)
+    both = allowed.all(axis=1)
+    x = np.where(both, np.minimum(np.maximum(0.5, lo), hi), allowed[:, 1])
+    keep = ~(meets.all(axis=1) & allowed.any(axis=1)) | (both & (lo > hi))
+    return np.where(keep[:, None], starts, np.stack([1.0 - x, x], axis=1))
+
+
 def _sweep_hard(model: _WindowModel, rows: np.ndarray, bounds_eff: list[float],
                 coeff_list: Sequence[np.ndarray]) -> np.ndarray:
     """Cyclic per-site entropy maximisation within the feasible slice, on a
     stack of starts: `rows` (S, n, q) is updated in place and returned.
 
-    Each site's slice {p : lin_r . p <= bound_r - const_r} is the one-state
+    Each site's slice {p : lin_r . p <= bound_r - const_r} comes, for every
+    row, from one gather over the live starts.  Binary slices are solved in
+    closed form (`_binary_slices`).  For q >= 3 the slice is the one-state
     case of the pressure dual, warm-started at each start's previous
-    multipliers for the site; every row's terms come from one gather over
-    the live starts, and one `_slice_duals` call solves every live start's
-    slice, bit for bit as its own `pressure_dual` call would.  Each start
-    leaves the stack after the sweep in which its entropy, summed over the
-    sites in order, rose by no more than `_SWEEP_STOP`.
+    multipliers for the site, and one `_slice_duals` call solves every live
+    start's slice, bit for bit as its own `pressure_dual` call would.  Each
+    start leaves the stack after the sweep in which its entropy, summed over
+    the sites in order, rose by no more than `_SWEEP_STOP`.
     """
     n = model.side
+    binary = model.q == 2
     gathers = [model.site_gathers(c) for c in coeff_list]
-    lams = np.zeros(rows.shape[:2] + (len(coeff_list),))
+    if not binary:
+        lams = np.zeros(rows.shape[:2] + (len(coeff_list),))
     prev = np.full(len(rows), -math.inf)
     live = np.arange(len(rows))
     for _ in range(_HARD_SWEEPS):
@@ -342,9 +374,13 @@ def _sweep_hard(model: _WindowModel, rows: np.ndarray, bounds_eff: list[float],
             site = [g[v] for g in gathers]   # per row, (linear, constant)
             lins = np.stack([model.terms(flat, lin) for lin, _ in site], axis=1)
             consts = np.concatenate([model.terms(flat, const) for _, const in site], axis=1)
-            sub[:, v], lams[live, v] = _slice_duals(
-                lins, np.subtract(bounds_eff, consts), sub[:, v], lams[live, v],
-                max_iter=_SLICE_ITER, gap_tol=_SLICE_GAP)
+            rhs = np.subtract(bounds_eff, consts)
+            if binary:
+                sub[:, v] = _binary_slices(lins, rhs, sub[:, v])
+            else:
+                sub[:, v], lams[live, v] = _slice_duals(
+                    lins, rhs, sub[:, v], lams[live, v],
+                    max_iter=_SLICE_ITER, gap_tol=_SLICE_GAP)
         rows[live] = sub
         val = _entropy_sums(sub)
         done = val <= prev[live] + _SWEEP_STOP

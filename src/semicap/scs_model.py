@@ -592,6 +592,7 @@ class _Transfer:
     def __init__(self, side: int, system, eps: float = 0.0, cyclic: bool = True,
                  convention: str = "tile"):
         self.eps = _checked_eps(eps)
+        radius = eps if self.eps else 0   # as given: `_eps_threshold` reads 1/3 as 1/3
         side = _whole(side, "side")
         if side < 1:
             raise ValidationError("side must be >= 1")
@@ -620,7 +621,7 @@ class _Transfer:
             nplace = sum(len(tab) for tab in tables)
             charge: list[list[tuple[int, int]]] = [[] for _ in range(gamma.npatterns)]
             for con in gamma.constraints:
-                row = _scale_row(con, nplace, self.eps)
+                row = _scale_row(con, nplace, radius)
                 if self.eps and not row.prunable:
                     continue
                 self.rows.append((len(self.caps), row))
@@ -632,7 +633,7 @@ class _Transfer:
                 exact = [_scale_row(con, nplace, 0.0) for con in gamma.constraints]
                 self.types.append((len(self.caps), nplace, gamma, exact,
                                    _gain_orders(gamma, exact),
-                                   _eps_threshold(self.eps) * nplace))
+                                   _eps_threshold(radius) * nplace))
                 for i in range(gamma.npatterns):
                     charge[i].append((len(self.caps) + i, 1))
                 self.caps += [math.inf] * gamma.npatterns

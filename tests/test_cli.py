@@ -4,6 +4,7 @@ import dataclasses
 import json
 import math
 import os
+from fractions import Fraction
 
 import pytest
 
@@ -151,6 +152,24 @@ def test_jsonl_agrees_with_csv(tmp_path):
     _, csv_text = run(["count", "--config", cfg, "--n", "6"], tmp_path, "c.csv")
     csv_rate = float(csv_text.strip().splitlines()[-1].split(",")[-1])
     assert lines[1]["rate"] == csv_rate
+
+
+def test_eps_read_exactly(tmp_path):
+    # an eps, on the flag or in the config, is read as the rows are: 1/50
+    # is the 0.02 a decimal names, so each gives the same relaxed count
+    rows = ("[system]\nconstraint = linear\nwindow = 2\nlinear =\n"
+            "  0 0.5 0.5 1 <= 0.4\n  0 0 0 1 <= 0.15\n")
+    plain = write(tmp_path, rows, "plain.ini")
+    listed = write(tmp_path, rows + "eps = 1/50, 1/10\n", "listed.ini")
+    assert SystemConfig.load(listed).eps_list == (Fraction(1, 50), Fraction(1, 10))
+    lines = set()
+    for cfg, flag in ((plain, ["--eps", "0.02"]), (plain, ["--eps", "1/50"]), (listed, [])):
+        rc, text = run(["count", "--config", cfg, "--n-range", "12:12", *flag], tmp_path)
+        assert rc == 0
+        lines.add(text.strip().splitlines()[-1])
+    assert len(lines) == 1 and lines.pop().startswith("12,1382,")
+    rc, text = run(["indentropy", "--config", plain, "--n", "2", "--eps", "1/100"], tmp_path)
+    assert rc == 0 and "hind,0.01,2," in text
 
 
 def test_capacity_dump(tmp_path):

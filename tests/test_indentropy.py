@@ -4,6 +4,7 @@ import math
 import os
 import subprocess
 import sys
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -16,7 +17,13 @@ from semicap.lattice_core import (
     ValidationError,
     product_entropy,
 )
-from semicap.capacity import capacity_1d, pressure_dual, transfer_matrix_capacity
+from semicap.capacity import (
+    _HARD_TOL,
+    _MIX_TOL,
+    capacity_1d,
+    pressure_dual,
+    transfer_matrix_capacity,
+)
 from semicap.scs_model import (
     ConstraintSet,
     LinearConstraint,
@@ -584,9 +591,23 @@ def test_hind_benchmark_values():
             (rll_constraint(2, 0.05), 3, 0.0, 0.9494380930666207),
             (rll_constraint(1, 0.1), 2, 0.0, 0.9002320226345673),
             (rll_constraint(1, 0.1), 4, 0.01, 0.9166159099453555),
-            (_TWO_ROWS, 4, 0.0, 0.9539600076279061)):
+            (_TWO_ROWS, 4, 0.0, 0.9539600076278567)):
         res = hind_fixed_n(gamma, side, eps)
         assert res.feasible and abs(res.value - value) <= 1e-15, (side, eps)
+
+
+def test_two_row_witness_meets_rows_exactly():
+    # the two-row system's eps = 0 witness at n = 4, read exactly (each
+    # site's p(1) as the rational its float is, p(0) as 1 - p(1)), meets
+    # both rows: 0.5 mu(01) + 0.5 mu(10) + mu(11) <= 2/5, mu(11) <= 3/20
+    res = hind_fixed_n(_TWO_ROWS, 4, 0.0)
+    p = [(1 - Fraction(x), Fraction(x)) for x in res.measure.site_dists[:, 1].tolist()]
+    n = len(p)
+    mu = {(a, b): sum(p[v][a] * p[(v + 1) % n][b] for v in range(n)) / n
+          for a in (0, 1) for b in (0, 1)}
+    assert res.feasible and n == 4
+    assert Fraction(1, 2) * (mu[0, 1] + mu[1, 0]) + mu[1, 1] <= Fraction(2, 5)
+    assert mu[1, 1] <= Fraction(3, 20)
 
 
 def test_hind_values_pinned():
@@ -605,7 +626,7 @@ def test_hind_values_pinned():
             (rll_constraint(1, 0.1), 3, 0.0, dict(restarts=0), 0.9002320226345674),
             (rll_constraint(0, 0.3), 1, 0.0, dict(restarts=0), 0.8812908992306928),
             (_TWO_ROWS, 3, 0.01, {}, 0.9674811634775575),
-            (rll_constraint(2, 0.01), 3, 0.0, {}, 0.7596403782861736)):
+            (rll_constraint(2, 0.01), 3, 0.0, {}, 0.7596403782861869)):
         res = hind_fixed_n(gamma, side, eps, **kwargs)
         assert res.feasible and abs(res.value - value) <= 1e-15, (side, eps, kwargs)
 
@@ -928,32 +949,35 @@ def test_site_gathers_affine_form():
 
 def test_sweep_hard_stack_matches_single_starts(monkeypatch):
     # the stacked polish runs every start as a stack of one would, exactly;
-    # a start run alone makes n `_slice_duals` calls per sweep, so the
-    # calls count its sweeps, and some starts stop after different numbers
+    # a binary start run alone makes n `_binary_slices` calls per sweep, so
+    # the calls count its sweeps, and some starts stop after different numbers
     calls = 0
-    duals = indentropy._slice_duals
+    slices = indentropy._binary_slices
 
     def counted(*args, **kwargs):
         nonlocal calls
         calls += 1
-        return duals(*args, **kwargs)
+        return slices(*args, **kwargs)
 
-    monkeypatch.setattr(indentropy, "_slice_duals", counted)
+    monkeypatch.setattr(indentropy, "_binary_slices", counted)
     rng = np.random.default_rng(1)
     cap = np.array([0.0, 0.0, 0.0, 1.0])
-    cases = (  # (window, side, coefficient rows, bounds): the benchmark's
-        # single cap and two-row systems, and a zero budget (no 11)
-        (2, 5, [cap], [0.1]),
-        (2, 5, [np.array([0.0, 0.5, 0.5, 1.0]), cap], [0.4, 0.15]),
+    cases = (  # (window, side, coefficient rows, bounds, largest start mass
+        # of 1): the benchmark's single cap and two-row systems, a zero
+        # budget (no 11), and caps on both 00 and 11, whose closed-form
+        # sweeps take 2 to 10 rounds from starts anywhere in the square
+        (2, 5, [cap], [0.1], 0.5),
+        (2, 5, [np.array([0.0, 0.5, 0.5, 1.0]), cap], [0.4, 0.15], 0.5),
         (3, 4, [np.array([0.0, 0.0, 0.0, 0.5, 0.0, 0.5, 0.5, 1.0]),
-                np.eye(8)[7]], [0.3, 0.05]),
-        (2, 6, [cap], [0.0]),
+                np.eye(8)[7]], [0.3, 0.05], 0.5),
+        (2, 6, [cap], [0.0], 0.5),
+        (2, 5, [np.eye(4)[0], cap], [0.2, 0.2], 1.0),
     )
     uneven = []
-    for k, side, coeff_list, bounds in cases:
+    for k, side, coeff_list, bounds, top in cases:
         model = _WindowModel(ConstraintSet(BIN, Shape.segment(k), tuple(
             LinearConstraint(c, b) for c, b in zip(coeff_list, bounds))), side)
-        ones = rng.uniform(0.0, 0.5, size=(8, side))
+        ones = rng.uniform(0.0, top, size=(8, side))
         if bounds == [0.0]:
             ones[:, 1::2] = 0.0
         starts = np.stack([1.0 - ones, ones], axis=2)
@@ -971,9 +995,41 @@ def test_sweep_hard_stack_matches_single_starts(monkeypatch):
     assert any(uneven)
 
 
+def _binary_slice_ref(lin, rhs, start):
+    """Reference binary slice in plain floats, row by row: x = p(1) is 1/2
+    clipped to the interval the soft rows leave, or pinned where hard rows
+    (bound at most `_HARD_TOL` once shifted to a zero minimum) forbid a
+    symbol; the start stays where no symbol is left, where a row meets no
+    symbol left, or where the interval is empty."""
+    tol = _HARD_TOL
+    lo, hi, allowed, shifted = -math.inf, math.inf, [True, True], []
+    for (c0, c1), r in zip(lin.tolist(), rhs.tolist()):
+        m = min(c0, c1)
+        c0, c1, b = c0 - m, c1 - m, r - m
+        shifted.append((c0, c1, b))
+        if b <= tol:
+            allowed = [allowed[0] and c0 <= tol, allowed[1] and c1 <= tol]
+        elif c0 > b:   # (1 - x) c0 <= b
+            lo = max(lo, 1.0 - b / c0)
+        elif c1 > b:   # x c1 <= b
+            hi = min(hi, b / c1)
+    met = all(any(a and c <= b + tol for a, c in zip(allowed, (c0, c1)))
+              for c0, c1, b in shifted)
+    if not met:
+        return start
+    if not all(allowed):
+        x = float(allowed[1])
+    elif lo > hi:
+        return start
+    else:
+        x = min(max(0.5, lo), hi)
+    return np.array([1.0 - x, x])
+
+
 def _sweep_hard_per_start(model, rows, bounds_eff, coeff_list):
-    """Reference polish: `_sweep_hard` with one `pressure_dual` call per
-    start per site, and each start's entropy summed site by site."""
+    """Reference polish: `_sweep_hard` with one slice solve per start per
+    site, and each start's entropy summed site by site.  Binary slices take
+    `_binary_slice_ref`, the others one `pressure_dual` call."""
     gathers = [model.site_gathers(c) for c in coeff_list]
     lams = np.zeros(rows.shape[:2] + (len(coeff_list),))
     prev = np.full(len(rows), -math.inf)
@@ -986,6 +1042,10 @@ def _sweep_hard_per_start(model, rows, bounds_eff, coeff_list):
             lins = np.stack([model.terms(flat, lin) for lin, _ in site], axis=1)
             consts = np.concatenate([model.terms(flat, const) for _, const in site], axis=1)
             for i, s in enumerate(live):
+                if model.q == 2:
+                    sub[i, v] = _binary_slice_ref(lins[i], np.subtract(bounds_eff, consts[i]),
+                                                  sub[i, v])
+                    continue
                 try:
                     sol = pressure_dual(lins[i], np.subtract(bounds_eff, consts[i]),
                                         [False] * len(coeff_list), model.q, 1, sub[i, v],
@@ -1009,28 +1069,125 @@ def _sweep_hard_per_start(model, rows, bounds_eff, coeff_list):
 
 def test_sweep_hard_matches_per_start_polish():
     # the benchmark's single caps and two-row systems: the stacked polish
-    # gives every start the rows of its own per-site `pressure_dual` calls
+    # gives every start the rows of its own per-site slice solves, the
+    # closed form for binary starts and `pressure_dual` for ternary ones
     rng = np.random.default_rng(3)
     w2 = [np.array([0.0, 0.5, 0.5, 1.0]), np.eye(4)[3]]
     w3 = [np.array([0.0, 0.0, 0.0, 0.5, 0.0, 0.5, 0.5, 1.0]), np.eye(8)[7]]
-    cases = (  # (window, side, coefficient rows, relaxed bounds)
-        (3, 3, [np.eye(8)[7]], [0.05]),
-        (2, 2, [np.eye(4)[3]], [0.1]),
-        (2, 4, [np.eye(4)[3]], [0.11]),
-        (2, 4, w2, [0.4, 0.15]),
-        (3, 4, w3, [0.3, 0.05]),
-        (3, 5, w3, [0.31, 0.06]),   # eps = 0.01
+    t2 = np.zeros(9)
+    t2[[4, 8]] = 1.0   # mu(11) + mu(22)
+    t3 = np.zeros(27)
+    t3[[13, 26]] = 1.0   # mu(111) + mu(222)
+    cases = (  # (alphabet, window, side, coefficient rows, relaxed bounds)
+        (BIN, 3, 3, [np.eye(8)[7]], [0.05]),
+        (BIN, 2, 2, [np.eye(4)[3]], [0.1]),
+        (BIN, 2, 4, [np.eye(4)[3]], [0.11]),
+        (BIN, 2, 4, w2, [0.4, 0.15]),
+        (BIN, 3, 4, w3, [0.3, 0.05]),
+        (BIN, 3, 5, w3, [0.31, 0.06]),   # eps = 0.01
+        (_TRI, 2, 3, [t2], [0.1]),
+        (_TRI, 2, 4, [t2, np.eye(9)[1]], [0.1, 0.05]),
+        (_TRI, 3, 3, [t3], [0.02]),
     )
-    for k, side, coeff_list, bounds in cases:
-        model = _WindowModel(ConstraintSet(BIN, Shape.segment(k), tuple(
+    for alphabet, k, side, coeff_list, bounds in cases:
+        model = _WindowModel(ConstraintSet(alphabet, Shape.segment(k), tuple(
             LinearConstraint(c, b) for c, b in zip(coeff_list, bounds))), side)
-        ones = rng.uniform(0.0, 0.6, size=(12, side))
-        starts = np.stack([1.0 - ones, ones], axis=2)
+        if alphabet is BIN:
+            ones = rng.uniform(0.0, 0.6, size=(12, side))
+            starts = np.stack([1.0 - ones, ones], axis=2)
+        else:
+            starts = rng.dirichlet([4.0, 1.0, 1.0], size=(6, side))
         if len(coeff_list) == 1:   # polish the ascent's rows, as `hind_fixed_n` does
             starts = indentropy._optimize_single_cap(model, starts, coeff_list[0], bounds[0])
         got = indentropy._sweep_hard(model, starts.copy(), bounds, coeff_list)
         want = _sweep_hard_per_start(model, starts.copy(), bounds, coeff_list)
-        assert np.array_equal(got, want), (k, side, bounds)
+        assert np.array_equal(got, want), (alphabet.size, k, side, bounds)
+
+
+def _random_binary_slice(rng, nrows):
+    """One binary slice (lin (R, 2), rhs (R,)) and a start.  Each row, with
+    a random offset added to both coefficients and the bound, is an upper
+    bound on x = p(1), a lower bound, a row with c0 = c1 (vacuous, tight or
+    violated), or a hard row forbidding one symbol, its bound off zero by a
+    few ulps either way.  The start lies in the interval the rows leave,
+    often on one of its ends, or anywhere when that interval is empty."""
+    lin, rhs = np.zeros((nrows, 2)), np.zeros(nrows)
+    lo, hi = 0.0, 1.0
+    for r in range(nrows):
+        a, c = rng.uniform(-0.5, 0.5), rng.uniform(0.01, 1.0)
+        kind = rng.integers(5)
+        if kind == 0:   # x <= t
+            t = rng.uniform(0.0, 1.0)
+            lin[r], rhs[r], hi = (a, a + c), a + c * t, min(hi, t)
+        elif kind == 1:   # x >= t
+            t = rng.uniform(0.0, 1.0)
+            lin[r], rhs[r], lo = (a + c, a), a + c * (1.0 - t), max(lo, t)
+        elif kind == 2:
+            lin[r], rhs[r] = (a, a), a + rng.choice([0.2, 0.0, -1e-16, -0.1])
+        else:   # hard: kind 3 forbids 1, kind 4 forbids 0
+            lin[r] = (a, a + c) if kind == 3 else (a + c, a)
+            rhs[r] = a + rng.choice([0.0, 4e-16, -4e-16, -3e-15])
+            lo, hi = (lo, 0.0) if kind == 3 else (1.0, hi)
+    if lo <= hi:
+        x = rng.choice([lo, hi, rng.uniform(lo, hi)])
+    else:
+        x = rng.uniform(0.0, 1.0)
+    return lin, rhs, np.array([1.0 - x, x])
+
+
+def _slice_interval(lin, rhs, tol):
+    """The x = p(1) in [0, 1] that meet every row of a binary slice relaxed
+    by tol, as (lo, hi); lo > hi when there are none."""
+    lo, hi = 0.0, 1.0
+    for (d0, d1), e in zip(lin.tolist(), rhs.tolist()):
+        slope, room = d1 - d0, e + tol - d0   # x * slope <= room
+        if slope > 0:
+            hi = min(hi, room / slope)
+        elif slope < 0:
+            lo = max(lo, room / slope)
+        elif room < 0:
+            lo = math.inf
+    return lo, hi
+
+
+def test_binary_slices_closed_form():
+    # random binary slices: a slice the dual rejects, or whose rows admit no
+    # x even relaxed by the dual's tolerance, keeps its start; any other
+    # meets its rows within that tolerance and is at least as good as the
+    # dual's measure, moved into the rows' interval (the dual may leave a
+    # row by up to _MIX_TOL, which at a large multiplier is worth more than
+    # 1e-12 bits); each slice of a stack is its own one-slice call
+    rng = np.random.default_rng(5)
+    seen = {"rejected": 0, "empty": 0, "pinned": 0, "clipped": 0, "half": 0}
+    for _ in range(500):
+        nrows, size = int(rng.integers(1, 5)), int(rng.integers(1, 6))
+        drawn = [_random_binary_slice(rng, nrows) for _ in range(size)]
+        lins, rhs, starts = (np.array(part) for part in zip(*drawn))
+        got = indentropy._binary_slices(lins, rhs, starts)
+        for i, (lin, b, start) in enumerate(drawn):
+            assert np.array_equal(got[i], indentropy._binary_slices(
+                lins[i:i + 1], rhs[i:i + 1], starts[i:i + 1])[0])
+            try:
+                sol = pressure_dual(lin, b, [False] * nrows, 2, 1, start,
+                                    max_iter=indentropy._SLICE_ITER,
+                                    gap_tol=indentropy._SLICE_GAP)
+            except ValidationError:
+                assert np.array_equal(got[i], start), (lin, b)
+                seen["rejected"] += 1
+                continue
+            lo, hi = _slice_interval(lin, b, _MIX_TOL)
+            if lo > hi:
+                assert np.array_equal(got[i], start), (lin, b)
+                seen["empty"] += 1
+                continue
+            assert (lin @ got[i] <= b + _MIX_TOL).all(), (lin, b, got[i])
+            assert got[i].sum() == pytest.approx(1.0, abs=1e-15)
+            lo, hi = _slice_interval(lin, b, _HARD_TOL)
+            rival = h2(min(max(sol.measure[1], lo), hi))
+            assert _entropy_vec(got[i]) >= rival - 1e-12, (lin, b, got[i], sol.measure)
+            x = got[i][1]
+            seen["pinned" if x in (0.0, 1.0) else "half" if x == 0.5 else "clipped"] += 1
+    assert min(seen.values()) >= 50, seen
 
 
 def test_hind_reports_starts_run():
